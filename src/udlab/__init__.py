@@ -9,7 +9,6 @@ their recursive decomposition, and a record/replay harness for
 state-identical but counterfactually inequivalent systems.
 """
 
-from ._kernels import BACKEND
 from .encoding import (
     DecodeError,
     EncodingTable,
@@ -79,7 +78,6 @@ from .replay import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Configuration",
     "DEFAULT_UNIVERSE",
     "DecodeError",

@@ -66,6 +66,10 @@ class _UsageError(Exception):
     pass
 
 
+class _ConfigFileError(Exception):
+    """A --config file that cannot be read or parsed: a validation failure."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; here usage errors are 1
     # and 2 is reserved for validation failures.
@@ -118,8 +122,11 @@ _CONFIG_KEYS = {
 def _apply_config_file(args: argparse.Namespace) -> None:
     if args.config is None:
         return
-    with open(args.config, "r", encoding="utf-8") as fh:
-        values = json.load(fh)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise _ConfigFileError(f"error: --config: {exc}") from None
     if not isinstance(values, dict):
         raise _UsageError("udlab: error: --config file must hold a JSON object")
     for key, value in values.items():
@@ -153,8 +160,8 @@ def _load_universe(source: str | None) -> InputUniverse:
         return DEFAULT_UNIVERSE
     with open(source, "r", encoding="utf-8") as fh:
         tapes = json.load(fh)
-    if not isinstance(tapes, list):
-        raise ValueError("universe file must hold a JSON list of tapes")
+    if not isinstance(tapes, list) or not all(isinstance(t, list) for t in tapes):
+        raise ValueError("universe file must hold a JSON list of tapes, each a list")
     return InputUniverse.from_tapes(tuple(tuple(t) for t in tapes))
 
 
@@ -445,9 +452,12 @@ def _load_recording(run: _Run):
         raise ValueError(f"{run.command} requires --recording")
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"recording {path} must hold a JSON object")
     encoding = run.encoding
-    if "config" in data and "encoding" in data["config"]:
-        encoding = get_table(data["config"]["encoding"])
+    config = data.get("config")
+    if isinstance(config, dict) and "encoding" in config:
+        encoding = get_table(config["encoding"])
     return recording_from_data(data, encoding)
 
 
@@ -539,6 +549,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --help prints and exits 0
         return 0 if exc.code in (0, None) else 1
+    except _ConfigFileError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     handler, default_fmt = _HANDLERS[args.command]
     try:

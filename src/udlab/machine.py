@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import _kernels
 from .encoding import DEC, DVT, EXEC, HALT, IN, INC, OUT, WHILE, Program
 
 Tape = tuple[int, ...]
@@ -258,27 +257,10 @@ def run_trace(program: Program, tape: Tape, k: int, budget: int | None = None) -
     absorbing).  `budget` caps the number of host steps actually executed and
     must be at least k; the default is exactly k.
     """
-    global _STEPS_EXECUTED
     if k < 1:
         raise ValueError("k must be >= 1")
     if budget is not None and budget < k:
         raise ValueError("budget must be >= k")
-
-    if not program.contains_meta:
-        raw = _kernels.flat_trace(program, tape, k)
-        if raw is not None:
-            step_rows, out_values = raw
-            _STEPS_EXECUTED += k
-            states = tuple(
-                SemanticState(
-                    registers=(r0, r1, r2, r3),
-                    input_cursor=cursor,
-                    outputs=tuple(out_values[:n_out]),
-                    halted=bool(halted),
-                )
-                for (r0, r1, r2, r3, cursor, n_out, halted) in step_rows
-            )
-            return Trace(states=states, events=())
 
     config = Configuration.fresh(program)
     events: list[EmulationEvent] = []

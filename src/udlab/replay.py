@@ -150,9 +150,15 @@ def recording_to_data(rec: Recording) -> dict:
     }
 
 
+_RECORDING_FIELDS = {"program_bits": str, "tape": list, "k": int, "trace": list}
+
+
 def recording_from_data(data: dict, table: EncodingTable = TABLE_A) -> Recording:
     """Rebuild a recording, re-running the program and verifying the stored
     trace matches; recordings are deterministic artifacts, never hand-edited."""
+    for key, kind in _RECORDING_FIELDS.items():
+        if not isinstance(data.get(key), kind):
+            raise ValueError(f"recording field {key!r} is missing or not of type {kind.__name__}")
     program = decode(data["program_bits"], table)
     tape = tuple(int(v) for v in data["tape"])
     if any(v < 0 for v in tape):

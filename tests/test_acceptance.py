@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from udlab import _pykernels
+from census import scan_length
 from udlab.cli import main as cli_main
 from udlab.dovetailer import schedule_pair
 from udlab.encoding import TABLE_A, decode, from_instructions
@@ -40,11 +40,11 @@ def criterion(number: int, title: str, budget_s: float):
 
 def test_criterion_1_prefix_free_and_kraft():
     with criterion(1, "prefix-free code and Kraft masses", 10.0):
-        # Exhaustive decode of every bit string with length <= 14, on the
-        # pure route: validity is decided by the strict decoder alone.
+        # Exhaustive decode of every bit string with length <= 14: validity
+        # is decided by the strict decoder alone.
         valid: list[str] = []
         for length in range(1, 15):
-            valid.extend(_pykernels.scan_length(length, TABLE_A))
+            valid.extend(scan_length(length, TABLE_A))
         valid_set = set(valid)
         for bits in valid:
             for cut in range(1, len(bits)):

@@ -1,105 +1,20 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from udlab import _kernels, _pykernels
-from udlab.encoding import TABLE_A, TABLE_B, decode, from_instructions
+from census import scan_length
+from udlab.encoding import TABLE_A, TABLE_B
 from udlab.enumeration import enumerate_programs
-from udlab.machine import Configuration, run_trace, step
-
-HAVE_COMPILED = _kernels.BACKEND == "compiled"
-needs_compiled = pytest.mark.skipif(not HAVE_COMPILED, reason="compiled backend not built")
 
 
-def tree_trace(program, tape, k):
-    """Reference trace straight off the tree interpreter, no fast path."""
-    config = Configuration.fresh(program)
-    states = []
-    for _ in range(k):
-        event = step(config, program, tape)
-        states.append(config.semantic_state(event))
-    return tuple(states)
-
-
-@needs_compiled
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B])
-def test_scan_agreement_up_to_14(table):
-    for length in range(1, 15):
-        fast = _kernels.scan_length(length, table, backend="compiled")
-        pure = _kernels.scan_length(length, table, backend="pure")
-        assert fast == pure
-
-
-@needs_compiled
-def test_flat_trace_agrees_with_tree_machine():
-    tapes = [(), (1,), (0, 1), (3, 2, 1)]
-    for program in enumerate_programs(14):
-        if program.contains_meta:
-            continue
-        for tape in tapes:
-            assert run_trace(program, tape, 7).states == tree_trace(program, tape, 7)
-
-
-FLAT_PROGRAMS = [p for p in enumerate_programs(14) if not p.contains_meta]
-
-
-@needs_compiled
-@given(
-    st.sampled_from(FLAT_PROGRAMS),
-    st.lists(st.integers(min_value=0, max_value=2**61), max_size=3),
-    st.integers(min_value=1, max_value=25),
-)
-def test_flat_trace_agrees_on_random_inputs(program, tape, k):
-    assert run_trace(program, tuple(tape), k).states == tree_trace(program, tuple(tape), k)
-
-
-def test_flat_trace_declines_meta_programs():
-    assert _kernels.flat_trace(decode("10001111"), (), 3) is None
-
-
-def test_flat_trace_declines_oversized_values():
-    program = from_instructions([("IN", 0), ("OUT", 0)])
-    assert _kernels.flat_trace(program, (2**62,), 2) is None
-    # The tree machine still handles them exactly.
-    trace = run_trace(program, (2**62,), 2)
-    assert trace.states[1].outputs == (2**62,)
-
-
-def test_flatten_layout():
-    program = from_instructions([("IN", 0), ("WHILE", 0, (("DEC", 0),)), ("OUT", 1)])
-    ops, regsel, jumps = _kernels.flatten(program)
-    assert list(ops) == [
-        _pykernels.K_IN,
-        _pykernels.K_WHILE,
-        _pykernels.K_DEC,
-        _pykernels.K_WEND,
-        _pykernels.K_OUT,
-        _pykernels.K_END,
-    ]
-    assert jumps[1] == 4  # WHILE skips past its WEND
-    assert jumps[3] == 2  # WEND loops back to the body
-    with pytest.raises(ValueError):
-        _kernels.flatten(decode("011111111111"))
-
-
-def test_pure_exec_flat_matches_tree_machine():
-    # The pure flat executor is only used for benchmarks and cross-checks,
-    # and must stay faithful regardless of the compiled backend.
-    tapes = [(), (1,), (2, 0, 2)]
-    for program in FLAT_PROGRAMS:
-        ops, regsel, jumps = _kernels.flatten(program)
-        for tape in tapes:
-            rows, outs = _pykernels.exec_flat(ops, regsel, jumps, tape, 6)
-            reference = tree_trace(program, tape, 6)
-            for row, state in zip(rows, reference):
-                assert tuple(row[:4]) == state.registers
-                assert row[4] == state.input_cursor
-                assert tuple(outs[: row[5]]) == state.outputs
-                assert bool(row[6]) == state.halted
+def test_grammar_enumeration_is_decode_census(table):
+    programs = enumerate_programs(16, table)
+    for length in range(1, 17):
+        generated = [p.bits for p in programs if p.length == length]
+        assert generated == scan_length(length, table), f"length {length}"
 
 
 def test_pure_scan_is_decode_census():
-    # Spot-check the pure route against structural facts.
-    assert _pykernels.scan_length(4, TABLE_A) == ["1111"]
-    assert _pykernels.scan_length(5, TABLE_A) == []
-    assert _pykernels.scan_length(8, TABLE_A) == ["00001111", "10001111"]
+    # Spot-check the oracle itself against structural facts.
+    assert scan_length(4, TABLE_A) == ["1111"]
+    assert scan_length(5, TABLE_A) == []
+    assert scan_length(8, TABLE_A) == ["00001111", "10001111"]

@@ -1,6 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from udlab.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -217,3 +226,52 @@ def test_threads_flag_does_not_change_output(capsys):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_universe_entries_must_be_lists(tmp_path, capsys):
+    path = tmp_path / "universe.json"
+    path.write_text(json.dumps([1, 2]))
+    code, _, err = run_cli(capsys, "partition", "-L", "8", "-k", "1", "--universe", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "universe" in err
+
+
+def test_config_file_missing_or_invalid_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "kraft", "--config", str(tmp_path / "absent.json"))
+    assert code == 2 and err.startswith("error: --config")
+    config = tmp_path / "broken.json"
+    config.write_text("{max_len: 8")
+    code, _, err = run_cli(capsys, "kraft", "--config", str(config))
+    assert code == 2 and err.startswith("error: --config")
+
+
+@pytest.mark.parametrize("command", ["replay", "hybrid", "sever"])
+def test_malformed_recording_exits_2(tmp_path, capsys, command):
+    for data in ({"k": 2}, [1, 2]):
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, command, "--recording", str(path), "--tape", "0")
+        assert code == 2
+        assert err.startswith("error:") and "recording" in err
+
+
+def test_kraft_beyond_the_enumeration_limit(capsys):
+    code, out, _ = run_cli(capsys, "kraft", "-L", "60")
+    assert code == 0
+    assert out == "117681029730492541/1152921504606846976\n"
+
+
+def test_oversized_enumeration_exits_2_under_memory_cap():
+    cap = 2 * 1024**3
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "udlab.cli", "enumerate", "-L", "40"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: max_len 40 covers")

@@ -2,8 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from udlab.encoding import TABLE_B
-from udlab.enumeration import enumerate_programs, kraft_mass, nth_program
+from udlab.encoding import TABLE_A, TABLE_B
+from udlab.enumeration import (
+    MAX_PROGRAMS,
+    ProgramStream,
+    block_counts,
+    enumerate_programs,
+    kraft_mass,
+    nth_program,
+)
 
 # New programs per exact length, counted by hand from the grammar:
 #   4: END alone (the empty program).
@@ -66,7 +73,7 @@ def test_kraft_values():
 
 def test_kraft_monotone_and_bounded():
     previous = Fraction(0)
-    for max_len in range(4, 17):
+    for max_len in (*range(4, 17), 40, 60):
         mass = kraft_mass(max_len)
         assert previous <= mass <= 1
         previous = mass
@@ -107,3 +114,26 @@ def test_encoding_b_same_bits_different_meaning():
     assert b[1].instructions == (("DVT",),)
     assert a[2].instructions == (("DVT",),)
     assert b[2].instructions == (("HALT",),)
+
+
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B])
+def test_grammar_counts_match_enumeration(table):
+    counts = block_counts(20)
+    for max_len in range(4, 21):
+        programs = enumerate_programs(max_len, table)
+        assert sum(counts[: max_len + 1]) == len(programs)
+        enumerated = sum((Fraction(1, 2**p.length) for p in programs), Fraction(0))
+        assert kraft_mass(max_len, table) == enumerated
+
+
+def test_grammar_counts_at_the_size_limit():
+    assert sum(block_counts(20)) == 2396
+    assert sum(block_counts(30)) == 454_169
+    assert sum(block_counts(31)) <= MAX_PROGRAMS < sum(block_counts(32)) == 1_484_319
+
+
+def test_oversized_enumeration_is_refused_up_front():
+    stream = ProgramStream(TABLE_A)
+    with pytest.raises(ValueError, match="max_len 40 covers"):
+        stream.up_to_length(40)
+    assert stream.up_to_length(8)[-1].bits == "10001111"

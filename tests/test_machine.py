@@ -231,3 +231,9 @@ def test_trace_prefix_property(program, tape, k):
     longer = run_trace(program, tape, k + 1).states
     shorter = run_trace(program, tape, k).states
     assert longer[:k] == shorter
+
+
+def test_run_trace_exact_on_oversized_values():
+    program = from_instructions([("IN", 0), ("OUT", 0)])
+    trace = run_trace(program, (2**62,), 2)
+    assert trace.states[1].outputs == (2**62,)
