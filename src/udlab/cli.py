@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
 Every subcommand is a pure function of its resolved run configuration: output
-is byte-identical across repeated runs and across worker counts, all numbers
-are exact fraction strings, and each emitted result embeds the configuration
-that produced it.  Exit codes: 0 success, 1 usage error, 2 validation or
-precondition failure.
+is byte-identical across repeated runs, all numbers are exact fraction
+strings, and each emitted result embeds the configuration that produced it.
+Computation is serial; --threads (default UDLAB_THREADS, else 1) is only
+recorded in that configuration.  Exit codes: 0 success, 1 usage error,
+2 validation or precondition failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .dovetailer import DovetailEngine, canonical_dvt_bits, schedule_pair
@@ -29,7 +31,6 @@ from .measure import (
     measure_class,
     relative_measure,
 )
-from .parallel import resolve_threads
 from .replay import (
     SeverancePlan,
     hybrid_run,
@@ -100,18 +101,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "max_len",
-    "k",
-    "budget",
+# Integer options; every other config key holds a string, as its flag does.
+_INT_KEYS = {"max_len", "k", "budget", "threads", "tick", "ticks"}
+_CONFIG_KEYS = _INT_KEYS | {
     "universe",
     "encoding",
     "fmt",
     "format",
     "out",
-    "threads",
-    "tick",
-    "ticks",
     "program",
     "tape",
     "severed",
@@ -132,9 +129,23 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     for key, value in values.items():
         if key not in _CONFIG_KEYS:
             raise _UsageError(f"udlab: error: unknown config key {key!r}")
+        expected = int if key in _INT_KEYS else str
+        if not isinstance(value, expected) or isinstance(value, bool):
+            kind = "an integer" if expected is int else "a string"
+            raise _ConfigFileError(f"error: --config: {key!r} must be {kind}, got {value!r}")
         dest = "fmt" if key == "format" else key
         if getattr(args, dest) is None:  # explicit flags win over the file
             setattr(args, dest, value)
+
+
+def _resolve_threads(requested: int | None) -> int:
+    """The worker count recorded in the config; computation is serial."""
+    if requested is not None:
+        return max(1, requested)
+    try:
+        return max(1, int(os.environ.get("UDLAB_THREADS", "")))
+    except ValueError:
+        return 1
 
 
 def _parse_tape(text: str | None) -> tuple[int, ...]:
@@ -191,12 +202,12 @@ class _Run:
 
     def __init__(self, args: argparse.Namespace, default_fmt: str) -> None:
         self.command = args.command
-        self.max_len = DEFAULT_MAX_LEN if args.max_len is None else int(args.max_len)
-        self.k = DEFAULT_K if args.k is None else int(args.k)
-        self.budget = DEFAULT_BUDGET if args.budget is None else int(args.budget)
+        self.max_len = DEFAULT_MAX_LEN if args.max_len is None else args.max_len
+        self.k = DEFAULT_K if args.k is None else args.k
+        self.budget = DEFAULT_BUDGET if args.budget is None else args.budget
         self.universe = _load_universe(args.universe)
         self.encoding: EncodingTable = get_table(args.encoding or "A")
-        self.threads = resolve_threads(None if args.threads is None else int(args.threads))
+        self.threads = _resolve_threads(args.threads)
         self.fmt = args.fmt or default_fmt
         self.out = args.out
         self.args = args
@@ -250,7 +261,7 @@ def _cmd_kraft(run: _Run) -> None:
 def _cmd_schedule(run: _Run) -> None:
     if run.args.tick is None:
         raise ValueError("schedule requires --tick")
-    tick = int(run.args.tick)
+    tick = run.args.tick
     i, s = schedule_pair(tick)
     config = run.config_dict(("tick", tick))
     if run.fmt == "json":
@@ -285,7 +296,7 @@ def _tick_rows(ticks: int, table: EncodingTable) -> list[list]:
 def _cmd_dovetail(run: _Run) -> None:
     if run.args.ticks is None:
         raise ValueError("dovetail requires --ticks")
-    ticks = int(run.args.ticks)
+    ticks = run.args.ticks
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
     config = run.config_dict(("ticks", ticks))
@@ -300,7 +311,7 @@ def _cmd_dovetail(run: _Run) -> None:
 
 def _partition_payload(run: _Run, k: int) -> list:
     programs = enumerate_programs(run.max_len, run.encoding)
-    return partition(programs, run.universe, k, run.threads)
+    return partition(programs, run.universe, k)
 
 
 def _cmd_partition(run: _Run) -> None:
@@ -341,7 +352,7 @@ def _cmd_measure(run: _Run) -> None:
     ctx = run.context()
     rows = [
         _context_columns(run, run.k)
-        + [c.index, c.key_digest, len(c.members), fraction_str(measure_class(c, ctx, run.threads))]
+        + [c.index, c.key_digest, len(c.members), fraction_str(measure_class(c, ctx))]
         for c in classes
     ]
     header = _CONTEXT_HEADER + ["class_index", "key_digest", "member_count", "mass"]
@@ -355,7 +366,7 @@ def _cmd_measure(run: _Run) -> None:
 def _cmd_decompose(run: _Run) -> None:
     classes = _partition_payload(run, run.k)
     ctx = run.context()
-    residuals = decomposition_check(classes, ctx, run.threads)
+    residuals = decomposition_check(classes, ctx)
     rows = [
         _context_columns(run, run.k) + [c.index, fraction_str(r), r == 0]
         for c, r in zip(classes, residuals)
@@ -370,8 +381,8 @@ def _cmd_decompose(run: _Run) -> None:
 
 def _relmeasure_rows(run: _Run, table: EncodingTable) -> list[list]:
     programs = enumerate_programs(run.max_len, table)
-    parents = partition(programs, run.universe, run.k, run.threads)
-    children = partition(programs, run.universe, run.k + 1, run.threads)
+    parents = partition(programs, run.universe, run.k)
+    children = partition(programs, run.universe, run.k + 1)
     mapping = refine(parents, children)
     ctx = MeasureContext(
         max_len=run.max_len, k=run.k, budget=run.budget, universe=run.universe, encoding=table
@@ -379,7 +390,7 @@ def _relmeasure_rows(run: _Run, table: EncodingTable) -> list[list]:
     rows = []
     for child in children:
         parent = parents[mapping[child.index]]
-        ratio = relative_measure(child, parent, ctx, run.threads)
+        ratio = relative_measure(child, parent, ctx)
         rows.append(
             [
                 run.max_len,
@@ -421,7 +432,7 @@ def _cmd_relmeasure(run: _Run) -> None:
 def _cmd_levels(run: _Run) -> None:
     # -k is the top level; the report always starts at level 1.
     ctx = run.context(k=1)
-    rows_data = divergence_report(1, run.k, ctx, run.threads)
+    rows_data = divergence_report(1, run.k, ctx)
     rows = [
         [run.max_len, row.k, run.budget, run.universe.universe_id, run.encoding.variant_id]
         + [row.class_count, fraction_str(row.level_mass), fraction_str(row.cumulative)]

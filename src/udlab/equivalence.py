@@ -9,7 +9,7 @@ programs that coincide on one tape can still be inequivalent.
 
 Partitions are grouped by a canonical serialization of the whole per-tape
 trace family; class indices come from sorting those keys, so the result is
-independent of input order and parallelism.
+independent of input order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .encoding import Program
 from .machine import run_trace, state_to_data
-from .parallel import parallel_map
 
 Tape = tuple[int, ...]
 
@@ -128,17 +127,12 @@ def _make_class(k, index, members, key, universe_id) -> EquivClass:
     )
 
 
-def partition(
-    programs,
-    universe: InputUniverse,
-    k: int,
-    threads: int | None = None,
-) -> list[EquivClass]:
+def partition(programs, universe: InputUniverse, k: int) -> list[EquivClass]:
     """Group programs by their k-step trace family over the universe.
 
     Classes are disjoint, cover the input, and carry indices derived from
     sorted canonical keys, so the same set of programs always yields the same
-    partition no matter how it was ordered or how many workers computed it.
+    partition no matter how it was ordered.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -149,7 +143,7 @@ def partition(
             raise ValueError(f"duplicate program {program.bits!r} in partition input")
         bits_seen.add(program.bits)
 
-    keys = parallel_map(lambda p: family_key(p, universe, k), programs, threads)
+    keys = [family_key(p, universe, k) for p in programs]
     groups: dict[str, list[Program]] = {}
     for program, key in zip(programs, keys):
         groups.setdefault(key, []).append(program)

@@ -23,7 +23,6 @@ from .encoding import EncodingTable, Program, decode
 from .enumeration import enumerate_programs
 from .equivalence import EquivClass, InputUniverse, family_key, partition
 from .machine import run_events
-from .parallel import parallel_map
 
 MeasureValue = Fraction
 
@@ -92,6 +91,19 @@ class MeasureContext:
             value = cache[key] = family_key(program, self.universe, k)
         return value
 
+    def reached_keys(self, program: Program) -> frozenset[str]:
+        """Level-k family keys of the codes the program emulates to >= k steps."""
+        cache = self._caches.setdefault("reach", {})
+        key = (program.bits, self.k)
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = frozenset(
+                self.code_family_key(code_bits, self.k)
+                for code_bits, max_step in self.events_summary(program).items()
+                if max_step >= self.k
+            )
+        return value
+
     def _check_class(self, cls: EquivClass) -> None:
         if cls.k != self.k:
             raise ValueError(f"class is at k={cls.k} but context has k={self.k}")
@@ -121,26 +133,34 @@ def u_weight(program: Program, cls: EquivClass, ctx: MeasureContext) -> int:
     return 0
 
 
-def measure_class(cls: EquivClass, ctx: MeasureContext, threads: int | None = None) -> Fraction:
+def reaching_weight(programs, cls: EquivClass, ctx: MeasureContext) -> Fraction:
+    """Sum of 2**-length over the given programs that reach the class.
+
+    Agrees with u_weight program by program; reaching is one lookup in the
+    program's cached reach set.
+    """
+    return sum(
+        (
+            Fraction(1, 2**p.length)
+            for p in programs
+            if p.bits in cls.member_bits or cls.canonical_key in ctx.reached_keys(p)
+        ),
+        Fraction(0),
+    )
+
+
+def measure_class(cls: EquivClass, ctx: MeasureContext) -> Fraction:
     """Exact mass of a class: sum of 2**-length over contributing programs."""
     ctx._check_class(cls)
     cache = ctx._caches.setdefault("mass", {})
     cache_key = (cls.k, cls.canonical_key)
     value = cache.get(cache_key)
     if value is None:
-        programs = ctx.programs()
-        weights = parallel_map(lambda p: u_weight(p, cls, ctx), programs, threads)
-        value = sum(
-            (Fraction(1, 2**p.length) for p, u in zip(programs, weights) if u),
-            Fraction(0),
-        )
-        cache[cache_key] = value
+        value = cache[cache_key] = reaching_weight(ctx.programs(), cls, ctx)
     return value
 
 
-def decomposition_check(
-    classes: list[EquivClass], ctx: MeasureContext, threads: int | None = None
-) -> list[Fraction]:
+def decomposition_check(classes: list[EquivClass], ctx: MeasureContext) -> list[Fraction]:
     """Residuals of the recursive mass regrouping, one per class.
 
     For each class i the regrouped form sums, over classes j, the class-j
@@ -159,34 +179,24 @@ def decomposition_check(
     if covered != expected:
         raise ValueError("partition does not cover the enumerated programs at max_len")
 
-    programs = ctx.programs()
-    mass = {cls.index: measure_class(cls, ctx, threads) for cls in classes}
+    mass = {cls.index: measure_class(cls, ctx) for cls in classes}
     residuals = []
     for target in classes:
         regrouped = Fraction(0)
         for source in classes:
-            numerator = sum(
-                (
-                    Fraction(1, 2**p.length)
-                    for p in source.members
-                    if u_weight(p, target, ctx)
-                ),
-                Fraction(0),
-            )
+            numerator = reaching_weight(source.members, target, ctx)
+            if not numerator:
+                continue  # this source adds nothing to the target
             # The divisor is the full reaching-weight of the source class,
-            # summed over every enumerated program, not just its members.
-            denominator = sum(
-                (Fraction(1, 2**p.length) for p in programs if u_weight(p, source, ctx)),
-                Fraction(0),
-            )
+            # summed over every enumerated program, not just its members:
+            # that sum is the source class mass itself.
+            denominator = mass[source.index]
             regrouped += mass[source.index] * numerator / denominator
         residuals.append(regrouped - mass[target.index])
     return residuals
 
 
-def relative_measure(
-    child: EquivClass, parent: EquivClass, ctx: MeasureContext, threads: int | None = None
-) -> Fraction:
+def relative_measure(child: EquivClass, parent: EquivClass, ctx: MeasureContext) -> Fraction:
     """Exact ratio mass(child at k+1) / mass(parent at k), same truncation."""
     if child.k != parent.k + 1:
         raise ValueError(f"child must be one level below parent (got {child.k} vs {parent.k})")
@@ -197,21 +207,21 @@ def relative_measure(
         )
     if not parent.members:
         raise EmptyClass(f"parent class {parent.index} has no members")
-    child_mass = measure_class(child, ctx.at_k(child.k), threads)
-    parent_mass = measure_class(parent, ctx.at_k(parent.k), threads)
+    child_mass = measure_class(child, ctx.at_k(child.k))
+    parent_mass = measure_class(parent, ctx.at_k(parent.k))
     return child_mass / parent_mass
 
 
-def level_partition(k: int, ctx: MeasureContext, threads: int | None = None) -> list[EquivClass]:
+def level_partition(k: int, ctx: MeasureContext) -> list[EquivClass]:
     """Partition of the enumerated programs at level k under this context."""
-    return partition(ctx.programs(), ctx.universe, k, threads)
+    return partition(ctx.programs(), ctx.universe, k)
 
 
-def level_mass(k: int, ctx: MeasureContext, threads: int | None = None) -> Fraction:
+def level_mass(k: int, ctx: MeasureContext) -> Fraction:
     """Total mass at level k: sum of class masses over the level-k partition."""
     level_ctx = ctx.at_k(k)
-    classes = level_partition(k, ctx, threads)
-    return sum((measure_class(c, level_ctx, threads) for c in classes), Fraction(0))
+    classes = level_partition(k, ctx)
+    return sum((measure_class(c, level_ctx) for c in classes), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -222,9 +232,7 @@ class LevelRow:
     cumulative: Fraction
 
 
-def divergence_report(
-    k_min: int, k_max: int, ctx: MeasureContext, threads: int | None = None
-) -> list[LevelRow]:
+def divergence_report(k_min: int, k_max: int, ctx: MeasureContext) -> list[LevelRow]:
     """Per-level masses and their running sum for k in k_min..k_max.
 
     Every program contributes at least its own weight at every level, so the
@@ -236,9 +244,9 @@ def divergence_report(
     rows = []
     cumulative = Fraction(0)
     for k in range(k_min, k_max + 1):
-        classes = level_partition(k, ctx, threads)
+        classes = level_partition(k, ctx)
         level_ctx = ctx.at_k(k)
-        mass = sum((measure_class(c, level_ctx, threads) for c in classes), Fraction(0))
+        mass = sum((measure_class(c, level_ctx) for c in classes), Fraction(0))
         cumulative += mass
         rows.append(LevelRow(k=k, class_count=len(classes), level_mass=mass, cumulative=cumulative))
     return rows

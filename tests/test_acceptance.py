@@ -73,7 +73,6 @@ def test_criterion_2_partition_laws():
             shuffled = list(programs)
             random.Random(k).shuffle(shuffled)
             assert partition(shuffled, DEFAULT_UNIVERSE, k) == classes
-            assert partition(shuffled, DEFAULT_UNIVERSE, k, threads=4) == classes
             if previous is not None:
                 mapping = refine(previous, classes)
                 assert sorted(mapping.keys()) == [c.index for c in classes]  # total

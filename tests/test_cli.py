@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -243,6 +244,39 @@ def test_config_file_missing_or_invalid_exits_2(tmp_path, capsys):
     config.write_text("{max_len: 8")
     code, _, err = run_cli(capsys, "kraft", "--config", str(config))
     assert code == 2 and err.startswith("error: --config")
+    mistyped = [
+        ("kraft", {"universe": 0}),  # would read the universe from stdin
+        ("kraft", {"out": 2}),  # would write to fd 2, then close it
+        ("kraft", {"k": [1]}),
+        ("record", {"program": "1111", "tape": 5}),
+        ("kraft", {"k": 1.7}),  # would run at k=1
+        ("kraft", {"max_len": True}),
+        ("kraft", {"threads": "4"}),
+        ("kraft", {"encoding": None}),
+    ]
+    for command, values in mistyped:
+        config.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2 and out == "" and err.startswith("error: --config: "), values
+
+
+# sha256 of the default CSV output of each mass command.  A changed byte here
+# needs a versioned output format change, not a new digest.
+GOLDEN_MASS_DIGESTS = {
+    "measure -L 12 -k 2 -T 200": "0e782069ab51e7264545d8567e2447c3178d624343cb0e1edeb8a9a9e62c20cd",
+    "decompose -L 12 -k 2 -T 200": "ac1475a00ce3f132222852658cf316ef7d126c1ebfaad43da5fd64f7ff12958e",
+    "levels -L 12 -k 4 -T 200": "09b0dc0dc67858e8f3a93cfbabca9993b054053465dd06e33b1684781de3cd0b",
+    "relmeasure -L 12 -k 1 -T 200": "f38f9d15f025f8eeb5efb8708b6ff66c90798a15d81761fd7f507b16e5f61de9",
+    "invariance -L 12 -k 1 -T 200": "2305c42f165b75e8ce491dfd39b8471c2bff6af300d90187d5436ee0496cece0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_MASS_DIGESTS))
+def test_mass_commands_match_golden_digests(capsys, monkeypatch, argv):
+    monkeypatch.delenv("UDLAB_THREADS", raising=False)
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_MASS_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("command", ["replay", "hybrid", "sever"])

@@ -118,13 +118,12 @@ def test_partition_laws():
     assert keys == sorted(keys)
 
 
-def test_partition_deterministic_under_shuffle_and_threads():
+def test_partition_deterministic_under_shuffle():
     programs = enumerate_programs(12)
     reference = partition(programs, DEFAULT_UNIVERSE, 2)
     shuffled = list(programs)
     random.Random(20240811).shuffle(shuffled)
     assert partition(shuffled, DEFAULT_UNIVERSE, 2) == reference
-    assert partition(shuffled, DEFAULT_UNIVERSE, 2, threads=4) == reference
 
 
 def test_partition_rejects_duplicates():

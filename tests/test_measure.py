@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from udlab.encoding import TABLE_A, decode, from_instructions
+from udlab.encoding import TABLE_A, decode, from_instructions, get_table
 from udlab.enumeration import enumerate_programs, kraft_mass
 from udlab.equivalence import DEFAULT_UNIVERSE, partition, refine
 from udlab.measure import (
@@ -14,6 +14,7 @@ from udlab.measure import (
     fraction_str,
     level_mass,
     measure_class,
+    reaching_weight,
     relative_measure,
     u_weight,
 )
@@ -211,11 +212,37 @@ def test_divergence_report_accumulates():
         divergence_report(0, 3, ctx)
 
 
-def test_threads_do_not_change_masses():
-    classes = classes_at(10, 1)
-    single = [measure_class(c, make_ctx(max_len=10, budget=10)) for c in classes]
-    threaded = [measure_class(c, make_ctx(max_len=10, budget=10), threads=4) for c in classes]
-    assert single == threaded
+def oracle_weight(programs, cls, ctx):
+    return sum((Fraction(1, 2**p.length) for p in programs if u_weight(p, cls, ctx)), Fraction(0))
+
+
+def table_ctx(variant, k, budget):
+    return MeasureContext(
+        max_len=12, k=k, budget=budget, universe=DEFAULT_UNIVERSE, encoding=get_table(variant)
+    )
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_measure_class_agrees_with_u_weight_oracle(variant):
+    programs = enumerate_programs(12, get_table(variant))
+    for k in (1, 2, 3):
+        classes = partition(programs, DEFAULT_UNIVERSE, k)
+        for budget in (0, 10, 200):
+            ctx, oracle_ctx = table_ctx(variant, k, budget), table_ctx(variant, k, budget)
+            for cls in classes:
+                expected = oracle_weight(programs, cls, oracle_ctx)
+                assert measure_class(cls, ctx) == expected, (k, budget, cls.index)
+
+
+def test_decomposition_numerators_agree_with_u_weight_oracle():
+    programs = enumerate_programs(12, get_table("B"))
+    classes = partition(programs, DEFAULT_UNIVERSE, 2)
+    ctx, oracle_ctx = table_ctx("B", 2, 200), table_ctx("B", 2, 200)
+    for target in classes:
+        for source in classes:
+            expected = oracle_weight(source.members, target, oracle_ctx)
+            assert reaching_weight(source.members, target, ctx) == expected
+    assert decomposition_check(classes, ctx) == [Fraction(0)] * len(classes)
 
 
 def test_fraction_str():
