@@ -78,6 +78,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
+# Options restricted to a fixed set of values, on the command line and in
+# --config files alike.
+_CHOICES = {"encoding": ("A", "B"), "fmt": ("csv", "json")}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="udlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="|".join(_COMMANDS))
@@ -87,8 +92,8 @@ def _build_parser() -> _Parser:
         p.add_argument("-k", dest="k", type=int, default=None)
         p.add_argument("--budget", "-T", dest="budget", type=int, default=None)
         p.add_argument("--universe", default=None, help="path to a JSON tape list, or 'default'")
-        p.add_argument("--encoding", default=None, choices=("A", "B"))
-        p.add_argument("--format", dest="fmt", default=None, choices=("csv", "json"))
+        p.add_argument("--encoding", default=None, choices=_CHOICES["encoding"])
+        p.add_argument("--format", dest="fmt", default=None, choices=_CHOICES["fmt"])
         p.add_argument("--out", default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--tick", type=int, default=None)
@@ -134,6 +139,10 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             kind = "an integer" if expected is int else "a string"
             raise _ConfigFileError(f"error: --config: {key!r} must be {kind}, got {value!r}")
         dest = "fmt" if key == "format" else key
+        if dest in _CHOICES and value not in _CHOICES[dest]:
+            raise _ConfigFileError(
+                f"error: --config: {key!r} must be one of {', '.join(_CHOICES[dest])}, got {value!r}"
+            )
         if getattr(args, dest) is None:  # explicit flags win over the file
             setattr(args, dest, value)
 
@@ -195,6 +204,14 @@ def _csv_doc(config: dict, header: list[str], rows: list[list]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _emit_table(run: "_Run", key: str, header: list[str], rows: list[list], config: dict) -> None:
+    """Emit rows as CSV, or as JSON objects listed under `key`."""
+    if run.fmt == "json":
+        _emit(_json_doc({"config": config, key: [dict(zip(header, row)) for row in rows]}), run.out)
+    else:
+        _emit(_csv_doc(config, header, rows), run.out)
 
 
 class _Run:
@@ -299,14 +316,9 @@ def _cmd_dovetail(run: _Run) -> None:
     ticks = run.args.ticks
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
-    config = run.config_dict(("ticks", ticks))
-    rows = _tick_rows(ticks, run.encoding)
     header = ["tick", "program_index", "program_bits", "step_index", "halted", "registers", "outputs"]
-    if run.fmt == "json":
-        events = [dict(zip(header, row)) for row in rows]
-        _emit(_json_doc({"config": config, "events": events}), run.out)
-    else:
-        _emit(_csv_doc(config, header, rows), run.out)
+    rows = _tick_rows(ticks, run.encoding)
+    _emit_table(run, "events", header, rows, run.config_dict(("ticks", ticks)))
 
 
 def _partition_payload(run: _Run, k: int) -> list:
@@ -340,8 +352,9 @@ def _cmd_partition(run: _Run) -> None:
         _emit(_json_doc(payload), run.out)
 
 
-def _context_columns(run: _Run, k: int) -> list:
-    return [run.max_len, k, run.budget, run.universe.universe_id, run.encoding.variant_id]
+def _context_columns(run: _Run, k: int, table: EncodingTable | None = None) -> list:
+    table = table or run.encoding
+    return [run.max_len, k, run.budget, run.universe.universe_id, table.variant_id]
 
 
 _CONTEXT_HEADER = ["L", "k", "T", "universe_id", "encoding_id"]
@@ -356,11 +369,7 @@ def _cmd_measure(run: _Run) -> None:
         for c in classes
     ]
     header = _CONTEXT_HEADER + ["class_index", "key_digest", "member_count", "mass"]
-    if run.fmt == "json":
-        payload = {"config": run.config_dict(), "classes": [dict(zip(header, row)) for row in rows]}
-        _emit(_json_doc(payload), run.out)
-    else:
-        _emit(_csv_doc(run.config_dict(), header, rows), run.out)
+    _emit_table(run, "classes", header, rows, run.config_dict())
 
 
 def _cmd_decompose(run: _Run) -> None:
@@ -372,11 +381,7 @@ def _cmd_decompose(run: _Run) -> None:
         for c, r in zip(classes, residuals)
     ]
     header = _CONTEXT_HEADER + ["class_index", "residual", "zero"]
-    if run.fmt == "json":
-        payload = {"config": run.config_dict(), "classes": [dict(zip(header, row)) for row in rows]}
-        _emit(_json_doc(payload), run.out)
-    else:
-        _emit(_csv_doc(run.config_dict(), header, rows), run.out)
+    _emit_table(run, "classes", header, rows, run.config_dict())
 
 
 def _relmeasure_rows(run: _Run, table: EncodingTable) -> list[list]:
@@ -392,18 +397,8 @@ def _relmeasure_rows(run: _Run, table: EncodingTable) -> list[list]:
         parent = parents[mapping[child.index]]
         ratio = relative_measure(child, parent, ctx)
         rows.append(
-            [
-                run.max_len,
-                run.k,
-                run.budget,
-                run.universe.universe_id,
-                table.variant_id,
-                child.index,
-                parent.index,
-                child.key_digest,
-                parent.key_digest,
-                fraction_str(ratio),
-            ]
+            _context_columns(run, run.k, table)
+            + [child.index, parent.index, child.key_digest, parent.key_digest, fraction_str(ratio)]
         )
     return rows
 
@@ -419,14 +414,7 @@ _RELMEASURE_HEADER = _CONTEXT_HEADER + [
 
 def _cmd_relmeasure(run: _Run) -> None:
     rows = _relmeasure_rows(run, run.encoding)
-    if run.fmt == "json":
-        payload = {
-            "config": run.config_dict(),
-            "pairs": [dict(zip(_RELMEASURE_HEADER, row)) for row in rows],
-        }
-        _emit(_json_doc(payload), run.out)
-    else:
-        _emit(_csv_doc(run.config_dict(), _RELMEASURE_HEADER, rows), run.out)
+    _emit_table(run, "pairs", _RELMEASURE_HEADER, rows, run.config_dict())
 
 
 def _cmd_levels(run: _Run) -> None:
@@ -434,16 +422,12 @@ def _cmd_levels(run: _Run) -> None:
     ctx = run.context(k=1)
     rows_data = divergence_report(1, run.k, ctx)
     rows = [
-        [run.max_len, row.k, run.budget, run.universe.universe_id, run.encoding.variant_id]
+        _context_columns(run, row.k)
         + [row.class_count, fraction_str(row.level_mass), fraction_str(row.cumulative)]
         for row in rows_data
     ]
     header = _CONTEXT_HEADER + ["class_count", "level_mass", "cumulative"]
-    if run.fmt == "json":
-        payload = {"config": run.config_dict(), "levels": [dict(zip(header, row)) for row in rows]}
-        _emit(_json_doc(payload), run.out)
-    else:
-        _emit(_csv_doc(run.config_dict(), header, rows), run.out)
+    _emit_table(run, "levels", header, rows, run.config_dict())
 
 
 def _cmd_record(run: _Run) -> None:
@@ -519,14 +503,7 @@ def _cmd_invariance(run: _Run) -> None:
     rows = []
     for variant in ("A", "B"):
         rows.extend(_relmeasure_rows(run, get_table(variant)))
-    if run.fmt == "json":
-        payload = {
-            "config": run.config_dict(),
-            "pairs": [dict(zip(_RELMEASURE_HEADER, row)) for row in rows],
-        }
-        _emit(_json_doc(payload), run.out)
-    else:
-        _emit(_csv_doc(run.config_dict(), _RELMEASURE_HEADER, rows), run.out)
+    _emit_table(run, "pairs", _RELMEASURE_HEADER, rows, run.config_dict())
 
 
 _HANDLERS = {

@@ -186,8 +186,9 @@ def step(
     """Execute exactly one step, mutating config.
 
     Appends every EmulationEvent raised during the step (nested emulation
-    first, then this level's own event) to `events` when given, and returns
-    this level's direct event, which belongs in the step's SemanticState.
+    first, then this level's own event) to `events` when given (a list, or
+    any sink with an append method), and returns this level's direct event,
+    which belongs in the step's SemanticState.
     """
     global _STEPS_EXECUTED
     _STEPS_EXECUTED += 1
@@ -250,17 +251,14 @@ def step(
     return None
 
 
-def run_trace(program: Program, tape: Tape, k: int, budget: int | None = None) -> Trace:
+def run_trace(program: Program, tape: Tape, k: int) -> Trace:
     """Semantic states after steps 1..k plus all emulation events, in order.
 
     Entries after the halting step repeat the halted state (halting is
-    absorbing).  `budget` caps the number of host steps actually executed and
-    must be at least k; the default is exactly k.
+    absorbing).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if budget is not None and budget < k:
-        raise ValueError("budget must be >= k")
 
     config = Configuration.fresh(program)
     events: list[EmulationEvent] = []
@@ -269,6 +267,15 @@ def run_trace(program: Program, tape: Tape, k: int, budget: int | None = None) -
         direct = step(config, program, tape, events)
         states.append(config.semantic_state(direct))
     return Trace(states=tuple(states), events=tuple(events))
+
+
+class _MaxSteps(dict):
+    """An event sink for step(): folds each event into code bits -> the
+    highest emulated step index seen, so no event outlives its step."""
+
+    def append(self, event: EmulationEvent) -> None:
+        if event.step_index > self.get(event.code_bits, 0):
+            self[event.code_bits] = event.step_index
 
 
 def run_events(program: Program, steps: int, tape: Tape = ()) -> dict[str, int]:
@@ -281,16 +288,12 @@ def run_events(program: Program, steps: int, tape: Tape = ()) -> dict[str, int]:
     if not program.contains_meta:
         return {}
     config = Configuration.fresh(program)
-    events: list[EmulationEvent] = []
+    summary = _MaxSteps()
     for _ in range(steps):
         if config.halted:
             break
-        step(config, program, tape, events)
-    summary: dict[str, int] = {}
-    for event in events:
-        if event.step_index > summary.get(event.code_bits, 0):
-            summary[event.code_bits] = event.step_index
-    return summary
+        step(config, program, tape, summary)
+    return dict(summary)
 
 
 def state_to_data(state: SemanticState):

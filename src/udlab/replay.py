@@ -1,19 +1,21 @@
 """Record, replay, takeover, and severance experiments.
 
-A Recording stores a program, the tape it ran on, and its full k-step
-semantic trace (the "movie").  Playback returns the stored trace without
-executing a single machine step.  hybrid_run replays while a live computation
-shadow-checks every transition and takes over at the first divergence, which
-preserves counterfactual behavior exactly.  sever_and_project replaces chosen
-transitions with the recorded ones, producing a system that is state-trace
-identical on the recorded input yet, in general, no longer counterfactually
-equivalent to the program it was filmed from; the verdict quantifies exactly
-that over an input universe.
+A Recording is the "movie" and nothing more: the program, the tape it ran
+on, k, and the k semantic states the run passed through.  Playback returns
+the stored trace without executing a single machine step.  hybrid_run
+replays while a live computation shadow-checks every transition and takes
+over at the first divergence, which preserves counterfactual behavior
+exactly.  sever_and_project replaces chosen transitions with the recorded
+ones, producing a system that is state-trace identical on the recorded input
+yet, in general, no longer counterfactually equivalent to the program it was
+filmed from; the verdict quantifies exactly that over an input universe.  The
+machine configurations those severed transitions impose are not stored: they
+are re-derived by deterministic re-execution on the recorded tape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .encoding import EncodingTable, Program, TABLE_A, decode
 from .equivalence import DEFAULT_UNIVERSE, InputUniverse
@@ -24,13 +26,14 @@ Tape = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Recording:
+    """A filmed run: program, tape, k and the k-step semantic trace.  The
+    configurations behind severed frames are not stored; severance re-derives
+    them by deterministic re-execution on the recorded tape."""
+
     program: Program
     tape: Tape
     k: int
     trace: tuple[SemanticState, ...]
-    # Machine configurations after each recorded step; severance re-imposes
-    # them wholesale, the way a projected frame re-excites a whole state.
-    configs: tuple[Configuration, ...] = field(compare=False, repr=False, default=())
 
 
 @dataclass(frozen=True)
@@ -58,17 +61,9 @@ class SeveranceResult:
 
 
 def record(program: Program, tape: Tape, k: int) -> Recording:
-    """Run the program and film it: semantic trace plus per-step configurations."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    config = Configuration.fresh(program)
-    states = []
-    configs = []
-    for _ in range(k):
-        direct = step(config, program, tape)
-        states.append(config.semantic_state(direct))
-        configs.append(config.clone())
-    return Recording(program=program, tape=tuple(tape), k=k, trace=tuple(states), configs=tuple(configs))
+    """Run the program and film it: its semantic states after steps 1..k."""
+    tape = tuple(tape)
+    return Recording(program=program, tape=tape, k=k, trace=run_trace(program, tape, k).states)
 
 
 def playback(rec: Recording) -> tuple[SemanticState, ...]:
@@ -80,32 +75,35 @@ def playback(rec: Recording) -> tuple[SemanticState, ...]:
 def hybrid_run(rec: Recording, actual_tape: Tape) -> HybridResult:
     """Replay with a live shadow that takes over at the first divergence.
 
-    Each step the live successor state is computed on the actual tape and
-    compared against the recording; while they agree the step counts as
-    replayed, and from the first mismatch on the trace is the live one.
+    The live trace is computed on the actual tape and compared against the
+    recording; while they agree the steps count as replayed, and from the
+    first mismatch on the trace is the live one.
     """
-    actual_tape = tuple(actual_tape)
+    live = run_trace(rec.program, tuple(actual_tape), rec.k).states
+    switch = next((i for i, (a, b) in enumerate(zip(live, rec.trace), 1) if a != b), None)
+    return HybridResult(trace=live, switch_step=switch)
+
+
+def _filmed_frames(rec: Recording, severed: frozenset[int]) -> dict[int, Configuration]:
+    """The configurations after each severed step of the filmed run."""
     config = Configuration.fresh(rec.program)
-    switch: int | None = None
-    states = []
-    for i in range(1, rec.k + 1):
-        direct = step(config, rec.program, actual_tape)
-        state = config.semantic_state(direct)
-        if switch is None and state != rec.trace[i - 1]:
-            switch = i
-        states.append(state)
-    return HybridResult(trace=tuple(states), switch_step=switch)
+    frames = {}
+    for i in range(1, max(severed, default=0) + 1):
+        step(config, rec.program, rec.tape)
+        if i in severed:
+            frames[i] = config.clone()
+    return frames
 
 
 def _severed_states(
-    rec: Recording, severed: frozenset[int], tape: Tape
+    rec: Recording, frames: dict[int, Configuration], tape: Tape
 ) -> tuple[SemanticState, ...]:
     config = Configuration.fresh(rec.program)
     states = []
     for i in range(1, rec.k + 1):
-        if i in severed:
+        if i in frames:
             # Input-blind transition: the filmed machine state is imposed.
-            config = rec.configs[i - 1].clone()
+            config = frames[i].clone()
             states.append(rec.trace[i - 1])
         else:
             direct = step(config, rec.program, tape)
@@ -127,13 +125,12 @@ def sever_and_project(
     counterfactually equivalent to the original program over the universe:
     its trace must match the original's on every tape, not just the actual one.
     """
-    if not rec.configs:
-        raise ValueError("recording lacks configurations; rebuild it with record()")
     if any(s > rec.k for s in plan.severed_steps):
         raise ValueError(f"severed steps must lie in 1..{rec.k}")
-    trace = _severed_states(rec, plan.severed_steps, tuple(actual_tape))
+    frames = _filmed_frames(rec, plan.severed_steps)
+    trace = _severed_states(rec, frames, tuple(actual_tape))
     equivalent = all(
-        _severed_states(rec, plan.severed_steps, tape)
+        _severed_states(rec, frames, tape)
         == run_trace(rec.program, tape, rec.k).states
         for tape in universe.tapes
     )

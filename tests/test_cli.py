@@ -253,6 +253,10 @@ def test_config_file_missing_or_invalid_exits_2(tmp_path, capsys):
         ("kraft", {"max_len": True}),
         ("kraft", {"threads": "4"}),
         ("kraft", {"encoding": None}),
+        ("measure", {"format": "xml"}),  # ran and wrote CSV tagged "format":"xml"
+        ("measure", {"fmt": "xml"}),
+        ("kraft", {"format": "plain"}),  # a default, but no --format value
+        ("kraft", {"encoding": "C"}),
     ]
     for command, values in mistyped:
         config.write_text(json.dumps(values))
@@ -277,6 +281,63 @@ def test_mass_commands_match_golden_digests(capsys, monkeypatch, argv):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_MASS_DIGESTS[argv]
+
+
+# sha256 of the JSON form of each table command, and of the dovetail table.
+GOLDEN_TABLE_DIGESTS = {
+    "measure -L 12 -k 2 -T 200 --format json": "b95e7d6d15b6073018d0273d22b6a68d367209ca3b27eb4678ccdabe8730b0b0",
+    "decompose -L 12 -k 2 -T 200 --format json": "d197aefa9cb25f1caef824b195e8b924bb17553ce698db73cacb6872b4cf811e",
+    "levels -L 12 -k 4 -T 200 --format json": "975f17c491f206435c9e59e0369ff1190f62161972f608d95dc0564840ee05d8",
+    "relmeasure -L 12 -k 1 -T 200 --format json": "0d5881875525811dbcfdc42d8fa8c7025252424fc74d970b05b9e73aef7d0aa4",
+    "invariance -L 12 -k 1 -T 200 --format json": "e45b2a289556206c0efe91460bf1104ff129e39888f8c7502ac5495ec1278706",
+    "dovetail --ticks 30": "123c62454f7158553909c302a64271ca2e61e8ae299f2be600712e9de0068ce5",
+    "dovetail --ticks 30 --format json": "eed915ba1e8c22c7dab8fcf09a34357dfd286c017d994a30b30a43ec615e72ae",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_TABLE_DIGESTS))
+def test_table_commands_match_golden_digests(capsys, monkeypatch, argv):
+    monkeypatch.delenv("UDLAB_THREADS", raising=False)
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_DIGESTS[argv]
+
+
+# One record/replay/hybrid/sever session per program: the DVT host and the
+# IN/OUT witness.  The recording path is part of each output's config, so the
+# session runs in a fresh directory under the fixed name rec.json.
+REPLAY_SESSION = (
+    ("record", "record --program {} --tape 1 -k 200 --out rec.json"),
+    ("replay", "replay --recording rec.json"),
+    ("hybrid", "hybrid --recording rec.json --tape 0"),
+    ("sever", "sever --recording rec.json --severed 3,150 --tape 0"),
+)
+GOLDEN_REPLAY_DIGESTS = {
+    "10001111": {
+        "record": "09d57fabad9d0be0445c15c18fee1c6c2c47ddd8974f04cd59cc7c5f4c4ad762",
+        "replay": "f2abfb7f11c96e72c3dc095a42a2778701ffca6bc6fe35eedadfc0583b33deda",
+        "hybrid": "401c97cf5054ca7953ef3091b8247ed8b9a5858a0ed6b10729803da5577f9d10",
+        "sever": "123be83eee3ab101768fcc74d44f8e72603c9a9de60476b7003dc4e12be4ee49",
+    },
+    "0100000011001111": {
+        "record": "34a8a1a27eb6f9143b1a5e24375669de108b0eafb8d11cc591d06fc041d705ed",
+        "replay": "dc9854db32d315a573c06cf90cbad02dddce616e575606742d79970808bcbce8",
+        "hybrid": "a1141d8d6afcbcaeca6fdbb2c0e68671d1cb04e589632c506ac6fa7f27fbb99f",
+        "sever": "7c76315e29b9b90e6e07dffd81fde2bcc9660482811d46946fed7d01bb2d6df7",
+    },
+}
+
+
+@pytest.mark.parametrize("program", sorted(GOLDEN_REPLAY_DIGESTS))
+def test_replay_commands_match_golden_digests(tmp_path, capsys, monkeypatch, program):
+    monkeypatch.delenv("UDLAB_THREADS", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for name, argv in REPLAY_SESSION:
+        code, out, _ = run_cli(capsys, *argv.format(program).split())
+        assert code == 0
+        if name == "record":
+            out = (tmp_path / "rec.json").read_text()
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPLAY_DIGESTS[program][name], name
 
 
 @pytest.mark.parametrize("command", ["replay", "hybrid", "sever"])

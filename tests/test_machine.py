@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +19,7 @@ from udlab.machine import (
 
 EMPTY = decode("1111")
 DVT_PROG = decode("10001111")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fresh_state_after(program, tape, steps):
@@ -175,10 +181,6 @@ def test_emulated_step_indices_consecutive_per_instance():
 def test_run_trace_validates_arguments():
     with pytest.raises(ValueError):
         run_trace(EMPTY, (), 0)
-    with pytest.raises(ValueError):
-        run_trace(EMPTY, (), 3, budget=2)
-    # budget >= k is accepted and does not change the trace
-    assert run_trace(EMPTY, (), 3, budget=9) == run_trace(EMPTY, (), 3)
 
 
 def test_run_events_summary():
@@ -189,6 +191,46 @@ def test_run_events_summary():
     assert run_events(DVT_PROG, 0) == {}
     with pytest.raises(ValueError):
         run_events(EMPTY, -1)
+
+
+@pytest.mark.parametrize("steps", [1, 10, 1000])
+def test_run_events_agrees_with_run_trace_events(steps):
+    # Oracle: the summary rebuilt from every buffered event of a traced run.
+    for program in enumerate_programs(12):
+        expected: dict[str, int] = {}
+        for event in run_trace(program, (), steps).events:
+            if event.step_index > expected.get(event.code_bits, 0):
+                expected[event.code_bits] = event.step_index
+        summary = run_events(program, steps)
+        assert type(summary) is dict
+        assert list(summary.items()) == list(expected.items()), program.bits
+
+
+# A child's peak RSS includes its parent's RSS at fork time, so the run forks
+# from a fresh interpreter rather than from the test process.
+RUN_EVENTS_RSS = """
+import os
+pid = os.fork()
+if pid == 0:
+    from udlab.encoding import decode
+    from udlab.machine import run_events
+    run_events(decode("10001111"), 10**5)
+    os._exit(0)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_run_events_memory_stays_flat_in_steps():
+    # Buffering every event of a DVT host to T=10^5 peaks near 60 MB; folding
+    # them as they arrive stays near the interpreter's own footprint.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_EVENTS_RSS], env=env, capture_output=True, text=True, timeout=120
+    )
+    code, maxrss_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert maxrss_kib < 40 * 1024
 
 
 def test_step_counter_advances():

@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import pytest
 
 from udlab.encoding import decode, from_instructions
 from udlab.equivalence import DEFAULT_UNIVERSE, InputUniverse
-from udlab.machine import run_trace, step_count
+from udlab.machine import Configuration, run_trace, step_count
 from udlab.replay import (
+    Recording,
     SeverancePlan,
     hybrid_run,
     playback,
@@ -36,6 +39,15 @@ def test_record_matches_run_trace():
         for tape in ((), (1,), (0, 1)):
             rec = record(program, tape, 4)
             assert rec.trace == run_trace(program, tape, 4).states
+
+
+def test_record_and_hybrid_take_no_configuration_snapshots(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a recording is its trace; no configuration is copied")
+
+    monkeypatch.setattr(Configuration, "clone", refuse)
+    rec = record(decode("10001111"), (1,), 50)
+    assert hybrid_run(rec, (0,)).trace == rec.trace
 
 
 def test_recording_of_dovetailer_carries_events():
@@ -150,10 +162,19 @@ def test_recording_serialization_round_trip():
     rec = record(ECHO, (1,), 3)
     data = recording_to_data(rec)
     assert list(data.keys()) == ["program_bits", "tape", "k", "trace"]
+    # The file holds the whole recording: nothing is lost in the round trip.
+    assert [f.name for f in fields(Recording)] == ["program", "tape", "k", "trace"]
     clone = recording_from_data(data)
-    assert clone.program == rec.program
-    assert clone.trace == rec.trace
-    assert clone.configs  # usable for severance again
+    assert clone == rec
+    dvt = record(decode("10001111"), (1,), 40)
+    cases = [(rec, ((), (1,), (2,), (1, 3))), (dvt, ((3,), (3, 17, 40)))]
+    for original, plans in cases:
+        rebuilt = recording_from_data(recording_to_data(original))
+        for steps in plans:
+            plan = SeverancePlan.of(steps)
+            for tape in ((), (0,), (1,)):
+                result = sever_and_project(rebuilt, plan, tape)
+                assert result == sever_and_project(original, plan, tape)
 
 
 def test_recording_tamper_detection():
