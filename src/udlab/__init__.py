@@ -39,7 +39,6 @@ from .equivalence import (
 from .dovetailer import DovetailEngine, canonical_dvt_bits, dovetail_run, schedule_pair
 from .machine import (
     Configuration,
-    EmulationEvent,
     EmulationRef,
     SemanticState,
     Trace,
@@ -83,7 +82,6 @@ __all__ = [
     "DecodeError",
     "DovetailEngine",
     "EmptyClass",
-    "EmulationEvent",
     "EmulationRef",
     "EncodingTable",
     "EquivClass",

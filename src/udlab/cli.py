@@ -17,11 +17,10 @@ import json
 import os
 import sys
 
-from .dovetailer import DovetailEngine, canonical_dvt_bits, schedule_pair
+from .dovetailer import DovetailEngine, schedule_pair
 from .encoding import DecodeError, EncodingTable, decode, get_table
 from .enumeration import enumerate_programs, kraft_mass
 from .equivalence import DEFAULT_UNIVERSE, InputUniverse, partition, refine
-from .machine import state_to_data
 from .measure import (
     MeasureContext,
     decomposition_check,
@@ -290,7 +289,7 @@ def _cmd_schedule(run: _Run) -> None:
 
 
 def _tick_rows(ticks: int, table: EncodingTable) -> list[list]:
-    engine = DovetailEngine(table, host_bits=canonical_dvt_bits(table))
+    engine = DovetailEngine(table)
     rows = []
     for tick in range(1, ticks + 1):
         index, _ = schedule_pair(tick)
@@ -452,6 +451,11 @@ def _load_recording(run: _Run):
     encoding = run.encoding
     config = data.get("config")
     if isinstance(config, dict) and "encoding" in config:
+        if config["encoding"] not in _CHOICES["encoding"]:
+            raise ValueError(
+                f"recording config 'encoding' must be one of {', '.join(_CHOICES['encoding'])}, "
+                f"got {config['encoding']!r}"
+            )
         encoding = get_table(config["encoding"])
     return recording_from_data(data, encoding)
 
@@ -462,7 +466,7 @@ def _cmd_replay(run: _Run) -> None:
     payload = {
         "config": run.config_dict(("recording", run.args.recording)),
         "k": rec.k,
-        "trace": [state_to_data(s) for s in states],
+        "trace": list(states),
     }
     _emit(_json_doc(payload), run.out)
 
@@ -475,7 +479,7 @@ def _cmd_hybrid(run: _Run) -> None:
             ("recording", run.args.recording), ("tape", list(_parse_tape(run.args.tape)))
         ),
         "switch_step": result.switch_step,
-        "trace": [state_to_data(s) for s in result.trace],
+        "trace": list(result.trace),
     }
     _emit(_json_doc(payload), run.out)
 
@@ -492,7 +496,7 @@ def _cmd_sever(run: _Run) -> None:
             ("severed", sorted(plan.severed_steps)),
         ),
         "counterfactually_equivalent": result.equivalent,
-        "trace": [state_to_data(s) for s in result.trace],
+        "trace": list(result.trace),
     }
     _emit(_json_doc(payload), run.out)
 

@@ -6,7 +6,8 @@ for i ascending.  Every pair is reached at a predictable tick, which makes
 fairness a testable closed form rather than a promise.
 
 The same engine backs both the standalone runner below and the machine's DVT
-instruction, so the two event streams agree by construction.  Children run on
+instruction, so the two event streams agree by construction; each child steps
+through the machine's _Emulation, as an EXEC child does.  Children run on
 empty tapes with zeroed registers and keep ticking after they halt (a halted
 child's step is a no-op whose state keeps repeating); that way long-lived
 hosts eventually witness arbitrarily many steps of every program.
@@ -18,7 +19,7 @@ from math import isqrt
 
 from .encoding import DVT, EncodingTable, TABLE_A, encode_instructions
 from .enumeration import program_stream
-from .machine import Configuration, EmulationEvent, step
+from .machine import EmulationRef, _Emulation
 
 
 def schedule_pair(tick: int) -> tuple[int, int]:
@@ -40,56 +41,33 @@ def canonical_dvt_bits(table: EncodingTable = TABLE_A) -> str:
     return encode_instructions(((DVT,),), table)
 
 
-class _Child:
-    __slots__ = ("program", "config", "steps")
-
-    def __init__(self, program) -> None:
-        self.program = program
-        self.config = Configuration.fresh(program)
-        self.steps = 0
-
-
 class DovetailEngine:
     """Mutable dovetailer state: one tick advances one child by one step."""
 
-    def __init__(self, table: EncodingTable, host_bits: str) -> None:
+    def __init__(self, table: EncodingTable) -> None:
         self.table = table
-        self.host_bits = host_bits
         self.tick_index = 0
-        self.children: dict[int, _Child] = {}
+        self.children: dict[int, _Emulation] = {}
         self._stream = program_stream(table)
 
     def clone(self) -> "DovetailEngine":
-        other = DovetailEngine(self.table, self.host_bits)
+        other = DovetailEngine(self.table)
         other.tick_index = self.tick_index
-        for index, child in self.children.items():
-            copy = _Child(child.program)
-            copy.config = child.config.clone()
-            copy.steps = child.steps
-            other.children[index] = copy
+        other.children = {index: child.clone() for index, child in self.children.items()}
         return other
 
-    def tick(self, events: list | None = None) -> EmulationEvent:
+    def tick(self, events: list | None = None) -> EmulationRef:
         self.tick_index += 1
         index, step_index = schedule_pair(self.tick_index)
         child = self.children.get(index)
         if child is None:
-            child = self.children[index] = _Child(self._stream.nth(index))
-        child_event = step(child.config, child.program, (), events)
-        child.steps += 1
-        assert child.steps == step_index
-        event = EmulationEvent(
-            host_bits=self.host_bits,
-            code_bits=child.program.bits,
-            step_index=step_index,
-            state=child.config.semantic_state(child_event),
-        )
-        if events is not None:
-            events.append(event)
-        return event
+            child = self.children[index] = _Emulation(self._stream.nth(index))
+        ref = child.tick(events)
+        assert ref.step_index == step_index
+        return ref
 
 
-def dovetail_run(ticks: int, table: EncodingTable = TABLE_A) -> list[EmulationEvent]:
+def dovetail_run(ticks: int, table: EncodingTable = TABLE_A) -> list[EmulationRef]:
     """Run `ticks` dovetailer ticks from scratch and return the event stream.
 
     The stream contains one event per tick plus any events the children
@@ -98,8 +76,8 @@ def dovetail_run(ticks: int, table: EncodingTable = TABLE_A) -> list[EmulationEv
     """
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
-    engine = DovetailEngine(table, host_bits=canonical_dvt_bits(table))
-    events: list[EmulationEvent] = []
+    engine = DovetailEngine(table)
+    events: list[EmulationRef] = []
     for _ in range(ticks):
         engine.tick(events)
     return events

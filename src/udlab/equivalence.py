@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .encoding import Program
-from .machine import run_trace, state_to_data
+from .machine import run_trace
 
 Tape = tuple[int, ...]
 
@@ -74,8 +74,7 @@ class TraceFamily:
 
 def trace_family(program: Program, universe: InputUniverse, k: int) -> TraceFamily:
     traces = tuple(run_trace(program, tape, k).states for tape in universe.tapes)
-    payload = [[state_to_data(s) for s in trace] for trace in traces]
-    key = json.dumps(payload, separators=(",", ":"))
+    key = json.dumps(traces, separators=(",", ":"))
     return TraceFamily(traces=traces, canonical_key=key)
 
 

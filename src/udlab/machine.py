@@ -10,29 +10,33 @@ Two meta-instructions make emulation observable by construction:
 
 * EXEC runs one embedded program on a fresh zeroed configuration with an
   empty tape, advancing it by one emulated step per host step and raising an
-  EmulationEvent for each; when the child halts, the host moves on.
+  EmulationRef for each; when the child halts, the host moves on.
 * DVT is absorbing: every subsequent host step performs one tick of the
   canonical dovetailing schedule over the full program enumeration.
+
+Both advance each child they emulate through _Emulation.tick.
 
 A SemanticState is the observable part of a configuration after a step.  It
 deliberately excludes the structural program position, so that textually
 different programs can pass through identical states, and it includes the
 step's emulation event (code bits, emulated step index, emulated state), so
-that hosts emulating different children remain distinguishable.
+that hosts emulating different children remain distinguishable.  States and
+events are named tuples, so each is also its own canonical JSON form:
+json.dumps writes a state as [registers, cursor, outputs, halted, event] and
+an event as [code_bits, step_index, state].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .encoding import DEC, DVT, EXEC, HALT, IN, INC, OUT, WHILE, Program
 
 Tape = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SemanticState:
+class SemanticState(NamedTuple):
     """Observable machine state after one step."""
 
     registers: tuple[int, int, int, int]
@@ -42,27 +46,12 @@ class SemanticState:
     event: Optional["EmulationRef"] = None
 
 
-@dataclass(frozen=True)
-class EmulationRef:
-    """The emulation part of a SemanticState: what was emulated, how far."""
+class EmulationRef(NamedTuple):
+    """One emulated step: what was emulated, how far, and the state reached."""
 
     code_bits: str
     step_index: int
     state: SemanticState
-
-
-@dataclass(frozen=True)
-class EmulationEvent:
-    """Log record for one emulated step, including the emulating host."""
-
-    host_bits: str
-    code_bits: str
-    step_index: int
-    state: SemanticState
-
-    @property
-    def ref(self) -> EmulationRef:
-        return EmulationRef(self.code_bits, self.step_index, self.state)
 
 
 @dataclass(frozen=True)
@@ -70,7 +59,7 @@ class Trace:
     """run_trace result: k semantic states plus every event the run raised."""
 
     states: tuple[SemanticState, ...]
-    events: tuple[EmulationEvent, ...]
+    events: tuple[EmulationRef, ...]
 
 
 class _Frame:
@@ -85,24 +74,6 @@ class _Frame:
         return _Frame(self.body, self.idx, self.reg)
 
 
-class _ExecContext:
-    """Host-side state while interpreting an embedded program."""
-
-    __slots__ = ("program", "config", "steps")
-
-    def __init__(self, program: Program) -> None:
-        self.program = program
-        self.config = Configuration.fresh(program)
-        self.steps = 0
-
-    def clone(self) -> "_ExecContext":
-        other = _ExecContext.__new__(_ExecContext)
-        other.program = self.program
-        other.config = self.config.clone()
-        other.steps = self.steps
-        return other
-
-
 class Configuration:
     """Full mutable machine state, including the structural position."""
 
@@ -114,7 +85,7 @@ class Configuration:
         self.outputs: list[int] = []
         self.frames: list[_Frame] = []
         self.halted = False
-        self.context = None  # None | _ExecContext | dovetailer.DovetailEngine
+        self.context = None  # None | _Emulation | dovetailer.DovetailEngine
 
     @classmethod
     def fresh(cls, program: Program) -> "Configuration":
@@ -132,14 +103,39 @@ class Configuration:
         other.context = None if self.context is None else self.context.clone()
         return other
 
-    def semantic_state(self, event: EmulationEvent | None) -> SemanticState:
+    def semantic_state(self, event: EmulationRef | None) -> SemanticState:
         return SemanticState(
-            registers=tuple(self.registers),
-            input_cursor=self.input_cursor,
-            outputs=tuple(self.outputs),
-            halted=self.halted,
-            event=None if event is None else event.ref,
+            tuple(self.registers), self.input_cursor, tuple(self.outputs), self.halted, event
         )
+
+
+class _Emulation:
+    """One emulated child: a program on a fresh zeroed configuration and an
+    empty tape, and the number of steps it has been run."""
+
+    __slots__ = ("program", "config", "steps")
+
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        self.config = Configuration.fresh(program)
+        self.steps = 0
+
+    def clone(self) -> "_Emulation":
+        other = _Emulation.__new__(_Emulation)
+        other.program = self.program
+        other.config = self.config.clone()
+        other.steps = self.steps
+        return other
+
+    def tick(self, events: list | None) -> EmulationRef:
+        """Step the child once; append its event to `events` (after any the
+        child raised itself) and return it."""
+        self.steps += 1
+        direct = step(self.config, self.program, (), events)
+        ref = EmulationRef(self.program.bits, self.steps, self.config.semantic_state(direct))
+        if events is not None:
+            events.append(ref)
+        return ref
 
 
 _STEPS_EXECUTED = 0
@@ -157,24 +153,14 @@ def _settle(config: Configuration) -> None:
         config.halted = True
 
 
-def _tick_exec(config: Configuration, program: Program, events: list | None) -> EmulationEvent:
-    ctx = config.context
-    ctx.steps += 1
-    child_event = step(ctx.config, ctx.program, (), events)
-    event = EmulationEvent(
-        host_bits=program.bits,
-        code_bits=ctx.program.bits,
-        step_index=ctx.steps,
-        state=ctx.config.semantic_state(child_event),
-    )
-    if events is not None:
-        events.append(event)
-    if ctx.config.halted:
+def _tick_exec(config: Configuration, events: list | None) -> EmulationRef:
+    emulation = config.context
+    ref = emulation.tick(events)
+    if emulation.config.halted:  # the child is done: the host moves on
         config.context = None
-        frame = config.frames[-1]
-        frame.idx += 1
+        config.frames[-1].idx += 1
         _settle(config)
-    return event
+    return ref
 
 
 def step(
@@ -182,10 +168,10 @@ def step(
     program: Program,
     tape: Tape,
     events: list | None = None,
-) -> EmulationEvent | None:
+) -> EmulationRef | None:
     """Execute exactly one step, mutating config.
 
-    Appends every EmulationEvent raised during the step (nested emulation
+    Appends every EmulationRef raised during the step (nested emulation
     first, then this level's own event) to `events` when given (a list, or
     any sink with an append method), and returns this level's direct event,
     which belongs in the step's SemanticState.
@@ -195,8 +181,8 @@ def step(
     if config.halted:
         return None
     if config.context is not None:
-        if isinstance(config.context, _ExecContext):
-            return _tick_exec(config, program, events)
+        if isinstance(config.context, _Emulation):
+            return _tick_exec(config, events)
         return config.context.tick(events)
 
     frame = config.frames[-1]
@@ -238,12 +224,12 @@ def step(
             _settle(config)
         return None
     elif op == EXEC:
-        config.context = _ExecContext(instr[1])
-        return _tick_exec(config, program, events)
+        config.context = _Emulation(instr[1])
+        return _tick_exec(config, events)
     else:  # DVT: absorbing, one dovetailer tick per host step from now on
         from .dovetailer import DovetailEngine  # deferred: dovetailer imports this module
 
-        config.context = DovetailEngine(program.encoding, host_bits=program.bits)
+        config.context = DovetailEngine(program.encoding)
         return config.context.tick(events)
 
     frame.idx += 1
@@ -261,7 +247,7 @@ def run_trace(program: Program, tape: Tape, k: int) -> Trace:
         raise ValueError("k must be >= 1")
 
     config = Configuration.fresh(program)
-    events: list[EmulationEvent] = []
+    events: list[EmulationRef] = []
     states = []
     for _ in range(k):
         direct = step(config, program, tape, events)
@@ -273,7 +259,7 @@ class _MaxSteps(dict):
     """An event sink for step(): folds each event into code bits -> the
     highest emulated step index seen, so no event outlives its step."""
 
-    def append(self, event: EmulationEvent) -> None:
+    def append(self, event: EmulationRef) -> None:
         if event.step_index > self.get(event.code_bits, 0):
             self[event.code_bits] = event.step_index
 
@@ -294,30 +280,3 @@ def run_events(program: Program, steps: int, tape: Tape = ()) -> dict[str, int]:
             break
         step(config, program, tape, summary)
     return dict(summary)
-
-
-def state_to_data(state: SemanticState):
-    """Canonical JSON-ready form of a SemanticState (used for keys and files)."""
-    event = state.event
-    return [
-        list(state.registers),
-        state.input_cursor,
-        list(state.outputs),
-        state.halted,
-        None if event is None else [event.code_bits, event.step_index, state_to_data(event.state)],
-    ]
-
-
-def state_from_data(data) -> SemanticState:
-    registers, cursor, outputs, halted, event = data
-    ref = None
-    if event is not None:
-        code_bits, step_index, sub = event
-        ref = EmulationRef(code_bits, step_index, state_from_data(sub))
-    return SemanticState(
-        registers=tuple(registers),
-        input_cursor=cursor,
-        outputs=tuple(outputs),
-        halted=halted,
-        event=ref,
-    )

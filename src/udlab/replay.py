@@ -15,11 +15,12 @@ are re-derived by deterministic re-execution on the recorded tape.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .encoding import EncodingTable, Program, TABLE_A, decode
 from .equivalence import DEFAULT_UNIVERSE, InputUniverse
-from .machine import Configuration, SemanticState, run_trace, state_to_data, step
+from .machine import Configuration, SemanticState, run_trace, step
 
 Tape = tuple[int, ...]
 
@@ -138,12 +139,13 @@ def sever_and_project(
 
 
 def recording_to_data(rec: Recording) -> dict:
-    """JSON-ready form: program bits, tape, k, trace (deterministic order)."""
+    """JSON-ready form: program bits, tape, k, trace (deterministic order).
+    The trace holds the states themselves, which json writes as lists."""
     return {
         "program_bits": rec.program.bits,
         "tape": list(rec.tape),
         "k": rec.k,
-        "trace": [state_to_data(s) for s in rec.trace],
+        "trace": list(rec.trace),
     }
 
 
@@ -154,14 +156,12 @@ def recording_from_data(data: dict, table: EncodingTable = TABLE_A) -> Recording
     """Rebuild a recording, re-running the program and verifying the stored
     trace matches; recordings are deterministic artifacts, never hand-edited."""
     for key, kind in _RECORDING_FIELDS.items():
-        if not isinstance(data.get(key), kind):
+        value = data.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
             raise ValueError(f"recording field {key!r} is missing or not of type {kind.__name__}")
-    program = decode(data["program_bits"], table)
-    tape = tuple(int(v) for v in data["tape"])
-    if any(v < 0 for v in tape):
-        raise ValueError("tape values must be naturals")
-    k = int(data["k"])
-    rec = record(program, tape, k)
-    if [state_to_data(s) for s in rec.trace] != data["trace"]:
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in data["tape"]):
+        raise ValueError(f"recording tape entries must be naturals, got {data['tape']!r}")
+    rec = record(decode(data["program_bits"], table), tuple(data["tape"]), data["k"])
+    if json.dumps(rec.trace) != json.dumps(data["trace"]):
         raise ValueError("stored trace does not match deterministic re-execution")
     return rec

@@ -342,12 +342,28 @@ def test_replay_commands_match_golden_digests(tmp_path, capsys, monkeypatch, pro
 
 @pytest.mark.parametrize("command", ["replay", "hybrid", "sever"])
 def test_malformed_recording_exits_2(tmp_path, capsys, command):
-    for data in ({"k": 2}, [1, 2]):
-        path = tmp_path / "rec.json"
+    # An IN-then-OUT program filmed for one step on tape 1: each field below
+    # is malformed in a way that int() or get_table() alone would not refuse.
+    path = tmp_path / "rec.json"
+    code, _, _ = run_cli(
+        capsys, "record", "--program", "0100000011001111", "--tape", "1", "-k", "1",
+        "--out", str(path),
+    )
+    assert code == 0
+    valid = json.loads(path.read_text())
+    malformed = [
+        {"tape": [1.5]},
+        {"tape": [True]},
+        {"tape": [-1]},
+        {"k": True},
+        {"config": dict(valid["config"], encoding=[1])},
+        {"config": dict(valid["config"], encoding="C")},
+    ]
+    for data in [{"k": 2}, [1, 2]] + [dict(valid, **change) for change in malformed]:
         path.write_text(json.dumps(data))
         code, _, err = run_cli(capsys, command, "--recording", str(path), "--tape", "0")
-        assert code == 2
-        assert err.startswith("error:") and "recording" in err
+        assert code == 2, data
+        assert err.startswith("error:") and "recording" in err, err
 
 
 def test_kraft_beyond_the_enumeration_limit(capsys):

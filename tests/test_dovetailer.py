@@ -1,7 +1,8 @@
 import pytest
 
 from udlab.dovetailer import DovetailEngine, canonical_dvt_bits, dovetail_run, schedule_pair
-from udlab.encoding import TABLE_A, TABLE_B, decode
+from udlab.encoding import EXEC, TABLE_A, TABLE_B, decode, from_instructions
+from udlab.enumeration import enumerate_programs
 from udlab.machine import run_trace
 
 
@@ -90,7 +91,7 @@ def test_zero_ticks():
 
 def test_dvt_instruction_agrees_with_runner():
     # The canonical host is the one-instruction dovetailer program itself, so
-    # the two streams must be identical, hosts included.
+    # the two streams must be identical, event for event.
     for ticks in (1, 7, 25):
         program = decode(canonical_dvt_bits(TABLE_A))
         assert list(run_trace(program, (), ticks).events) == dovetail_run(ticks)
@@ -114,7 +115,7 @@ def test_runs_are_independent():
 
 
 def test_engine_clone_is_detached():
-    engine = DovetailEngine(TABLE_A, host_bits=canonical_dvt_bits(TABLE_A))
+    engine = DovetailEngine(TABLE_A)
     for _ in range(6):
         engine.tick()
     copy = engine.clone()
@@ -126,11 +127,40 @@ def test_engine_clone_is_detached():
 def test_encoding_b_runner_uses_b_bits():
     events = dovetail_run(3, TABLE_B)
     assert events[0].code_bits == "1111"
-    assert events[0].host_bits == canonical_dvt_bits(TABLE_B) == "00001111"
     # Under B the second program is itself the dovetailer, so tick 3 yields
     # its inner tick-1 event followed by the outer event about it.
     assert len(events) == 4
     inner, outer = events[2], events[3]
-    assert inner.code_bits == "1111" and inner.host_bits == "00001111"
+    assert inner.code_bits == "1111"
     assert outer.code_bits == "00001111" and outer.step_index == 1
     assert not outer.state.halted
+
+
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_exec_and_dvt_raise_the_same_emulation_refs(table):
+    # EXEC P at host step s and the dovetailer at the tick of pair
+    # (index of P, s) both emulate step s of P on the empty tape.
+    programs = enumerate_programs(12, table)
+    horizons = {}
+    for program in programs:
+        states = run_trace(program, (), 20).states
+        horizons[program.bits] = next((s for s, st in enumerate(states, 1) if st.halted), 20)
+    ticks = {}
+    for index, program in enumerate(programs, 1):
+        for s in range(1, horizons[program.bits] + 1):
+            d = index + s
+            tick = (d - 1) * (d - 2) // 2 + index
+            assert schedule_pair(tick) == (index, s)
+            ticks[tick] = (program, s)
+    engine = DovetailEngine(table)
+    by_pair = {}
+    for tick in range(1, max(ticks) + 1):
+        ref = engine.tick()
+        if tick in ticks:
+            by_pair[ticks[tick]] = ref
+    for program in programs:
+        host = from_instructions([(EXEC, program)], table)
+        states = run_trace(host, (), horizons[program.bits]).states
+        for s, state in enumerate(states, 1):
+            assert state.event == by_pair[program, s], (program.bits, s)
+            assert state.event.code_bits == program.bits and state.event.step_index == s

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from udlab.encoding import decode, from_instructions
+from udlab.encoding import TABLE_A, TABLE_B, decode, from_instructions
 from udlab.enumeration import enumerate_programs
+from udlab.equivalence import DEFAULT_UNIVERSE
 from udlab.machine import (
     Configuration,
     run_events,
@@ -191,6 +194,22 @@ def test_run_events_summary():
     assert run_events(DVT_PROG, 0) == {}
     with pytest.raises(ValueError):
         run_events(EMPTY, -1)
+
+
+# sha256 over the JSON of every 40-step trace of every L<=12 program, under A
+# then B, on every default-universe tape in order.  Captured from the explicit
+# list serializer that the named-tuple form replaced; a reordered or renamed
+# field changes it.
+STATE_FORM_DIGEST = "026ef78ae1e1a59136f8d39bc94c3d43461a6f57e8b944a50ab6bfc39a99bdd6"
+
+
+def test_state_json_form_matches_golden_digest():
+    digest = hashlib.sha256()
+    for table in (TABLE_A, TABLE_B):
+        for program in enumerate_programs(12, table):
+            for tape in DEFAULT_UNIVERSE.tapes:
+                digest.update(json.dumps(run_trace(program, tape, 40).states).encode())
+    assert digest.hexdigest() == STATE_FORM_DIGEST
 
 
 @pytest.mark.parametrize("steps", [1, 10, 1000])

@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import pytest
@@ -177,12 +178,25 @@ def test_recording_serialization_round_trip():
                 assert result == sever_and_project(original, plan, tape)
 
 
+def _as_file(rec):
+    """A recording as it reads back from its JSON file."""
+    return json.loads(json.dumps(recording_to_data(rec)))
+
+
 def test_recording_tamper_detection():
     rec = record(ECHO, (1,), 2)
-    data = recording_to_data(rec)
+    assert recording_from_data(_as_file(rec)) == rec
+    data = _as_file(rec)
     data["trace"][0][0][0] = 42
     with pytest.raises(ValueError):
         recording_from_data(data)
+    # The stored trace must match byte for byte: 1.0 or true is not 1.
+    for lookalike in (1.0, True):
+        data = _as_file(rec)
+        assert data["trace"][0][0][0] == 1
+        data["trace"][0][0][0] = lookalike
+        with pytest.raises(ValueError):
+            recording_from_data(data)
     data = recording_to_data(rec)
     data["tape"] = [-1]
     with pytest.raises(ValueError):
