@@ -449,15 +449,20 @@ def _load_recording(run: _Run):
     if not isinstance(data, dict):
         raise ValueError(f"recording {path} must hold a JSON object")
     encoding = run.encoding
-    config = data.get("config")
-    if isinstance(config, dict) and "encoding" in config:
+    config = data.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError(f"recording {path}: 'config' must be a JSON object, got {config!r}")
+    if "encoding" in config:
         if config["encoding"] not in _CHOICES["encoding"]:
             raise ValueError(
                 f"recording config 'encoding' must be one of {', '.join(_CHOICES['encoding'])}, "
                 f"got {config['encoding']!r}"
             )
         encoding = get_table(config["encoding"])
-    return recording_from_data(data, encoding)
+    try:
+        return recording_from_data(data, encoding)
+    except DecodeError as exc:
+        raise ValueError(f"recording {path}: 'program_bits' does not decode: {exc}") from None
 
 
 def _cmd_replay(run: _Run) -> None:

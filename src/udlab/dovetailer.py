@@ -11,6 +11,23 @@ through the machine's _Emulation, as an EXEC child does.  Children run on
 empty tapes with zeroed registers and keep ticking after they halt (a halted
 child's step is a no-op whose state keeps repeating); that way long-lived
 hosts eventually witness arbitrarily many steps of every program.
+
+Every DVT host emulates this one canonical stream, so the hosts share it:
+what a host reaches after its DVT fires is dovetail_summary at the number of
+ticks it runs, computed from the schedule's closed form and the lazily
+extended per-encoding program stream rather than by ticking an engine per
+host.  The closed form needs no record of what children emulate in turn,
+because no such nested event ever passes the top-level count of its code:
+
+* a program that a child EXECs is strictly shorter than the child, so it
+  comes earlier in the enumeration and the schedule has already given it
+  more top-level steps than the child has taken, which bounds the step
+  index of any of its emulations;
+* a dovetailer running inside a child at tick t replays tick m < t of this
+  same stream, whose events are already bounded at tick m.
+
+The same argument places every code's first appearance at its own first
+top-level tick, so the summary's order is the enumeration order.
 """
 
 from __future__ import annotations
@@ -65,6 +82,24 @@ class DovetailEngine:
         ref = child.tick(events)
         assert ref.step_index == step_index
         return ref
+
+
+def dovetail_summary(ticks: int, table: EncodingTable = TABLE_A) -> dict[str, int]:
+    """Code bits -> the highest emulated step index among all the events of
+    the first `ticks` ticks (nested ones included), in order of first
+    appearance; see the module docstring for why this is closed form."""
+    if ticks < 0:
+        raise ValueError("ticks must be >= 0")
+    if ticks == 0:
+        return {}
+    # The last tick runs step s of program i on diagonal d = i + s.  By then
+    # programs 1..i have run d - j steps each, programs i+1..d-2 d - 1 - j.
+    i, s = schedule_pair(ticks)
+    d = i + s
+    stream = program_stream(table)
+    return {
+        stream.nth(j).bits: d - j if j <= i else d - 1 - j for j in range(1, max(i, d - 2) + 1)
+    }
 
 
 def dovetail_run(ticks: int, table: EncodingTable = TABLE_A) -> list[EmulationRef]:

@@ -72,10 +72,41 @@ class TraceFamily:
     canonical_key: str
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def _trace_json(states: tuple) -> str:
+    """The JSON of one trace, with its trailing run of one repeated state
+    object (the padding after a halt) encoded once and repeated."""
+    last = states[-1]
+    head = len(states) - 1
+    while head and states[head - 1] is last:
+        head -= 1
+    parts = [_ENCODER.encode(states[:head])[1:-1]] if head else []
+    parts += [_ENCODER.encode(last)] * (len(states) - head)
+    return "[" + ",".join(parts) + "]"
+
+
+def _family_json(traces: tuple) -> str:
+    """json.dumps(traces, separators=(",", ":")), encoding each distinct
+    trace object once."""
+    encoded: dict[int, str] = {}
+    for trace in traces:
+        if id(trace) not in encoded:
+            encoded[id(trace)] = _trace_json(trace)
+    return "[" + ",".join(encoded[id(trace)] for trace in traces) + "]"
+
+
 def trace_family(program: Program, universe: InputUniverse, k: int) -> TraceFamily:
-    traces = tuple(run_trace(program, tape, k).states for tape in universe.tapes)
-    key = json.dumps(traces, separators=(",", ":"))
-    return TraceFamily(traces=traces, canonical_key=key)
+    """Trace the program on every tape.  A run whose cursor is still 0 after
+    k steps executed no IN, so it is the same on every tape: it is traced
+    once and shared."""
+    first = run_trace(program, universe.tapes[0], k).states
+    if first[-1].input_cursor == 0:
+        traces = (first,) * len(universe.tapes)
+    else:
+        traces = (first,) + tuple(run_trace(program, tape, k).states for tape in universe.tapes[1:])
+    return TraceFamily(traces=traces, canonical_key=_family_json(traces))
 
 
 def family_key(program: Program, universe: InputUniverse, k: int) -> str:

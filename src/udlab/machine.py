@@ -12,7 +12,9 @@ Two meta-instructions make emulation observable by construction:
   empty tape, advancing it by one emulated step per host step and raising an
   EmulationRef for each; when the child halts, the host moves on.
 * DVT is absorbing: every subsequent host step performs one tick of the
-  canonical dovetailing schedule over the full program enumeration.
+  canonical dovetailing schedule over the full program enumeration.  All DVT
+  hosts emulate that one stream, so run_events reads what a host reaches
+  after its DVT from the stream's shared summary instead of ticking.
 
 Both advance each child they emulate through _Emulation.tick.
 
@@ -29,9 +31,12 @@ an event as [code_bits, step_index, state].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .encoding import DEC, DVT, EXEC, HALT, IN, INC, OUT, WHILE, Program
+
+if TYPE_CHECKING:
+    from .dovetailer import DovetailEngine
 
 Tape = tuple[int, ...]
 
@@ -240,8 +245,10 @@ def step(
 def run_trace(program: Program, tape: Tape, k: int) -> Trace:
     """Semantic states after steps 1..k plus all emulation events, in order.
 
-    Entries after the halting step repeat the halted state (halting is
-    absorbing).
+    Halting is absorbing, so the run stops stepping once the program halts:
+    every entry after the halting step is one shared padding state, the
+    halted configuration with no event, and is not re-stepped.  The halting
+    step's own entry stays as stepped, since it can carry that step's event.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -252,6 +259,9 @@ def run_trace(program: Program, tape: Tape, k: int) -> Trace:
     for _ in range(k):
         direct = step(config, program, tape, events)
         states.append(config.semantic_state(direct))
+        if config.halted:
+            states.extend([config.semantic_state(None)] * (k - len(states)))
+            break
     return Trace(states=tuple(states), events=tuple(events))
 
 
@@ -260,23 +270,55 @@ class _MaxSteps(dict):
     highest emulated step index seen, so no event outlives its step."""
 
     def append(self, event: EmulationRef) -> None:
-        if event.step_index > self.get(event.code_bits, 0):
-            self[event.code_bits] = event.step_index
+        self.raise_to(event.code_bits, event.step_index)
+
+    def raise_to(self, code_bits: str, step_index: int) -> None:
+        if step_index > self.get(code_bits, 0):
+            self[code_bits] = step_index
+
+
+def _dovetailing(config: Configuration) -> tuple[list[_Emulation], DovetailEngine] | None:
+    """The emulations from config down to a dovetailer, outermost first, and
+    that dovetailer; None when the context chain ends without one."""
+    chain = []
+    context = config.context
+    while isinstance(context, _Emulation):
+        chain.append(context)
+        context = context.config.context
+    return None if context is None else (chain, context)
 
 
 def run_events(program: Program, steps: int, tape: Tape = ()) -> dict[str, int]:
     """Run for up to `steps` host steps; map emulated code bits to the highest
-    emulated step index reached.  Programs without EXEC/DVT never emulate, and
-    a halted machine raises nothing, so both cases stop early.
+    emulated step index reached, in order of first appearance.  Programs
+    without EXEC/DVT never emulate, and a halted machine raises nothing, so
+    both cases stop early.
+
+    Once a DVT fires, directly or inside EXEC children, the run is absorbing:
+    each remaining host step is one tick of the canonical dovetail stream and
+    one step of every emulation around it.  That rest of the run is not
+    stepped; it is read off the stream's shared closed-form summary.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not program.contains_meta:
         return {}
+    from .dovetailer import dovetail_summary  # deferred: dovetailer imports this module
+
     config = Configuration.fresh(program)
     summary = _MaxSteps()
-    for _ in range(steps):
+    for done in range(1, steps + 1):
         if config.halted:
             break
         step(config, program, tape, summary)
+        found = _dovetailing(config)
+        if found is not None:
+            chain, engine = found
+            remaining = steps - done
+            ticks = dovetail_summary(engine.tick_index + remaining, engine.table)
+            for code_bits, step_index in ticks.items():
+                summary.raise_to(code_bits, step_index)
+            for emulation in chain:
+                summary.raise_to(emulation.program.bits, emulation.steps + remaining)
+            break
     return dict(summary)

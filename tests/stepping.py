@@ -1,0 +1,41 @@
+"""Full-stepping oracles for the machine's shortcuts.
+
+Each helper is the plain loop the shortcut replaces: every one of the k or T
+steps goes through step(), halted or not, on every tape, and a DVT host ticks
+its own dovetailer.  They are slow on purpose; tests compare the tracer, the
+trace-family keys and run_events against them.
+"""
+
+from udlab.machine import Configuration, step
+
+
+def full_trace(program, tape, k):
+    """The k semantic states of a run, each one stepped."""
+    config = Configuration.fresh(program)
+    states = []
+    for _ in range(k):
+        direct = step(config, program, tape)
+        states.append(config.semantic_state(direct))
+    return tuple(states)
+
+
+class MaxSteps(dict):
+    """An event sink that folds events into code bits -> highest step index,
+    in order of first appearance."""
+
+    def append(self, event):
+        if event.step_index > self.get(event.code_bits, 0):
+            self[event.code_bits] = event.step_index
+
+
+def full_events(program, checkpoints, tape=()):
+    """checkpoint T -> the run_events summary of the first T host steps,
+    every step (and every dovetailer tick) executed, from one run."""
+    config = Configuration.fresh(program)
+    summary = MaxSteps()
+    found = {}
+    for done in range(max(checkpoints) + 1):
+        if done in checkpoints:
+            found[done] = dict(summary)
+        step(config, program, tape, summary)
+    return found

@@ -358,6 +358,8 @@ def test_malformed_recording_exits_2(tmp_path, capsys, command):
         {"k": True},
         {"config": dict(valid["config"], encoding=[1])},
         {"config": dict(valid["config"], encoding="C")},
+        {"config": [1]},
+        {"program_bits": "0100"},
     ]
     for data in [{"k": 2}, [1, 2]] + [dict(valid, **change) for change in malformed]:
         path.write_text(json.dumps(data))

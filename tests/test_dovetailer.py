@@ -1,6 +1,13 @@
 import pytest
 
-from udlab.dovetailer import DovetailEngine, canonical_dvt_bits, dovetail_run, schedule_pair
+from stepping import MaxSteps
+from udlab.dovetailer import (
+    DovetailEngine,
+    canonical_dvt_bits,
+    dovetail_run,
+    dovetail_summary,
+    schedule_pair,
+)
 from udlab.encoding import EXEC, TABLE_A, TABLE_B, decode, from_instructions
 from udlab.enumeration import enumerate_programs
 from udlab.machine import run_trace
@@ -95,6 +102,22 @@ def test_dvt_instruction_agrees_with_runner():
     for ticks in (1, 7, 25):
         program = decode(canonical_dvt_bits(TABLE_A))
         assert list(run_trace(program, (), ticks).events) == dovetail_run(ticks)
+
+
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_dovetail_summary_matches_the_ticked_stream(table):
+    # Oracle: every event of every tick, nested ones included, folded in
+    # order of appearance.  The closed form ignores nested events, so this
+    # checks that none of them ever passes its code's top-level count.
+    assert dovetail_summary(0, table) == {}
+    engine = DovetailEngine(table)
+    folded = MaxSteps()
+    for tick in range(1, 20_001):
+        engine.tick(folded)
+        if tick <= 1000 or tick % 97 == 0:
+            assert list(dovetail_summary(tick, table).items()) == list(folded.items()), tick
+    with pytest.raises(ValueError):
+        dovetail_summary(-1, table)
 
 
 def test_nested_dovetailers_emit_inner_events():

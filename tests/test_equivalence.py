@@ -1,10 +1,12 @@
+import json
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from udlab.encoding import decode, from_instructions
+from stepping import full_trace
+from udlab.encoding import TABLE_A, TABLE_B, decode, from_instructions
 from udlab.enumeration import enumerate_programs
 from udlab.equivalence import (
     DEFAULT_UNIVERSE,
@@ -138,6 +140,21 @@ def test_family_key_agrees_with_trace_equality():
         for q in programs[:6]:
             same_key = family_key(p, DEFAULT_UNIVERSE, 2) == family_key(q, DEFAULT_UNIVERSE, 2)
             assert same_key == counterfactually_equivalent(p, q, DEFAULT_UNIVERSE, 2)
+
+
+UNIVERSE_012 = InputUniverse.from_tapes([(), (0,), (1,), (2,), (2, 0), (1, 2), (0, 2, 1)])
+
+
+@pytest.mark.parametrize("k", [1, 7, 300])
+@pytest.mark.parametrize("universe", [DEFAULT_UNIVERSE, UNIVERSE_012], ids=["default", "012"])
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_family_key_equals_full_stepping_oracle(table, universe, k):
+    # The oracle steps every entry on every tape: no halting stop, no shared
+    # tape-blind trace, no shared encoding.
+    for program in enumerate_programs(14, table):
+        traces = [full_trace(program, tape, k) for tape in universe.tapes]
+        expected = json.dumps(traces, separators=(",", ":"))
+        assert family_key(program, universe, k) == expected, program.bits
 
 
 def test_trace_family_shape():

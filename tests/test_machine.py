@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stepping import full_events
 from udlab.encoding import TABLE_A, TABLE_B, decode, from_instructions
 from udlab.enumeration import enumerate_programs
 from udlab.equivalence import DEFAULT_UNIVERSE
@@ -225,15 +226,53 @@ def test_run_events_agrees_with_run_trace_events(steps):
         assert list(summary.items()) == list(expected.items()), program.bits
 
 
+EVENT_CHECKPOINTS = (0, 1, 2, 50, 3000)
+
+
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_run_events_matches_full_stepping(table):
+    # The oracle steps every host step and ticks each DVT host's own engine;
+    # run_events reads the post-DVT rest off the shared stream.
+    for program in enumerate_programs(16, table):
+        if not program.contains_meta:
+            assert run_events(program, max(EVENT_CHECKPOINTS)) == {}
+            continue
+        expected = full_events(program, EVENT_CHECKPOINTS)
+        for steps in EVENT_CHECKPOINTS:
+            summary = run_events(program, steps)
+            assert list(summary.items()) == list(expected[steps].items()), (program.bits, steps)
+
+
+DVT_HOSTS = {
+    "dvt after INC": ([("INC", 0), ("DVT",)], ()),
+    "dvt after IN": ([("IN", 1), ("OUT", 1), ("IN", 2), ("DVT",)], (3, 5)),
+    "dvt after an EXEC child": ([("EXEC", (("INC", 0), ("OUT", 0))), ("DVT",)], ()),
+    "dvt inside an EXEC child": ([("INC", 2), ("EXEC", (("IN", 0), ("DVT",)))], (4,)),
+    "dvt two EXECs down": ([("EXEC", (("EXEC", (("INC", 1), ("DVT",))),))], ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DVT_HOSTS))
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_run_events_of_hand_built_dvt_hosts(name, table):
+    instructions, tape = DVT_HOSTS[name]
+    program = from_instructions(instructions, table)
+    checkpoints = tuple(range(8)) + (50, 3000)
+    expected = full_events(program, checkpoints, tape)
+    for steps in checkpoints:
+        summary = run_events(program, steps, tape)
+        assert list(summary.items()) == list(expected[steps].items()), steps
+
+
 # A child's peak RSS includes its parent's RSS at fork time, so the run forks
 # from a fresh interpreter rather than from the test process.
 RUN_EVENTS_RSS = """
-import os
+import os, sys
 pid = os.fork()
 if pid == 0:
     from udlab.encoding import decode
     from udlab.machine import run_events
-    run_events(decode("10001111"), 10**5)
+    run_events(decode("10001111"), int(sys.argv[1]))
     os._exit(0)
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
@@ -241,21 +280,29 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def test_run_events_memory_stays_flat_in_steps():
-    # Buffering every event of a DVT host to T=10^5 peaks near 60 MB; folding
-    # them as they arrive stays near the interpreter's own footprint.
+    # Buffering every event of a DVT host to T=10^5 peaks near 60 MB, and even
+    # one small entry per tick would pass the bound by T=3*10^5; the shared
+    # stream's summary stays near the interpreter's own footprint.
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-c", RUN_EVENTS_RSS], env=env, capture_output=True, text=True, timeout=120
-    )
-    code, maxrss_kib = map(int, done.stdout.split())
-    assert code == 0
-    assert maxrss_kib < 40 * 1024
+    for steps in (10**5, 3 * 10**5, 10**6):
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_EVENTS_RSS, str(steps)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        code, maxrss_kib = map(int, done.stdout.split())
+        assert code == 0, steps
+        assert maxrss_kib < 40 * 1024, steps
 
 
 def test_step_counter_advances():
+    # INC r0 halts at step 1; the three later entries are padding, not steps.
     before = step_count()
-    run_trace(from_instructions([("INC", 0)]), (), 4)
-    assert step_count() - before == 4
+    states = run_trace(from_instructions([("INC", 0)]), (), 4).states
+    assert step_count() - before == 1
+    assert len(states) == 4
+    halted = states[0]
+    assert halted.halted
+    assert states[1:] == (halted, halted, halted)
 
 
 PROGRAMS = enumerate_programs(12)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from udlab.cli import main
+from udlab.dovetailer import DovetailEngine
 from udlab.encoding import TABLE_A, decode, from_instructions, get_table
 from udlab.enumeration import enumerate_programs, kraft_mass
 from udlab.equivalence import DEFAULT_UNIVERSE, partition, refine
@@ -243,6 +245,24 @@ def test_decomposition_numerators_agree_with_u_weight_oracle():
             expected = oracle_weight(source.members, target, oracle_ctx)
             assert reaching_weight(source.members, target, ctx) == expected
     assert decomposition_check(classes, ctx) == [Fraction(0)] * len(classes)
+
+
+def test_measure_ticks_one_shared_dovetail_stream(monkeypatch, capsys):
+    # The three DVT hosts of L<=12 each used to tick an engine of their own,
+    # at least 3*T ticks; they now read one shared stream's summary.
+    ticks = 0
+    tick = DovetailEngine.tick
+
+    def counted(self, events=None):
+        nonlocal ticks
+        ticks += 1
+        return tick(self, events)
+
+    monkeypatch.setattr(DovetailEngine, "tick", counted)
+    budget = 20000
+    assert main(["measure", "-L", "12", "-k", "2", "-T", str(budget)]) == 0
+    assert capsys.readouterr().out
+    assert ticks < 2 * budget
 
 
 def test_fraction_str():
