@@ -53,6 +53,7 @@ from .measure import (
     MeasureContext,
     MeasureValue,
     NotARefinement,
+    class_masses,
     decomposition_check,
     divergence_report,
     fraction_str,
@@ -106,6 +107,7 @@ __all__ = [
     "UnbalancedLoop",
     "UnknownOpcode",
     "canonical_dvt_bits",
+    "class_masses",
     "counterfactually_equivalent",
     "decode",
     "decomposition_check",

@@ -22,13 +22,7 @@ from .encoding import DecodeError, EncodingTable, decode, get_table
 from .enumeration import enumerate_programs, kraft_mass
 from .equivalence import DEFAULT_UNIVERSE, InputUniverse, partition, refine
 from .measure import (
-    MeasureContext,
-    decomposition_check,
-    divergence_report,
-    fraction_str,
-    level_partition,
-    measure_class,
-    relative_measure,
+    MeasureContext, class_masses, decomposition_check, divergence_report, fraction_str
 )
 from .replay import (
     SeverancePlan,
@@ -243,13 +237,13 @@ class _Run:
             base[key] = value
         return base
 
-    def context(self, k: int | None = None) -> MeasureContext:
+    def context(self, k: int | None = None, table: EncodingTable | None = None) -> MeasureContext:
         return MeasureContext(
             max_len=self.max_len,
             k=self.k if k is None else k,
             budget=self.budget,
             universe=self.universe,
-            encoding=self.encoding,
+            encoding=table or self.encoding,
         )
 
 
@@ -361,11 +355,9 @@ _CONTEXT_HEADER = ["L", "k", "T", "universe_id", "encoding_id"]
 
 def _cmd_measure(run: _Run) -> None:
     classes = _partition_payload(run, run.k)
-    ctx = run.context()
     rows = [
-        _context_columns(run, run.k)
-        + [c.index, c.key_digest, len(c.members), fraction_str(measure_class(c, ctx))]
-        for c in classes
+        _context_columns(run, run.k) + [c.index, c.key_digest, len(c.members), fraction_str(mass)]
+        for c, mass in zip(classes, class_masses(classes, run.context()))
     ]
     header = _CONTEXT_HEADER + ["class_index", "key_digest", "member_count", "mass"]
     _emit_table(run, "classes", header, rows, run.config_dict())
@@ -388,13 +380,12 @@ def _relmeasure_rows(run: _Run, table: EncodingTable) -> list[list]:
     parents = partition(programs, run.universe, run.k)
     children = partition(programs, run.universe, run.k + 1)
     mapping = refine(parents, children)
-    ctx = MeasureContext(
-        max_len=run.max_len, k=run.k, budget=run.budget, universe=run.universe, encoding=table
-    )
+    ctx = run.context(table=table)
+    parent_masses = class_masses(parents, ctx)
     rows = []
-    for child in children:
+    for child, child_mass in zip(children, class_masses(children, ctx.at_k(run.k + 1))):
         parent = parents[mapping[child.index]]
-        ratio = relative_measure(child, parent, ctx)
+        ratio = child_mass / parent_masses[parent.index]
         rows.append(
             _context_columns(run, run.k, table)
             + [child.index, parent.index, child.key_digest, parent.key_digest, fraction_str(ratio)]

@@ -16,7 +16,6 @@ program is available without choosing a length bound up front.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -84,7 +83,6 @@ class ProgramStream:
         self._lengths: list[int] = []
         self._generated_to = 0  # every length <= this has been generated
         self._blocks: dict[tuple[int, str], list[str]] = {}
-        self._lock = threading.Lock()
 
     def _instructions(self, n: int) -> list[str]:
         """Every single instruction of exactly n bits."""
@@ -113,20 +111,19 @@ class ProgramStream:
         return found
 
     def _extend_to_length(self, max_len: int) -> None:
-        with self._lock:
-            if max_len <= self._generated_to:
-                return
-            total = sum(block_counts(max_len))
-            if total > MAX_PROGRAMS:
-                raise ValueError(
-                    f"max_len {max_len} covers {total} programs, more than the "
-                    f"{MAX_PROGRAMS} that enumeration holds in memory"
-                )
-            for length in range(max(self._generated_to + 1, MIN_PROGRAM_BITS), max_len + 1):
-                for bits in sorted(self._block(length, END)):
-                    self._programs.append(decode(bits, self.table))
-                    self._lengths.append(length)
-            self._generated_to = max_len
+        if max_len <= self._generated_to:
+            return
+        total = sum(block_counts(max_len))
+        if total > MAX_PROGRAMS:
+            raise ValueError(
+                f"max_len {max_len} covers {total} programs, more than the "
+                f"{MAX_PROGRAMS} that enumeration holds in memory"
+            )
+        for length in range(max(self._generated_to + 1, MIN_PROGRAM_BITS), max_len + 1):
+            for bits in sorted(self._block(length, END)):
+                self._programs.append(decode(bits, self.table))
+                self._lengths.append(length)
+        self._generated_to = max_len
 
     def up_to_length(self, max_len: int) -> list[Program]:
         if max_len < MIN_PROGRAM_BITS:
@@ -143,16 +140,14 @@ class ProgramStream:
 
 
 _STREAMS: dict[str, ProgramStream] = {}
-_STREAMS_LOCK = threading.Lock()
 
 
 def program_stream(table: EncodingTable = TABLE_A) -> ProgramStream:
     """The shared enumeration stream for an encoding variant."""
-    with _STREAMS_LOCK:
-        stream = _STREAMS.get(table.variant_id)
-        if stream is None:
-            stream = _STREAMS[table.variant_id] = ProgramStream(table)
-        return stream
+    stream = _STREAMS.get(table.variant_id)
+    if stream is None:
+        stream = _STREAMS[table.variant_id] = ProgramStream(table)
+    return stream
 
 
 def enumerate_programs(max_len: int, table: EncodingTable = TABLE_A) -> list[Program]:

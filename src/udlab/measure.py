@@ -5,9 +5,11 @@ weight to a class when it "reaches" that class: either it is a member
 (self-emulation, the delta case for ordinary programs) or, run on the empty
 tape within a host-step budget, it raises emulation events showing some code
 advanced to at least k emulated steps whose k-step trace family matches the
-class.  Class mass is the exact sum of contributing weights; all arithmetic
-is Fraction-exact, and the recursive regrouping of the mass over any
-partition is checked as an identity with zero residual, never a tolerance.
+class.  Class mass is the exact sum of contributing weights, taken for a
+whole level in one pass that adds each program's weight to every class in
+its cached reach set (u_weight, the per-pair test, is the oracle).  All
+arithmetic is Fraction-exact, and the recursive regrouping of the mass over
+any partition is checked as an identity with zero residual, never a tolerance.
 
 "Eventually emulates" is semidecidable, so the budget T truncates it; every
 result carries its full context (length bound L, level k, budget T, universe,
@@ -133,31 +135,46 @@ def u_weight(program: Program, cls: EquivClass, ctx: MeasureContext) -> int:
     return 0
 
 
-def reaching_weight(programs, cls: EquivClass, ctx: MeasureContext) -> Fraction:
-    """Sum of 2**-length over the given programs that reach the class.
-
-    Agrees with u_weight program by program; reaching is one lookup in the
-    program's cached reach set.
+def _class_weights(
+    classes: list[EquivClass], ctx: MeasureContext
+) -> tuple[list[Fraction], dict[tuple[int, int], Fraction]]:
+    """One pass over the programs: each given class's mass, and the nonzero
+    weight the members of class s send to class t, keyed (s, t).  A program
+    reaches its own class and the classes keyed in its cached reach set.
+    Weights are summed as integers 2**(L - length), divided by 2**L at the end.
     """
-    return sum(
-        (
-            Fraction(1, 2**p.length)
-            for p in programs
-            if p.bits in cls.member_bits or cls.canonical_key in ctx.reached_keys(p)
-        ),
-        Fraction(0),
-    )
+    for cls in classes:
+        ctx._check_class(cls)
+    index_of_key = {cls.canonical_key: i for i, cls in enumerate(classes)}
+    index_of_bits = {bits: i for i, cls in enumerate(classes) for bits in cls.member_bits}
+    members = sum(len(cls.member_bits) for cls in classes)
+    if len(index_of_key) < len(classes) or len(index_of_bits) < members:
+        raise ValueError("classes must have distinct keys and disjoint members")
+    totals = [0] * len(classes)
+    sent: dict[tuple[int | None, int], int] = {}
+    for p in ctx.programs():
+        weight = 2 ** (ctx.max_len - p.length)
+        reached = {index_of_key[key] for key in ctx.reached_keys(p) if key in index_of_key}
+        own = index_of_bits.get(p.bits)
+        if own is not None:
+            reached.add(own)
+        for target in reached:
+            totals[target] += weight
+            sent[own, target] = sent.get((own, target), 0) + weight
+    scale = 2**ctx.max_len
+    numerators = {pair: Fraction(w, scale) for pair, w in sent.items() if pair[0] is not None}
+    return [Fraction(total, scale) for total in totals], numerators
+
+
+def class_masses(classes: list[EquivClass], ctx: MeasureContext) -> list[Fraction]:
+    """Exact masses of the given classes, in order, from one pass over the
+    programs: each sums 2**-length over the programs that reach the class."""
+    return _class_weights(classes, ctx)[0]
 
 
 def measure_class(cls: EquivClass, ctx: MeasureContext) -> Fraction:
     """Exact mass of a class: sum of 2**-length over contributing programs."""
-    ctx._check_class(cls)
-    cache = ctx._caches.setdefault("mass", {})
-    cache_key = (cls.k, cls.canonical_key)
-    value = cache.get(cache_key)
-    if value is None:
-        value = cache[cache_key] = reaching_weight(ctx.programs(), cls, ctx)
-    return value
+    return class_masses([cls], ctx)[0]
 
 
 def decomposition_check(classes: list[EquivClass], ctx: MeasureContext) -> list[Fraction]:
@@ -179,21 +196,15 @@ def decomposition_check(classes: list[EquivClass], ctx: MeasureContext) -> list[
     if covered != expected:
         raise ValueError("partition does not cover the enumerated programs at max_len")
 
-    mass = {cls.index: measure_class(cls, ctx) for cls in classes}
-    residuals = []
-    for target in classes:
-        regrouped = Fraction(0)
-        for source in classes:
-            numerator = reaching_weight(source.members, target, ctx)
-            if not numerator:
-                continue  # this source adds nothing to the target
-            # The divisor is the full reaching-weight of the source class,
-            # summed over every enumerated program, not just its members:
-            # that sum is the source class mass itself.
-            denominator = mass[source.index]
-            regrouped += mass[source.index] * numerator / denominator
-        residuals.append(regrouped - mass[target.index])
-    return residuals
+    mass, numerators = _class_weights(classes, ctx)
+    regrouped = [Fraction(0)] * len(classes)
+    for (source, target), numerator in numerators.items():
+        # The divisor is the full reaching-weight of the source class,
+        # summed over every enumerated program, not just its members:
+        # that sum is the source class mass itself.
+        denominator = mass[source]
+        regrouped[target] += mass[source] * numerator / denominator
+    return [r - m for r, m in zip(regrouped, mass)]
 
 
 def relative_measure(child: EquivClass, parent: EquivClass, ctx: MeasureContext) -> Fraction:
@@ -212,16 +223,10 @@ def relative_measure(child: EquivClass, parent: EquivClass, ctx: MeasureContext)
     return child_mass / parent_mass
 
 
-def level_partition(k: int, ctx: MeasureContext) -> list[EquivClass]:
-    """Partition of the enumerated programs at level k under this context."""
-    return partition(ctx.programs(), ctx.universe, k)
-
-
 def level_mass(k: int, ctx: MeasureContext) -> Fraction:
     """Total mass at level k: sum of class masses over the level-k partition."""
-    level_ctx = ctx.at_k(k)
-    classes = level_partition(k, ctx)
-    return sum((measure_class(c, level_ctx) for c in classes), Fraction(0))
+    classes = partition(ctx.programs(), ctx.universe, k)
+    return sum(class_masses(classes, ctx.at_k(k)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -244,9 +249,8 @@ def divergence_report(k_min: int, k_max: int, ctx: MeasureContext) -> list[Level
     rows = []
     cumulative = Fraction(0)
     for k in range(k_min, k_max + 1):
-        classes = level_partition(k, ctx)
-        level_ctx = ctx.at_k(k)
-        mass = sum((measure_class(c, level_ctx) for c in classes), Fraction(0))
+        classes = partition(ctx.programs(), ctx.universe, k)
+        mass = sum(class_masses(classes, ctx.at_k(k)), Fraction(0))
         cumulative += mass
         rows.append(LevelRow(k=k, class_count=len(classes), level_mass=mass, cumulative=cumulative))
     return rows

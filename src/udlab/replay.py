@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .encoding import EncodingTable, Program, TABLE_A, decode
-from .equivalence import DEFAULT_UNIVERSE, InputUniverse
+from .equivalence import DEFAULT_UNIVERSE, InputUniverse, trace_family
 from .machine import Configuration, SemanticState, run_trace, step
 
 Tape = tuple[int, ...]
@@ -125,16 +125,21 @@ def sever_and_project(
     severed system as a program-like object and asks whether it is
     counterfactually equivalent to the original program over the universe:
     its trace must match the original's on every tape, not just the actual one.
+    A program that executes no IN in k steps films the same run on every
+    tape, so its severed system reads no IN either and is run once.
     """
     if any(s > rec.k for s in plan.severed_steps):
         raise ValueError(f"severed steps must lie in 1..{rec.k}")
     frames = _filmed_frames(rec, plan.severed_steps)
     trace = _severed_states(rec, frames, tuple(actual_tape))
-    equivalent = all(
-        _severed_states(rec, frames, tape)
-        == run_trace(rec.program, tape, rec.k).states
-        for tape in universe.tapes
-    )
+    traces = trace_family(rec.program, universe, rec.k).traces
+    if traces[0][-1].input_cursor == 0:
+        equivalent = trace == traces[0]
+    else:
+        equivalent = all(
+            _severed_states(rec, frames, tape) == original
+            for tape, original in zip(universe.tapes, traces)
+        )
     return SeveranceResult(trace=trace, equivalent=equivalent)
 
 

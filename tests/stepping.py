@@ -3,7 +3,7 @@
 Each helper is the plain loop the shortcut replaces: every one of the k or T
 steps goes through step(), halted or not, on every tape, and a DVT host ticks
 its own dovetailer.  They are slow on purpose; tests compare the tracer, the
-trace-family keys and run_events against them.
+trace-family keys, run_events and sever_and_project against them.
 """
 
 from udlab.machine import Configuration, step
@@ -39,3 +39,28 @@ def full_events(program, checkpoints, tape=()):
             found[done] = dict(summary)
         step(config, program, tape, summary)
     return found
+
+
+def per_tape_sever(rec, severed, actual_tape, universe):
+    """(trace on the actual tape, verdict) of a severance, the severed system
+    and the filmed program each stepped afresh on every tape of the universe.
+    A severed step imposes the filmed configuration and the filmed state."""
+
+    def severed_trace(tape):
+        filmed = Configuration.fresh(rec.program)
+        live = Configuration.fresh(rec.program)
+        states = []
+        for i in range(1, rec.k + 1):
+            step(filmed, rec.program, rec.tape)
+            if i in severed:
+                live = filmed.clone()
+                states.append(rec.trace[i - 1])
+            else:
+                direct = step(live, rec.program, tape)
+                states.append(live.semantic_state(direct))
+        return tuple(states)
+
+    verdict = all(
+        severed_trace(tape) == full_trace(rec.program, tape, rec.k) for tape in universe.tapes
+    )
+    return severed_trace(tuple(actual_tape)), verdict

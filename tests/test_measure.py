@@ -1,3 +1,5 @@
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,13 @@ from udlab.measure import (
     EmptyClass,
     MeasureContext,
     NotARefinement,
+    _class_weights,
+    class_masses,
     decomposition_check,
     divergence_report,
     fraction_str,
     level_mass,
     measure_class,
-    reaching_weight,
     relative_measure,
     u_weight,
 )
@@ -240,11 +243,83 @@ def test_decomposition_numerators_agree_with_u_weight_oracle():
     programs = enumerate_programs(12, get_table("B"))
     classes = partition(programs, DEFAULT_UNIVERSE, 2)
     ctx, oracle_ctx = table_ctx("B", 2, 200), table_ctx("B", 2, 200)
+    numerators = _class_weights(classes, ctx)[1]
     for target in classes:
         for source in classes:
             expected = oracle_weight(source.members, target, oracle_ctx)
-            assert reaching_weight(source.members, target, ctx) == expected
+            assert numerators.get((source.index, target.index), 0) == expected
     assert decomposition_check(classes, ctx) == [Fraction(0)] * len(classes)
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_class_masses_equal_per_class_masses(variant):
+    programs = enumerate_programs(12, get_table(variant))
+    for k in (1, 3):
+        classes = partition(programs, DEFAULT_UNIVERSE, k)
+        ctx = table_ctx(variant, k, 200)
+        masses = class_masses(classes, ctx)
+        assert masses == [measure_class(cls, ctx) for cls in classes]
+        assert class_masses(classes[::-1], ctx) == masses[::-1]
+        assert class_masses([], ctx) == []
+
+
+def test_class_masses_reject_overlapping_classes():
+    first, second = classes_at(8, 1)[:2]
+    same_key = replace(second, canonical_key=first.canonical_key)
+    same_members = replace(second, members=first.members, member_bits=first.member_bits)
+    for pair in ([first, first], [first, same_key], [first, same_members]):
+        with pytest.raises(ValueError):
+            class_masses(pair, make_ctx())
+
+
+@pytest.mark.parametrize("max_len", [12, 14])
+def test_mass_commands_look_up_each_reach_set_once_per_level(monkeypatch, capsys, max_len):
+    # A level's masses come from one pass over the programs, not one per class.
+    calls = 0
+    reached_keys = MeasureContext.reached_keys
+
+    def counted(self, program):
+        nonlocal calls
+        calls += 1
+        return reached_keys(self, program)
+
+    monkeypatch.setattr(MeasureContext, "reached_keys", counted)
+    programs = len(enumerate_programs(max_len))
+    runs = (("measure", 2, programs), ("decompose", 2, 2 * programs), ("levels", 4, 4 * programs))
+    for command, k, bound in runs:
+        calls = 0
+        argv = [command, "-L", str(max_len), "-k", str(k), "-T", "200"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+        if command == "measure":
+            assert calls == programs
+        assert calls <= bound, (command, calls)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_relmeasure_ratios_equal_relative_measure(capsys, k):
+    def ratios(argv):
+        assert main([*argv, "-L", "12", "-k", str(k), "-T", "200", "--format", "json"]) == 0
+        pairs = json.loads(capsys.readouterr().out)["pairs"]
+        fields = ("encoding_id", "child_index", "parent_index", "relative_measure")
+        return [tuple(row[f] for f in fields) for row in pairs]
+
+    expected = {}
+    for variant in ("A", "B"):
+        table = get_table(variant)
+        programs = enumerate_programs(12, table)
+        parents = partition(programs, DEFAULT_UNIVERSE, k)
+        children = partition(programs, DEFAULT_UNIVERSE, k + 1)
+        mapping = refine(parents, children)
+        ctx = table_ctx(variant, k, 200)
+        expected[variant] = []
+        for child in children:
+            parent = parents[mapping[child.index]]
+            ratio = fraction_str(relative_measure(child, parent, ctx))
+            expected[variant].append((variant, child.index, parent.index, ratio))
+    assert ratios(["relmeasure"]) == expected["A"]
+    assert ratios(["relmeasure", "--encoding", "B"]) == expected["B"]
+    assert ratios(["invariance"]) == expected["A"] + expected["B"]
 
 
 def test_measure_ticks_one_shared_dovetail_stream(monkeypatch, capsys):

@@ -2,8 +2,10 @@ import json
 from dataclasses import fields
 
 import pytest
+from stepping import per_tape_sever
 
-from udlab.encoding import decode, from_instructions
+from udlab.encoding import decode, from_instructions, get_table
+from udlab.enumeration import enumerate_programs
 from udlab.equivalence import DEFAULT_UNIVERSE, InputUniverse
 from udlab.machine import Configuration, run_trace, step_count
 from udlab.replay import (
@@ -149,6 +151,31 @@ def test_sever_verdict_uses_given_universe():
     constant_universe = InputUniverse.from_tapes([(1,)])
     assert sever_and_project(rec, plan, (1,), constant_universe).equivalent
     assert not sever_and_project(rec, plan, (1,), DEFAULT_UNIVERSE).equivalent
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_sever_matches_per_tape_oracle(variant):
+    # Tape-blind programs (no IN in k steps) run the severed system once for
+    # every tape; the oracle runs it, and the program, on each tape afresh.
+    universes = (
+        DEFAULT_UNIVERSE,
+        InputUniverse.from_tapes([(2,)]),
+        InputUniverse.from_tapes([(), (0, 2), (1, 2, 0)]),
+    )
+    plans = [SeverancePlan.of(steps) for steps in ((), (1,), (1, 2), (2, 5, 9))]
+    tape_blind, verdicts = set(), set()
+    for program in enumerate_programs(12, get_table(variant)):
+        for rec_tape in ((), (1, 0)):
+            rec = record(program, rec_tape, 9)
+            tape_blind.add(rec.trace[-1].input_cursor == 0)
+            for universe in universes:
+                for plan in plans:
+                    for tape in ((), (1,), (0, 1)):
+                        result = sever_and_project(rec, plan, tape, universe)
+                        expected = per_tape_sever(rec, plan.severed_steps, tape, universe)
+                        assert (result.trace, result.equivalent) == expected, program.bits
+                        verdicts.add(result.equivalent)
+    assert tape_blind == verdicts == {True, False}
 
 
 def test_sever_validation():
