@@ -27,10 +27,10 @@ from .encoding import (
 from .enumeration import enumerate_programs, kraft_mass, nth_program, program_stream
 from .equivalence import (
     DEFAULT_UNIVERSE,
+    ClassIndex,
     EquivClass,
     InputUniverse,
     RefinementViolation,
-    TraceFamily,
     counterfactually_equivalent,
     partition,
     refine,
@@ -78,6 +78,7 @@ from .replay import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ClassIndex",
     "Configuration",
     "DEFAULT_UNIVERSE",
     "DecodeError",
@@ -101,7 +102,6 @@ __all__ = [
     "TABLE_A",
     "TABLE_B",
     "Trace",
-    "TraceFamily",
     "TrailingBits",
     "Truncated",
     "UnbalancedLoop",

@@ -3,9 +3,9 @@
 Every subcommand is a pure function of its resolved run configuration: output
 is byte-identical across repeated runs, all numbers are exact fraction
 strings, and each emitted result embeds the configuration that produced it.
-Computation is serial; --threads (default UDLAB_THREADS, else 1) is only
-recorded in that configuration.  Exit codes: 0 success, 1 usage error,
-2 validation or precondition failure.
+Computation is serial ("threads" is always 1), and a mass command measures
+every level it reports from one measure context per encoding.  Exit codes:
+0 success, 1 usage error, 2 validation or precondition failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .dovetailer import DovetailEngine, schedule_pair
@@ -88,7 +87,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--encoding", default=None, choices=_CHOICES["encoding"])
         p.add_argument("--format", dest="fmt", default=None, choices=_CHOICES["fmt"])
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--tick", type=int, default=None)
         p.add_argument("--ticks", type=int, default=None)
         p.add_argument("--program", default=None, help="program bits ('0'/'1' string)")
@@ -100,7 +98,7 @@ def _build_parser() -> _Parser:
 
 
 # Integer options; every other config key holds a string, as its flag does.
-_INT_KEYS = {"max_len", "k", "budget", "threads", "tick", "ticks"}
+_INT_KEYS = {"max_len", "k", "budget", "tick", "ticks"}
 _CONFIG_KEYS = _INT_KEYS | {
     "universe",
     "encoding",
@@ -138,16 +136,6 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             )
         if getattr(args, dest) is None:  # explicit flags win over the file
             setattr(args, dest, value)
-
-
-def _resolve_threads(requested: int | None) -> int:
-    """The worker count recorded in the config; computation is serial."""
-    if requested is not None:
-        return max(1, requested)
-    try:
-        return max(1, int(os.environ.get("UDLAB_THREADS", "")))
-    except ValueError:
-        return 1
 
 
 def _parse_tape(text: str | None) -> tuple[int, ...]:
@@ -217,7 +205,6 @@ class _Run:
         self.budget = DEFAULT_BUDGET if args.budget is None else args.budget
         self.universe = _load_universe(args.universe)
         self.encoding: EncodingTable = get_table(args.encoding or "A")
-        self.threads = _resolve_threads(args.threads)
         self.fmt = args.fmt or default_fmt
         self.out = args.out
         self.args = args
@@ -230,7 +217,7 @@ class _Run:
             "budget": self.budget,
             "universe_id": self.universe.universe_id,
             "encoding": self.encoding.variant_id,
-            "threads": self.threads,
+            "threads": 1,
             "format": self.fmt,
         }
         for key, value in extra:
@@ -314,13 +301,8 @@ def _cmd_dovetail(run: _Run) -> None:
     _emit_table(run, "events", header, rows, run.config_dict(("ticks", ticks)))
 
 
-def _partition_payload(run: _Run, k: int) -> list:
-    programs = enumerate_programs(run.max_len, run.encoding)
-    return partition(programs, run.universe, k)
-
-
 def _cmd_partition(run: _Run) -> None:
-    classes = _partition_payload(run, run.k)
+    classes = partition(enumerate_programs(run.max_len, run.encoding), run.universe, run.k)
     config = run.config_dict()
     if run.fmt == "csv":
         rows = [
@@ -354,18 +336,19 @@ _CONTEXT_HEADER = ["L", "k", "T", "universe_id", "encoding_id"]
 
 
 def _cmd_measure(run: _Run) -> None:
-    classes = _partition_payload(run, run.k)
+    ctx = run.context()
+    classes = ctx.partition(run.k)
     rows = [
         _context_columns(run, run.k) + [c.index, c.key_digest, len(c.members), fraction_str(mass)]
-        for c, mass in zip(classes, class_masses(classes, run.context()))
+        for c, mass in zip(classes, class_masses(classes, ctx))
     ]
     header = _CONTEXT_HEADER + ["class_index", "key_digest", "member_count", "mass"]
     _emit_table(run, "classes", header, rows, run.config_dict())
 
 
 def _cmd_decompose(run: _Run) -> None:
-    classes = _partition_payload(run, run.k)
     ctx = run.context()
+    classes = ctx.partition(run.k)
     residuals = decomposition_check(classes, ctx)
     rows = [
         _context_columns(run, run.k) + [c.index, fraction_str(r), r == 0]
@@ -376,14 +359,12 @@ def _cmd_decompose(run: _Run) -> None:
 
 
 def _relmeasure_rows(run: _Run, table: EncodingTable) -> list[list]:
-    programs = enumerate_programs(run.max_len, table)
-    parents = partition(programs, run.universe, run.k)
-    children = partition(programs, run.universe, run.k + 1)
+    ctx = run.context(k=run.k + 1, table=table)
+    parents, children = ctx.partition(run.k), ctx.partition(run.k + 1)
     mapping = refine(parents, children)
-    ctx = run.context(table=table)
     parent_masses = class_masses(parents, ctx)
     rows = []
-    for child, child_mass in zip(children, class_masses(children, ctx.at_k(run.k + 1))):
+    for child, child_mass in zip(children, class_masses(children, ctx)):
         parent = parents[mapping[child.index]]
         ratio = child_mass / parent_masses[parent.index]
         rows.append(
@@ -409,8 +390,7 @@ def _cmd_relmeasure(run: _Run) -> None:
 
 def _cmd_levels(run: _Run) -> None:
     # -k is the top level; the report always starts at level 1.
-    ctx = run.context(k=1)
-    rows_data = divergence_report(1, run.k, ctx)
+    rows_data = divergence_report(1, run.k, run.context())
     rows = [
         _context_columns(run, row.k)
         + [row.class_count, fraction_str(row.level_mass), fraction_str(row.cumulative)]

@@ -7,9 +7,10 @@ halting, and the step's emulation event, but never the structural program
 position, so distinct texts can be equivalent and (the interesting converse)
 programs that coincide on one tape can still be inequivalent.
 
-Partitions are grouped by a canonical serialization of the whole per-tape
-trace family; class indices come from sorting those keys, so the result is
-independent of input order.
+Partitions group codes by the ids of a ClassIndex, which serves every level
+from one trace per code.  Each class's canonical key, the serialization of
+its trace family, is encoded once, and class indices come from sorting those
+keys, so the result is independent of input order.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .encoding import Program
 from .machine import run_trace
@@ -64,14 +66,6 @@ DEFAULT_UNIVERSE = InputUniverse.from_tapes(
 )
 
 
-@dataclass(frozen=True)
-class TraceFamily:
-    """The k-step traces of one program across a whole universe."""
-
-    traces: tuple[tuple, ...]  # per tape, in universe order
-    canonical_key: str
-
-
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -87,30 +81,28 @@ def _trace_json(states: tuple) -> str:
     return "[" + ",".join(parts) + "]"
 
 
-def _family_json(traces: tuple) -> str:
-    """json.dumps(traces, separators=(",", ":")), encoding each distinct
-    trace object once."""
+def _family_json(traces: tuple, k: int) -> str:
+    """json.dumps of the traces' first k states, separators (",", ":"),
+    encoding each distinct trace object once."""
     encoded: dict[int, str] = {}
     for trace in traces:
         if id(trace) not in encoded:
-            encoded[id(trace)] = _trace_json(trace)
+            encoded[id(trace)] = _trace_json(trace[:k])
     return "[" + ",".join(encoded[id(trace)] for trace in traces) + "]"
 
 
-def trace_family(program: Program, universe: InputUniverse, k: int) -> TraceFamily:
-    """Trace the program on every tape.  A run whose cursor is still 0 after
-    k steps executed no IN, so it is the same on every tape: it is traced
-    once and shared."""
+def trace_family(program: Program, universe: InputUniverse, k: int) -> tuple[tuple, ...]:
+    """The program's k-step traces, one per tape in universe order.  A run
+    whose cursor is still 0 after k steps executed no IN, so it is the same
+    on every tape: it is traced once and shared."""
     first = run_trace(program, universe.tapes[0], k).states
     if first[-1].input_cursor == 0:
-        traces = (first,) * len(universe.tapes)
-    else:
-        traces = (first,) + tuple(run_trace(program, tape, k).states for tape in universe.tapes[1:])
-    return TraceFamily(traces=traces, canonical_key=_family_json(traces))
+        return (first,) * len(universe.tapes)
+    return (first,) + tuple(run_trace(program, tape, k).states for tape in universe.tapes[1:])
 
 
 def family_key(program: Program, universe: InputUniverse, k: int) -> str:
-    return trace_family(program, universe, k).canonical_key
+    return _family_json(trace_family(program, universe, k), k)
 
 
 def counterfactually_equivalent(
@@ -145,16 +137,60 @@ class EquivClass:
         return key_digest(self.canonical_key)
 
 
-def _make_class(k, index, members, key, universe_id) -> EquivClass:
-    members = tuple(sorted(members, key=lambda p: (p.length, p.bits)))
-    return EquivClass(
-        k=k,
-        index=index,
-        members=members,
-        canonical_key=key,
-        universe_id=universe_id,
-        member_bits=frozenset(p.bits for p in members),
-    )
+class ClassIndex:
+    """Class ids of codes at every level 1..top over one universe.
+
+    A code's level-j id interns (level j-1 id, step-j states across the
+    tapes), so two codes share a level-j id exactly when their j-step
+    families are equal.  A step whose states are equal on every tape interns
+    as that one state, compared by value, so a tape-blind family and an
+    input-reading one with equal prefixes share ids.  Halting is absorbing:
+    once every tape has halted, later levels follow from the prefix and keep
+    the id of the level where the last tape halted.
+    """
+
+    def __init__(self, universe: InputUniverse, top: int) -> None:
+        if top < 1:
+            raise ValueError("k must be >= 1")
+        self.universe = universe
+        self.top = top
+        self._ids: dict[tuple, int] = {}
+        self._creators: list[tuple] = []  # id -> traces of the code that created it
+
+    def ids(self, program: Program) -> tuple[int, ...]:
+        """The program's class id at each level 1..top, from one trace."""
+        traces = trace_family(program, self.universe, self.top)
+        settled = max(  # the step by which every tape has halted, or top
+            next((j for j, state in enumerate(trace, 1) if state.halted), self.top)
+            for trace in {id(trace): trace for trace in traces}.values()
+        )
+        ids: list[int] = []
+        previous = None
+        for step in islice(zip(*traces), settled):
+            pair = (previous, step[0] if step.count(step[0]) == len(step) else step)
+            previous = self._ids.get(pair)
+            if previous is None:
+                previous = self._ids[pair] = len(self._creators)
+                self._creators.append(traces)
+            ids.append(previous)
+        return tuple(ids) + (previous,) * (self.top - settled)
+
+    def partition(self, programs, level: int, ids_of=None) -> list[EquivClass]:
+        """Group programs by their level id (ids_of defaults to ids); each
+        class key is encoded from the family that created the id."""
+        ids_of = ids_of or self.ids
+        groups: dict[int, list[Program]] = {}
+        for program in programs:
+            groups.setdefault(ids_of(program)[level - 1], []).append(program)
+        keyed = sorted(
+            (_family_json(self._creators[cid], level), members) for cid, members in groups.items()
+        )
+        classes = []
+        for index, (key, members) in enumerate(keyed):
+            members = tuple(sorted(members, key=lambda p: (p.length, p.bits)))
+            bits = frozenset(p.bits for p in members)
+            classes.append(EquivClass(level, index, members, key, self.universe.universe_id, bits))
+        return classes
 
 
 def partition(programs, universe: InputUniverse, k: int) -> list[EquivClass]:
@@ -164,23 +200,13 @@ def partition(programs, universe: InputUniverse, k: int) -> list[EquivClass]:
     sorted canonical keys, so the same set of programs always yields the same
     partition no matter how it was ordered.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     programs = list(programs)
     bits_seen = set()
     for program in programs:
         if program.bits in bits_seen:
             raise ValueError(f"duplicate program {program.bits!r} in partition input")
         bits_seen.add(program.bits)
-
-    keys = [family_key(p, universe, k) for p in programs]
-    groups: dict[str, list[Program]] = {}
-    for program, key in zip(programs, keys):
-        groups.setdefault(key, []).append(program)
-    return [
-        _make_class(k, index, members, key, universe.universe_id)
-        for index, (key, members) in enumerate(sorted(groups.items()))
-    ]
+    return ClassIndex(universe, k).partition(programs, k)
 
 
 class RefinementViolation(RuntimeError):

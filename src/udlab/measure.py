@@ -7,7 +7,8 @@ tape within a host-step budget, it raises emulation events showing some code
 advanced to at least k emulated steps whose k-step trace family matches the
 class.  Class mass is the exact sum of contributing weights, taken for a
 whole level in one pass that adds each program's weight to every class in
-its cached reach set (u_weight, the per-pair test, is the oracle).  All
+its reach set (u_weight, the per-pair test, is the oracle); one class index,
+tracing each code once, serves every level up to the context's k.  All
 arithmetic is Fraction-exact, and the recursive regrouping of the mass over
 any partition is checked as an identity with zero residual, never a tolerance.
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .encoding import EncodingTable, Program, decode
 from .enumeration import enumerate_programs
-from .equivalence import EquivClass, InputUniverse, family_key, partition
+from .equivalence import ClassIndex, EquivClass, InputUniverse, family_key
 from .machine import run_events
 
 MeasureValue = Fraction
@@ -43,72 +44,60 @@ class NotARefinement(ValueError):
 
 @dataclass
 class MeasureContext:
-    """Truncation parameters every measure result is relative to."""
+    """Truncation parameters every measure result is relative to; k is the
+    top level, and every level 1..k is measured from the same traces."""
 
     max_len: int
     k: int
     budget: int
     universe: InputUniverse
     encoding: EncodingTable
-    _caches: dict = field(default_factory=dict, repr=False, compare=False)
+    _events: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_len < 4:
             raise ValueError("max_len must be >= 4")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
-
-    def at_k(self, k: int) -> "MeasureContext":
-        """Same truncation and caches, different level."""
-        if k == self.k:
-            return self
-        return MeasureContext(
-            max_len=self.max_len,
-            k=k,
-            budget=self.budget,
-            universe=self.universe,
-            encoding=self.encoding,
-            _caches=self._caches,
-        )
+        self._index = ClassIndex(self.universe, self.k)  # checks k >= 1
 
     def programs(self) -> list[Program]:
         return enumerate_programs(self.max_len, self.encoding)
 
     def events_summary(self, program: Program) -> dict[str, int]:
-        cache = self._caches.setdefault("events", {})
-        key = (program.bits, self.budget)
-        summary = cache.get(key)
+        summary = self._events.get(program.bits)
         if summary is None:
-            summary = cache[key] = run_events(program, self.budget)
+            summary = self._events[program.bits] = run_events(program, self.budget)
         return summary
 
-    def code_family_key(self, code_bits: str, k: int) -> str:
-        cache = self._caches.setdefault("family", {})
-        key = (code_bits, k)
-        value = cache.get(key)
-        if value is None:
-            program = decode(code_bits, self.encoding)
-            value = cache[key] = family_key(program, self.universe, k)
-        return value
+    def class_ids(self, program: Program) -> tuple[int, ...]:
+        """The program's class id at each level 1..k."""
+        ids = self._ids.get(program.bits)
+        if ids is None:
+            ids = self._ids[program.bits] = self._index.ids(program)
+        return ids
 
-    def reached_keys(self, program: Program) -> frozenset[str]:
-        """Level-k family keys of the codes the program emulates to >= k steps."""
-        cache = self._caches.setdefault("reach", {})
-        key = (program.bits, self.k)
-        value = cache.get(key)
-        if value is None:
-            value = cache[key] = frozenset(
-                self.code_family_key(code_bits, self.k)
-                for code_bits, max_step in self.events_summary(program).items()
-                if max_step >= self.k
-            )
-        return value
+    def reached_ids(self, program: Program, level: int) -> set[int]:
+        """Level ids of the codes the program emulates to >= level steps."""
+        # Code bits are decoded only when their ids are not cached yet.
+        return {
+            (self._ids.get(bits) or self.class_ids(decode(bits, self.encoding)))[level - 1]
+            for bits, max_step in self.events_summary(program).items()
+            if max_step >= level
+        }
+
+    def partition(self, level: int) -> list[EquivClass]:
+        """The level's partition of the programs, from the class index."""
+        self._check_level(level)
+        return self._index.partition(self.programs(), level, self.class_ids)
+
+    def _check_level(self, level: int) -> None:
+        if not 1 <= level <= self.k:
+            raise ValueError(f"level {level} is outside the context's levels 1..{self.k}")
 
     def _check_class(self, cls: EquivClass) -> None:
-        if cls.k != self.k:
-            raise ValueError(f"class is at k={cls.k} but context has k={self.k}")
+        self._check_level(cls.k)
         if cls.universe_id != self.universe.universe_id:
             raise ValueError(
                 f"class universe {cls.universe_id!r} differs from context universe "
@@ -122,16 +111,18 @@ def u_weight(program: Program, cls: EquivClass, ctx: MeasureContext) -> int:
     Membership counts as reaching (a program trivially emulates itself), so
     programs that never execute EXEC/DVT contribute exactly to their own
     class.  Otherwise the program's event summary must show some emulated
-    code at >= k steps whose k-step family matches the class; that code's
-    membership is judged on demand, even when it is longer than the length
-    bound.
+    code at >= k steps whose k-step family key, built afresh rather than
+    read from the class index, matches the class; that code's membership is
+    judged on demand, even when it is longer than the length bound.
     """
     ctx._check_class(cls)
     if program.bits in cls.member_bits:
         return 1
     for code_bits, max_step in ctx.events_summary(program).items():
-        if max_step >= ctx.k and ctx.code_family_key(code_bits, ctx.k) == cls.canonical_key:
-            return 1
+        if max_step >= cls.k:
+            code = decode(code_bits, ctx.encoding)
+            if family_key(code, ctx.universe, cls.k) == cls.canonical_key:
+                return 1
     return 0
 
 
@@ -140,21 +131,28 @@ def _class_weights(
 ) -> tuple[list[Fraction], dict[tuple[int, int], Fraction]]:
     """One pass over the programs: each given class's mass, and the nonzero
     weight the members of class s send to class t, keyed (s, t).  A program
-    reaches its own class and the classes keyed in its cached reach set.
-    Weights are summed as integers 2**(L - length), divided by 2**L at the end.
+    reaches its own class and each class whose id (its first member's) is in
+    its reach set.  Weights are summed as integers 2**(L - length), divided by
+    2**L at the end.
     """
+    level = classes[0].k if classes else 1
     for cls in classes:
         ctx._check_class(cls)
-    index_of_key = {cls.canonical_key: i for i, cls in enumerate(classes)}
+        if cls.k != level:
+            raise ValueError("classes must all be at one level")
+        if not cls.members:
+            raise EmptyClass(f"class {cls.index} has no members")
+    index_of_id = {ctx.class_ids(cls.members[0])[level - 1]: i for i, cls in enumerate(classes)}
     index_of_bits = {bits: i for i, cls in enumerate(classes) for bits in cls.member_bits}
+    keys = {cls.canonical_key for cls in classes}
     members = sum(len(cls.member_bits) for cls in classes)
-    if len(index_of_key) < len(classes) or len(index_of_bits) < members:
+    if len(keys) < len(classes) or len(index_of_id) < len(classes) or len(index_of_bits) < members:
         raise ValueError("classes must have distinct keys and disjoint members")
     totals = [0] * len(classes)
     sent: dict[tuple[int | None, int], int] = {}
     for p in ctx.programs():
         weight = 2 ** (ctx.max_len - p.length)
-        reached = {index_of_key[key] for key in ctx.reached_keys(p) if key in index_of_key}
+        reached = {index_of_id[i] for i in ctx.reached_ids(p, level) if i in index_of_id}
         own = index_of_bits.get(p.bits)
         if own is not None:
             reached.add(own)
@@ -167,8 +165,8 @@ def _class_weights(
 
 
 def class_masses(classes: list[EquivClass], ctx: MeasureContext) -> list[Fraction]:
-    """Exact masses of the given classes, in order, from one pass over the
-    programs: each sums 2**-length over the programs that reach the class."""
+    """Exact masses of the given classes (one level <= ctx.k), in order, from one
+    pass over the programs: each sums 2**-length over the programs reaching it."""
     return _class_weights(classes, ctx)[0]
 
 
@@ -185,18 +183,10 @@ def decomposition_check(classes: list[EquivClass], ctx: MeasureContext) -> list[
     the full mass reaching class j.  With exact rationals the residual
     against the direct mass is identically zero; anything else is a bug.
     """
-    if not classes:
-        raise ValueError("decomposition_check needs a nonempty partition")
-    for cls in classes:
-        ctx._check_class(cls)
-        if not cls.members:
-            raise EmptyClass(f"class {cls.index} has no members")
-    covered = set().union(*(c.member_bits for c in classes))
-    expected = {p.bits for p in ctx.programs()}
-    if covered != expected:
-        raise ValueError("partition does not cover the enumerated programs at max_len")
-
     mass, numerators = _class_weights(classes, ctx)
+    covered = set().union(*(c.member_bits for c in classes))
+    if covered != {p.bits for p in ctx.programs()}:
+        raise ValueError("partition does not cover the enumerated programs at max_len")
     regrouped = [Fraction(0)] * len(classes)
     for (source, target), numerator in numerators.items():
         # The divisor is the full reaching-weight of the source class,
@@ -216,17 +206,12 @@ def relative_measure(child: EquivClass, parent: EquivClass, ctx: MeasureContext)
             f"child class {child.index} at k={child.k} is not contained in "
             f"parent class {parent.index} at k={parent.k}"
         )
-    if not parent.members:
-        raise EmptyClass(f"parent class {parent.index} has no members")
-    child_mass = measure_class(child, ctx.at_k(child.k))
-    parent_mass = measure_class(parent, ctx.at_k(parent.k))
-    return child_mass / parent_mass
+    return measure_class(child, ctx) / measure_class(parent, ctx)
 
 
 def level_mass(k: int, ctx: MeasureContext) -> Fraction:
-    """Total mass at level k: sum of class masses over the level-k partition."""
-    classes = partition(ctx.programs(), ctx.universe, k)
-    return sum(class_masses(classes, ctx.at_k(k)), Fraction(0))
+    """Total mass at level k <= ctx.k, summed over the level-k partition."""
+    return divergence_report(k, k, ctx)[0].level_mass
 
 
 @dataclass(frozen=True)
@@ -238,7 +223,7 @@ class LevelRow:
 
 
 def divergence_report(k_min: int, k_max: int, ctx: MeasureContext) -> list[LevelRow]:
-    """Per-level masses and their running sum for k in k_min..k_max.
+    """Per-level masses and their running sum for k in k_min..k_max <= ctx.k.
 
     Every program contributes at least its own weight at every level, so the
     running sum grows at least linearly in the number of levels; there is no
@@ -249,8 +234,16 @@ def divergence_report(k_min: int, k_max: int, ctx: MeasureContext) -> list[Level
     rows = []
     cumulative = Fraction(0)
     for k in range(k_min, k_max + 1):
-        classes = partition(ctx.programs(), ctx.universe, k)
-        mass = sum(class_masses(classes, ctx.at_k(k)), Fraction(0))
+        # Grouped by class id alone: no class is built and no key encoded.
+        # Each program adds its weight once per class of the level it reaches.
+        ctx._check_level(k)
+        own = {p.bits: ctx.class_ids(p)[k - 1] for p in ctx.programs()}
+        ids = set(own.values())
+        total = sum(
+            2 ** (ctx.max_len - p.length) * len(ids & ctx.reached_ids(p, k) | {own[p.bits]})
+            for p in ctx.programs()
+        )
+        mass = Fraction(total, 2**ctx.max_len)
         cumulative += mass
-        rows.append(LevelRow(k=k, class_count=len(classes), level_mass=mass, cumulative=cumulative))
+        rows.append(LevelRow(k=k, class_count=len(ids), level_mass=mass, cumulative=cumulative))
     return rows

@@ -132,7 +132,7 @@ def sever_and_project(
         raise ValueError(f"severed steps must lie in 1..{rec.k}")
     frames = _filmed_frames(rec, plan.severed_steps)
     trace = _severed_states(rec, frames, tuple(actual_tape))
-    traces = trace_family(rec.program, universe, rec.k).traces
+    traces = trace_family(rec.program, universe, rec.k)
     if traces[0][-1].input_cursor == 0:
         equivalent = trace == traces[0]
     else:

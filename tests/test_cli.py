@@ -199,8 +199,9 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"maxlen": 8}))
-    assert run_cli(capsys, "kraft", "--config", str(config))[0] == 1
+    for values in ({"maxlen": 8}, {"threads": 4}):
+        config.write_text(json.dumps(values))
+        assert run_cli(capsys, "kraft", "--config", str(config))[0] == 1
 
 
 def test_out_writes_exact_bytes(tmp_path, capsys):
@@ -209,20 +210,6 @@ def test_out_writes_exact_bytes(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert out_path.read_bytes() == b"9/128\n"
-
-
-def test_udlab_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("UDLAB_THREADS", "4")
-    code, out, _ = run_cli(capsys, "partition", "-L", "8", "-k", "1", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["config"]["threads"] == 4
-
-
-def test_threads_flag_does_not_change_output(capsys):
-    # Identical results apart from the recorded worker count itself.
-    _, single, _ = run_cli(capsys, "measure", "-L", "10", "-k", "2", "-T", "10", "--threads", "1")
-    _, quad, _ = run_cli(capsys, "measure", "-L", "10", "-k", "2", "-T", "10", "--threads", "4")
-    assert single.replace('"threads":1', '"threads":4') == quad
 
 
 def test_help_exits_zero(capsys):
@@ -251,7 +238,6 @@ def test_config_file_missing_or_invalid_exits_2(tmp_path, capsys):
         ("record", {"program": "1111", "tape": 5}),
         ("kraft", {"k": 1.7}),  # would run at k=1
         ("kraft", {"max_len": True}),
-        ("kraft", {"threads": "4"}),
         ("kraft", {"encoding": None}),
         ("measure", {"format": "xml"}),  # ran and wrote CSV tagged "format":"xml"
         ("measure", {"fmt": "xml"}),
@@ -276,11 +262,32 @@ GOLDEN_MASS_DIGESTS = {
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_MASS_DIGESTS))
-def test_mass_commands_match_golden_digests(capsys, monkeypatch, argv):
-    monkeypatch.delenv("UDLAB_THREADS", raising=False)
+def test_mass_commands_match_golden_digests(capsys, argv):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_MASS_DIGESTS[argv]
+
+
+# sha256 of the default output of mass and partition commands at deep levels,
+# where a level-indexing fault would show.  u012.json holds the tapes
+# [], [0], [1], [2], [2,0], [1,2] and [0,2,1]; the output records the
+# universe's id, not the file name.
+GOLDEN_DEEP_DIGESTS = {
+    "levels -L 14 -k 40 -T 1000": "32e68d5390ec6e402d47e9cd82e4fb62ecc49f7a2cc09012074dc4ae4a80fefd",
+    "relmeasure -L 14 -k 7 -T 1000": "45eef12437680939e064746d8be70833b2d194af0a0eb6085738760e242db64d",
+    "invariance -L 12 -k 3 -T 50": "0938f405c9afbdf4f70f4459a2b03c4de090af10a54c832bd4557d5e1d248b69",
+    "partition -L 16 -k 40 --universe u012.json": "049098137f33d33a8856340b9fc097e639dd17b2bbecf8638471654bc888dcec",
+    "measure -L 12 -k 300 -T 5000": "02caa9968df9abd71bff56d7b110723eae7cfb5d72a56d0f5e7e4708ec2eadfa",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_DEEP_DIGESTS))
+def test_deep_level_commands_match_golden_digests(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u012.json").write_text(json.dumps([[], [0], [1], [2], [2, 0], [1, 2], [0, 2, 1]]))
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DEEP_DIGESTS[argv]
 
 
 # sha256 of the JSON form of each table command, and of the dovetail table.
@@ -296,8 +303,7 @@ GOLDEN_TABLE_DIGESTS = {
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_TABLE_DIGESTS))
-def test_table_commands_match_golden_digests(capsys, monkeypatch, argv):
-    monkeypatch.delenv("UDLAB_THREADS", raising=False)
+def test_table_commands_match_golden_digests(capsys, argv):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_DIGESTS[argv]
@@ -330,7 +336,6 @@ GOLDEN_REPLAY_DIGESTS = {
 
 @pytest.mark.parametrize("program", sorted(GOLDEN_REPLAY_DIGESTS))
 def test_replay_commands_match_golden_digests(tmp_path, capsys, monkeypatch, program):
-    monkeypatch.delenv("UDLAB_THREADS", raising=False)
     monkeypatch.chdir(tmp_path)
     for name, argv in REPLAY_SESSION:
         code, out, _ = run_cli(capsys, *argv.format(program).split())

@@ -10,6 +10,7 @@ from udlab.encoding import TABLE_A, TABLE_B, decode, from_instructions
 from udlab.enumeration import enumerate_programs
 from udlab.equivalence import (
     DEFAULT_UNIVERSE,
+    ClassIndex,
     InputUniverse,
     counterfactually_equivalent,
     family_key,
@@ -157,10 +158,46 @@ def test_family_key_equals_full_stepping_oracle(table, universe, k):
         assert family_key(program, universe, k) == expected, program.bits
 
 
+# Programs whose halting step depends on the tape, an EXEC host of one, and
+# a tape-blind program and an input-reading one whose first steps agree.
+COUNTDOWN = [("IN", 0), ("WHILE", 0, [("DEC", 0)])]
+HAND_BUILT = (
+    COUNTDOWN,
+    [("IN", 0), ("WHILE", 0, [])],  # never halts on a nonzero tape
+    [("EXEC", COUNTDOWN)],
+    [("INC", 0), ("DEC", 1)],
+    [("INC", 0), ("IN", 1)],
+)
+
+
+@pytest.mark.parametrize("top", [1, 7, 40])
+@pytest.mark.parametrize(
+    "universe",
+    [DEFAULT_UNIVERSE, InputUniverse.from_tapes([(1,)]), UNIVERSE_012],
+    ids=["default", "one-tape", "012"],
+)
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_class_index_partitions_equal_family_key_grouping(table, universe, top):
+    # One trace per program to the top level; every lower level must group,
+    # index and key exactly as fresh per-level family keys do.
+    programs = enumerate_programs(12, table)
+    programs += [from_instructions(instructions, table) for instructions in HAND_BUILT]
+    index = ClassIndex(universe, top)
+    ids = {p.bits: index.ids(p) for p in programs}
+    for level in range(1, top + 1):
+        groups = {}
+        for p in programs:
+            groups.setdefault(family_key(p, universe, level), set()).add(p.bits)
+        expected = [(i, key, groups[key]) for i, key in enumerate(sorted(groups))]
+        classes = index.partition(programs, level, lambda p: ids[p.bits])
+        assert [(c.index, c.canonical_key, c.member_bits) for c in classes] == expected, level
+        assert all(c.k == level and c.universe_id == universe.universe_id for c in classes)
+
+
 def test_trace_family_shape():
-    family = trace_family(decode("1111"), DEFAULT_UNIVERSE, 3)
-    assert len(family.traces) == len(DEFAULT_UNIVERSE.tapes)
-    assert all(len(trace) == 3 for trace in family.traces)
+    traces = trace_family(decode("1111"), DEFAULT_UNIVERSE, 3)
+    assert len(traces) == len(DEFAULT_UNIVERSE.tapes)
+    assert all(len(trace) == 3 for trace in traces)
 
 
 def test_refinement_keeps_halted_class_intact():

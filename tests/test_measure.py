@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from udlab import equivalence
 from udlab.cli import main
 from udlab.dovetailer import DovetailEngine
 from udlab.encoding import TABLE_A, decode, from_instructions, get_table
 from udlab.enumeration import enumerate_programs, kraft_mass
 from udlab.equivalence import DEFAULT_UNIVERSE, partition, refine
+from udlab.machine import run_events, run_trace
 from udlab.measure import (
     EmptyClass,
     MeasureContext,
@@ -77,9 +79,23 @@ def test_measure_class_values():
 
 
 def test_context_mismatch_rejected():
-    classes = classes_at(8, 1)
-    with pytest.raises(ValueError):
-        measure_class(classes[0], make_ctx(k=2))
+    # A context measures every level up to its k, and none above it.
+    parents, classes = classes_at(8, 1), classes_at(8, 2)
+    ctx = make_ctx(k=1)
+    child = class_containing(classes, "1111")
+    parent = class_containing(parents, "1111")
+    for above in (
+        lambda: measure_class(classes[0], ctx),
+        lambda: class_masses(classes, ctx),
+        lambda: decomposition_check(classes, ctx),
+        lambda: relative_measure(child, parent, ctx),
+        lambda: level_mass(2, ctx),
+        lambda: divergence_report(1, 2, ctx),
+        lambda: ctx.partition(2),
+    ):
+        with pytest.raises(ValueError):
+            above()
+    assert relative_measure(child, parent, make_ctx(k=2)) == 1
 
 
 @pytest.mark.parametrize("max_len", [8, 10])
@@ -114,9 +130,9 @@ def test_relative_measure_example():
     parent = class_containing(parents, "1111")
     child = class_containing(children, "1111")
     assert child.member_bits == parent.member_bits
-    ctx = make_ctx(budget=1)
+    ctx = make_ctx(k=2, budget=1)
     assert measure_class(parent, ctx) == Fraction(18, 256)
-    assert measure_class(child, ctx.at_k(2)) == Fraction(17, 256)
+    assert measure_class(child, ctx) == Fraction(17, 256)
     assert relative_measure(child, parent, ctx) == Fraction(17, 18)
 
 
@@ -127,7 +143,7 @@ def test_relative_measure_saturates_at_one():
     children = classes_at(8, 2)
     parent = class_containing(parents, "1111")
     child = class_containing(children, "1111")
-    ctx = make_ctx(budget=4)  # tick 2 advances the empty program to step 2
+    ctx = make_ctx(k=2, budget=4)  # tick 2 advances the empty program to step 2
     assert relative_measure(child, parent, ctx) == 1
 
 
@@ -135,7 +151,7 @@ def test_relative_measure_in_unit_interval():
     parents = classes_at(10, 1)
     children = classes_at(10, 2)
     mapping = refine(parents, children)
-    ctx = make_ctx(max_len=10, budget=10)
+    ctx = make_ctx(max_len=10, k=2, budget=10)
     for child in children:
         ratio = relative_measure(child, parents[mapping[child.index]], ctx)
         assert 0 <= ratio <= 1
@@ -183,26 +199,26 @@ def test_child_mass_bounded_by_parent():
     parents = classes_at(10, 1)
     children = classes_at(10, 2)
     mapping = refine(parents, children)
-    ctx = make_ctx(max_len=10, budget=100)
+    ctx = make_ctx(max_len=10, k=2, budget=100)
     for child in children:
         parent = parents[mapping[child.index]]
-        assert measure_class(child, ctx.at_k(2)) <= measure_class(parent, ctx)
+        assert measure_class(child, ctx) <= measure_class(parent, ctx)
 
 
 def test_level_mass_with_zero_budget_is_kraft():
     # Delta contributions only: every program weighs in exactly once.
     assert level_mass(1, make_ctx(max_len=8, budget=0)) == kraft_mass(8)
-    assert level_mass(3, make_ctx(max_len=10, budget=0)) == kraft_mass(10)
+    assert level_mass(3, make_ctx(max_len=10, k=3, budget=0)) == kraft_mass(10)
 
 
 def test_level_mass_lower_bound():
-    ctx = make_ctx(max_len=10, budget=100)
+    ctx = make_ctx(max_len=10, k=4, budget=100)
     for k in range(1, 5):
         assert level_mass(k, ctx) >= kraft_mass(10)
 
 
 def test_divergence_report_accumulates():
-    ctx = make_ctx(max_len=10, budget=100)
+    ctx = make_ctx(max_len=10, k=4, budget=100)
     rows = divergence_report(1, 4, ctx)
     assert [row.k for row in rows] == [1, 2, 3, 4]
     total = Fraction(0)
@@ -229,11 +245,14 @@ def table_ctx(variant, k, budget):
 
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_measure_class_agrees_with_u_weight_oracle(variant):
+    # One context at the top level 3 measures levels 1..3; the oracle's
+    # context is at the class's own level.
     programs = enumerate_programs(12, get_table(variant))
+    contexts = {budget: table_ctx(variant, 3, budget) for budget in (0, 10, 200)}
     for k in (1, 2, 3):
         classes = partition(programs, DEFAULT_UNIVERSE, k)
-        for budget in (0, 10, 200):
-            ctx, oracle_ctx = table_ctx(variant, k, budget), table_ctx(variant, k, budget)
+        for budget, ctx in contexts.items():
+            oracle_ctx = table_ctx(variant, k, budget)
             for cls in classes:
                 expected = oracle_weight(programs, cls, oracle_ctx)
                 assert measure_class(cls, ctx) == expected, (k, budget, cls.index)
@@ -257,6 +276,7 @@ def test_class_masses_equal_per_class_masses(variant):
     for k in (1, 3):
         classes = partition(programs, DEFAULT_UNIVERSE, k)
         ctx = table_ctx(variant, k, 200)
+        assert ctx.partition(k) == classes == table_ctx(variant, 3, 200).partition(k)
         masses = class_masses(classes, ctx)
         assert masses == [measure_class(cls, ctx) for cls in classes]
         assert class_masses(classes[::-1], ctx) == masses[::-1]
@@ -276,14 +296,14 @@ def test_class_masses_reject_overlapping_classes():
 def test_mass_commands_look_up_each_reach_set_once_per_level(monkeypatch, capsys, max_len):
     # A level's masses come from one pass over the programs, not one per class.
     calls = 0
-    reached_keys = MeasureContext.reached_keys
+    reached_ids = MeasureContext.reached_ids
 
-    def counted(self, program):
+    def counted(self, program, level):
         nonlocal calls
         calls += 1
-        return reached_keys(self, program)
+        return reached_ids(self, program, level)
 
-    monkeypatch.setattr(MeasureContext, "reached_keys", counted)
+    monkeypatch.setattr(MeasureContext, "reached_ids", counted)
     programs = len(enumerate_programs(max_len))
     runs = (("measure", 2, programs), ("decompose", 2, 2 * programs), ("levels", 4, 4 * programs))
     for command, k, bound in runs:
@@ -294,6 +314,35 @@ def test_mass_commands_look_up_each_reach_set_once_per_level(monkeypatch, capsys
         if command == "measure":
             assert calls == programs
         assert calls <= bound, (command, calls)
+
+
+def test_mass_commands_trace_each_code_once(monkeypatch, capsys):
+    # One trace per (program or emulated code, tape) serves every level: no
+    # factor for the number of levels, nor a second trace for k+1.
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return run_trace(*args)
+
+    monkeypatch.setattr(equivalence, "run_trace", counted)
+    tapes = len(DEFAULT_UNIVERSE.tapes)
+
+    def bound(variant):
+        programs = enumerate_programs(12, get_table(variant))
+        codes = {p.bits for p in programs}
+        for p in programs:
+            codes.update(run_events(p, 200))
+        return len(codes) * tapes
+
+    runs = (("levels", "8", bound("A")), ("relmeasure", "2", bound("A")),
+            ("invariance", "2", bound("A") + bound("B")))
+    for command, k, most in runs:
+        calls = 0
+        assert main([command, "-L", "12", "-k", k, "-T", "200"]) == 0
+        assert capsys.readouterr().out
+        assert calls <= most, (command, calls, most)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -311,7 +360,7 @@ def test_relmeasure_ratios_equal_relative_measure(capsys, k):
         parents = partition(programs, DEFAULT_UNIVERSE, k)
         children = partition(programs, DEFAULT_UNIVERSE, k + 1)
         mapping = refine(parents, children)
-        ctx = table_ctx(variant, k, 200)
+        ctx = table_ctx(variant, k + 1, 200)
         expected[variant] = []
         for child in children:
             parent = parents[mapping[child.index]]

@@ -4,6 +4,7 @@ from dataclasses import fields
 import pytest
 from stepping import per_tape_sever
 
+from udlab import equivalence
 from udlab.encoding import decode, from_instructions, get_table
 from udlab.enumeration import enumerate_programs
 from udlab.equivalence import DEFAULT_UNIVERSE, InputUniverse
@@ -176,6 +177,24 @@ def test_sever_matches_per_tape_oracle(variant):
                         assert (result.trace, result.equivalent) == expected, program.bits
                         verdicts.add(result.equivalent)
     assert tape_blind == verdicts == {True, False}
+
+
+def test_sever_builds_no_family_key(monkeypatch):
+    # The verdict compares traces; no canonical JSON key is encoded for it.
+    encodes = 0
+    encoder = equivalence._ENCODER
+
+    class Counting:
+        def encode(self, value):
+            nonlocal encodes
+            encodes += 1
+            return encoder.encode(value)
+
+    monkeypatch.setattr(equivalence, "_ENCODER", Counting())
+    for rec in (record(decode("10001111"), (), 200), record(ECHO, (1,), 2)):
+        result = sever_and_project(rec, SeverancePlan.of((1, 2)), (0,))
+        assert result.equivalent == (rec.program != ECHO)
+    assert encodes == 0
 
 
 def test_sever_validation():
