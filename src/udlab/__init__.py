@@ -41,11 +41,11 @@ from .machine import (
     Configuration,
     EmulationRef,
     SemanticState,
-    Trace,
     run_events,
     run_trace,
     step,
     step_count,
+    step_events,
 )
 from .measure import (
     EmptyClass,
@@ -101,7 +101,6 @@ __all__ = [
     "SeveranceResult",
     "TABLE_A",
     "TABLE_B",
-    "Trace",
     "TrailingBits",
     "Truncated",
     "UnbalancedLoop",
@@ -137,6 +136,7 @@ __all__ = [
     "sever_and_project",
     "step",
     "step_count",
+    "step_events",
     "trace_family",
     "u_weight",
 ]

@@ -7,10 +7,12 @@ fairness a testable closed form rather than a promise.
 
 The same engine backs both the standalone runner below and the machine's DVT
 instruction, so the two event streams agree by construction; each child steps
-through the machine's _Emulation, as an EXEC child does.  Children run on
-empty tapes with zeroed registers and keep ticking after they halt (a halted
-child's step is a no-op whose state keeps repeating); that way long-lived
-hosts eventually witness arbitrarily many steps of every program.
+through the machine's _Emulation, as an EXEC child does.  A tick returns one
+event, and whatever the child emulated in turn is nested in that event's
+state, so the runner's stream is read off the ticks with step_events.
+Children run on empty tapes with zeroed registers and keep ticking after they
+halt (a halted child's step is a no-op whose state keeps repeating); that way
+long-lived hosts eventually witness arbitrarily many steps of every program.
 
 Every DVT host emulates this one canonical stream, so the hosts share it:
 what a host reaches after its DVT fires is dovetail_summary at the number of
@@ -36,7 +38,7 @@ from math import isqrt
 
 from .encoding import DVT, EncodingTable, TABLE_A, encode_instructions
 from .enumeration import program_stream
-from .machine import EmulationRef, _Emulation
+from .machine import EmulationRef, _Emulation, step_events
 
 
 def schedule_pair(tick: int) -> tuple[int, int]:
@@ -73,13 +75,13 @@ class DovetailEngine:
         other.children = {index: child.clone() for index, child in self.children.items()}
         return other
 
-    def tick(self, events: list | None = None) -> EmulationRef:
+    def tick(self) -> EmulationRef:
         self.tick_index += 1
         index, step_index = schedule_pair(self.tick_index)
         child = self.children.get(index)
         if child is None:
             child = self.children[index] = _Emulation(self._stream.nth(index))
-        ref = child.tick(events)
+        ref = child.tick()
         assert ref.step_index == step_index
         return ref
 
@@ -105,14 +107,11 @@ def dovetail_summary(ticks: int, table: EncodingTable = TABLE_A) -> dict[str, in
 def dovetail_run(ticks: int, table: EncodingTable = TABLE_A) -> list[EmulationRef]:
     """Run `ticks` dovetailer ticks from scratch and return the event stream.
 
-    The stream contains one event per tick plus any events the children
-    themselves raise (nested emulators), innermost first, exactly as a host
-    program executing DVT would produce.
+    The stream is each tick's step_events: its event, preceded by the events
+    nested in it when the child emulates in turn, innermost first, exactly
+    as a host program executing DVT would produce.
     """
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
     engine = DovetailEngine(table)
-    events: list[EmulationRef] = []
-    for _ in range(ticks):
-        engine.tick(events)
-    return events
+    return [event for _ in range(ticks) for event in step_events(engine.tick())]

@@ -95,10 +95,10 @@ def trace_family(program: Program, universe: InputUniverse, k: int) -> tuple[tup
     """The program's k-step traces, one per tape in universe order.  A run
     whose cursor is still 0 after k steps executed no IN, so it is the same
     on every tape: it is traced once and shared."""
-    first = run_trace(program, universe.tapes[0], k).states
+    first = run_trace(program, universe.tapes[0], k)
     if first[-1].input_cursor == 0:
         return (first,) * len(universe.tapes)
-    return (first,) + tuple(run_trace(program, tape, k).states for tape in universe.tapes[1:])
+    return (first,) + tuple(run_trace(program, tape, k) for tape in universe.tapes[1:])
 
 
 def family_key(program: Program, universe: InputUniverse, k: int) -> str:
@@ -112,7 +112,7 @@ def counterfactually_equivalent(
     if k < 1:
         raise ValueError("k must be >= 1")
     return all(
-        run_trace(p, tape, k).states == run_trace(q, tape, k).states
+        run_trace(p, tape, k) == run_trace(q, tape, k)
         for tape in universe.tapes
     )
 

@@ -16,7 +16,11 @@ Two meta-instructions make emulation observable by construction:
   hosts emulate that one stream, so run_events reads what a host reaches
   after its DVT from the stream's shared summary instead of ticking.
 
-Both advance each child they emulate through _Emulation.tick.
+Both advance each child they emulate through _Emulation.tick.  A step
+advances each emulation level once, so its states are the whole record of
+what it emulated: the step's direct event sits in its SemanticState, that
+event's state carries the child's own event, and so on down.  step_events
+lists that chain innermost first; no other record of events is kept.
 
 A SemanticState is the observable part of a configuration after a step.  It
 deliberately excludes the structural program position, so that textually
@@ -30,7 +34,6 @@ an event as [code_bits, step_index, state].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .encoding import DEC, DVT, EXEC, HALT, IN, INC, OUT, WHILE, Program
@@ -57,14 +60,6 @@ class EmulationRef(NamedTuple):
     code_bits: str
     step_index: int
     state: SemanticState
-
-
-@dataclass(frozen=True)
-class Trace:
-    """run_trace result: k semantic states plus every event the run raised."""
-
-    states: tuple[SemanticState, ...]
-    events: tuple[EmulationRef, ...]
 
 
 class _Frame:
@@ -132,15 +127,12 @@ class _Emulation:
         other.steps = self.steps
         return other
 
-    def tick(self, events: list | None) -> EmulationRef:
-        """Step the child once; append its event to `events` (after any the
-        child raised itself) and return it."""
+    def tick(self) -> EmulationRef:
+        """Step the child once and return its event; the event's state
+        carries whatever the child's own step emulated."""
         self.steps += 1
-        direct = step(self.config, self.program, (), events)
-        ref = EmulationRef(self.program.bits, self.steps, self.config.semantic_state(direct))
-        if events is not None:
-            events.append(ref)
-        return ref
+        direct = step(self.config, self.program, ())
+        return EmulationRef(self.program.bits, self.steps, self.config.semantic_state(direct))
 
 
 _STEPS_EXECUTED = 0
@@ -158,9 +150,9 @@ def _settle(config: Configuration) -> None:
         config.halted = True
 
 
-def _tick_exec(config: Configuration, events: list | None) -> EmulationRef:
+def _tick_exec(config: Configuration) -> EmulationRef:
     emulation = config.context
-    ref = emulation.tick(events)
+    ref = emulation.tick()
     if emulation.config.halted:  # the child is done: the host moves on
         config.context = None
         config.frames[-1].idx += 1
@@ -168,18 +160,12 @@ def _tick_exec(config: Configuration, events: list | None) -> EmulationRef:
     return ref
 
 
-def step(
-    config: Configuration,
-    program: Program,
-    tape: Tape,
-    events: list | None = None,
-) -> EmulationRef | None:
+def step(config: Configuration, program: Program, tape: Tape) -> EmulationRef | None:
     """Execute exactly one step, mutating config.
 
-    Appends every EmulationRef raised during the step (nested emulation
-    first, then this level's own event) to `events` when given (a list, or
-    any sink with an append method), and returns this level's direct event,
-    which belongs in the step's SemanticState.
+    Returns this level's direct event, which belongs in the step's
+    SemanticState; its state carries the event one level down, and so on, so
+    step_events lists everything the step emulated.
     """
     global _STEPS_EXECUTED
     _STEPS_EXECUTED += 1
@@ -187,8 +173,8 @@ def step(
         return None
     if config.context is not None:
         if isinstance(config.context, _Emulation):
-            return _tick_exec(config, events)
-        return config.context.tick(events)
+            return _tick_exec(config)
+        return config.context.tick()
 
     frame = config.frames[-1]
     if frame.idx >= len(frame.body):
@@ -230,20 +216,33 @@ def step(
         return None
     elif op == EXEC:
         config.context = _Emulation(instr[1])
-        return _tick_exec(config, events)
+        return _tick_exec(config)
     else:  # DVT: absorbing, one dovetailer tick per host step from now on
         from .dovetailer import DovetailEngine  # deferred: dovetailer imports this module
 
         config.context = DovetailEngine(program.encoding)
-        return config.context.tick(events)
+        return config.context.tick()
 
     frame.idx += 1
     _settle(config)
     return None
 
 
-def run_trace(program: Program, tape: Tape, k: int) -> Trace:
-    """Semantic states after steps 1..k plus all emulation events, in order.
+def step_events(direct: EmulationRef | None) -> list[EmulationRef]:
+    """Every event of one step, innermost first: the chain `direct`,
+    `direct.state.event`, ... reversed.  A step advances each emulation
+    level once, so the chain is the whole of what the step emulated."""
+    chain = []
+    while direct is not None:
+        chain.append(direct)
+        direct = direct.state.event
+    chain.reverse()
+    return chain
+
+
+def run_trace(program: Program, tape: Tape, k: int) -> tuple[SemanticState, ...]:
+    """Semantic states after steps 1..k.  Each state's event chain holds what
+    its step emulated (step_events), so the states are the run's one record.
 
     Halting is absorbing, so the run stops stepping once the program halts:
     every entry after the halting step is one shared padding state, the
@@ -254,27 +253,19 @@ def run_trace(program: Program, tape: Tape, k: int) -> Trace:
         raise ValueError("k must be >= 1")
 
     config = Configuration.fresh(program)
-    events: list[EmulationRef] = []
     states = []
     for _ in range(k):
-        direct = step(config, program, tape, events)
+        direct = step(config, program, tape)
         states.append(config.semantic_state(direct))
         if config.halted:
             states.extend([config.semantic_state(None)] * (k - len(states)))
             break
-    return Trace(states=tuple(states), events=tuple(events))
+    return tuple(states)
 
 
-class _MaxSteps(dict):
-    """An event sink for step(): folds each event into code bits -> the
-    highest emulated step index seen, so no event outlives its step."""
-
-    def append(self, event: EmulationRef) -> None:
-        self.raise_to(event.code_bits, event.step_index)
-
-    def raise_to(self, code_bits: str, step_index: int) -> None:
-        if step_index > self.get(code_bits, 0):
-            self[code_bits] = step_index
+def _raise_to(summary: dict[str, int], code_bits: str, step_index: int) -> None:
+    if step_index > summary.get(code_bits, 0):
+        summary[code_bits] = step_index
 
 
 def _dovetailing(config: Configuration) -> tuple[list[_Emulation], DovetailEngine] | None:
@@ -306,19 +297,20 @@ def run_events(program: Program, steps: int, tape: Tape = ()) -> dict[str, int]:
     from .dovetailer import dovetail_summary  # deferred: dovetailer imports this module
 
     config = Configuration.fresh(program)
-    summary = _MaxSteps()
+    summary: dict[str, int] = {}
     for done in range(1, steps + 1):
         if config.halted:
             break
-        step(config, program, tape, summary)
+        for event in step_events(step(config, program, tape)):
+            _raise_to(summary, event.code_bits, event.step_index)
         found = _dovetailing(config)
         if found is not None:
             chain, engine = found
             remaining = steps - done
             ticks = dovetail_summary(engine.tick_index + remaining, engine.table)
             for code_bits, step_index in ticks.items():
-                summary.raise_to(code_bits, step_index)
+                _raise_to(summary, code_bits, step_index)
             for emulation in chain:
-                summary.raise_to(emulation.program.bits, emulation.steps + remaining)
+                _raise_to(summary, emulation.program.bits, emulation.steps + remaining)
             break
-    return dict(summary)
+    return summary

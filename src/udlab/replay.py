@@ -64,7 +64,7 @@ class SeveranceResult:
 def record(program: Program, tape: Tape, k: int) -> Recording:
     """Run the program and film it: its semantic states after steps 1..k."""
     tape = tuple(tape)
-    return Recording(program=program, tape=tape, k=k, trace=run_trace(program, tape, k).states)
+    return Recording(program=program, tape=tape, k=k, trace=run_trace(program, tape, k))
 
 
 def playback(rec: Recording) -> tuple[SemanticState, ...]:
@@ -80,7 +80,7 @@ def hybrid_run(rec: Recording, actual_tape: Tape) -> HybridResult:
     recording; while they agree the steps count as replayed, and from the
     first mismatch on the trace is the live one.
     """
-    live = run_trace(rec.program, tuple(actual_tape), rec.k).states
+    live = run_trace(rec.program, tuple(actual_tape), rec.k)
     switch = next((i for i, (a, b) in enumerate(zip(live, rec.trace), 1) if a != b), None)
     return HybridResult(trace=live, switch_step=switch)
 
@@ -159,13 +159,16 @@ _RECORDING_FIELDS = {"program_bits": str, "tape": list, "k": int, "trace": list}
 
 def recording_from_data(data: dict, table: EncodingTable = TABLE_A) -> Recording:
     """Rebuild a recording, re-running the program and verifying the stored
-    trace matches; recordings are deterministic artifacts, never hand-edited."""
+    trace matches; recordings are deterministic artifacts, never hand-edited.
+    A trace whose length is not k is refused before any step runs."""
     for key, kind in _RECORDING_FIELDS.items():
         value = data.get(key)
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ValueError(f"recording field {key!r} is missing or not of type {kind.__name__}")
     if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in data["tape"]):
         raise ValueError(f"recording tape entries must be naturals, got {data['tape']!r}")
+    if len(data["trace"]) != data["k"]:
+        raise ValueError(f"recording trace holds {len(data['trace'])} states, not k={data['k']}")
     rec = record(decode(data["program_bits"], table), tuple(data["tape"]), data["k"])
     if json.dumps(rec.trace) != json.dumps(data["trace"]):
         raise ValueError("stored trace does not match deterministic re-execution")

@@ -6,7 +6,7 @@ its own dovetailer.  They are slow on purpose; tests compare the tracer, the
 trace-family keys, run_events and sever_and_project against them.
 """
 
-from udlab.machine import Configuration, step
+from udlab.machine import Configuration, step, step_events
 
 
 def full_trace(program, tape, k):
@@ -19,13 +19,18 @@ def full_trace(program, tape, k):
     return tuple(states)
 
 
-class MaxSteps(dict):
-    """An event sink that folds events into code bits -> highest step index,
-    in order of first appearance."""
+def trace_events(states):
+    """Every emulation event of a trace, in the order its steps raised them."""
+    return [event for state in states for event in step_events(state.event)]
 
-    def append(self, event):
-        if event.step_index > self.get(event.code_bits, 0):
-            self[event.code_bits] = event.step_index
+
+class MaxSteps(dict):
+    """Code bits -> highest emulated step index, in order of first appearance."""
+
+    def fold(self, events):
+        for event in events:
+            if event.step_index > self.get(event.code_bits, 0):
+                self[event.code_bits] = event.step_index
 
 
 def full_events(program, checkpoints, tape=()):
@@ -37,7 +42,7 @@ def full_events(program, checkpoints, tape=()):
     for done in range(max(checkpoints) + 1):
         if done in checkpoints:
             found[done] = dict(summary)
-        step(config, program, tape, summary)
+        summary.fold(step_events(step(config, program, tape)))
     return found
 
 

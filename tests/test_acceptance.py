@@ -181,7 +181,7 @@ def test_criterion_8_replay_witness():
     with criterion(8, "state-identical but counterfactually inequivalent replay", 5.0):
         program = from_instructions([("IN", 0), ("OUT", 0)])
         rec = record(program, (1,), 2)
-        live = run_trace(program, (1,), 2).states
+        live = run_trace(program, (1,), 2)
         assert rec.trace == live
 
         result = sever_and_project(rec, SeverancePlan.of((1, 2)), (1,), DEFAULT_UNIVERSE)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from udlab.cli import main
+from udlab.machine import step_count
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -365,12 +366,18 @@ def test_malformed_recording_exits_2(tmp_path, capsys, command):
         {"config": dict(valid["config"], encoding="C")},
         {"config": [1]},
         {"program_bits": "0100"},
+        # A k that the stored trace does not match is refused before the
+        # program is re-run for k steps.
+        {"k": 200000},
+        {"program_bits": "10001111", "tape": [], "k": 200000, "trace": []},
     ]
+    before = step_count()
     for data in [{"k": 2}, [1, 2]] + [dict(valid, **change) for change in malformed]:
         path.write_text(json.dumps(data))
         code, _, err = run_cli(capsys, command, "--recording", str(path), "--tape", "0")
         assert code == 2, data
         assert err.startswith("error:") and "recording" in err, err
+    assert step_count() - before == 0
 
 
 def test_kraft_beyond_the_enumeration_limit(capsys):

@@ -6,10 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from stepping import full_events
+from stepping import MaxSteps, full_events, trace_events
+from udlab.dovetailer import canonical_dvt_bits, dovetail_run
 from udlab.encoding import TABLE_A, TABLE_B, decode, from_instructions
 from udlab.enumeration import enumerate_programs
 from udlab.equivalence import DEFAULT_UNIVERSE
@@ -19,6 +18,7 @@ from udlab.machine import (
     run_trace,
     step,
     step_count,
+    step_events,
 )
 
 EMPTY = decode("1111")
@@ -68,8 +68,7 @@ def test_halted_config_is_fixed_point():
 
 
 def test_trace_absorbs_after_halt():
-    trace = run_trace(from_instructions([("INC", 0)]), (), 3)
-    s1, s2, s3 = trace.states
+    s1, s2, s3 = run_trace(from_instructions([("INC", 0)]), (), 3)
     assert s1.registers == (1, 0, 0, 0)
     assert s1.halted
     assert s2 == s1
@@ -77,8 +76,7 @@ def test_trace_absorbs_after_halt():
 
 
 def test_in_out_trace():
-    trace = run_trace(from_instructions([("IN", 0), ("OUT", 0)]), (7,), 2)
-    s1, s2 = trace.states
+    s1, s2 = run_trace(from_instructions([("IN", 0), ("OUT", 0)]), (7,), 2)
     assert s1.registers == (7, 0, 0, 0)
     assert s1.input_cursor == 1
     assert not s1.halted
@@ -89,12 +87,12 @@ def test_in_out_trace():
 def test_dvt_trace_follows_canonical_schedule():
     # Ticks 1 and 2 both run the first program (the empty one), steps 1 and 2.
     trace = run_trace(DVT_PROG, (), 2)
-    s1, s2 = trace.states
+    s1, s2 = trace
     assert s1.event is not None and s1.event.code_bits == "1111" and s1.event.step_index == 1
     assert s2.event is not None and s2.event.code_bits == "1111" and s2.event.step_index == 2
     assert s1.event.state.halted  # the empty program halts on its first step
     assert not s1.halted  # the dovetailing host never halts
-    assert len(trace.events) == 2
+    assert len(trace_events(trace)) == 2
 
 
 def test_while_loop_counts_down():
@@ -102,7 +100,7 @@ def test_while_loop_counts_down():
     # are one step each.
     program = from_instructions([("IN", 0), ("WHILE", 0, (("DEC", 0), ("OUT", 0)))])
     trace = run_trace(program, (2,), 8)
-    finals = trace.states[-1]
+    finals = trace[-1]
     assert finals.halted
     assert finals.outputs == (1, 0)
     assert finals.registers == (0, 0, 0, 0)
@@ -111,42 +109,42 @@ def test_while_loop_counts_down():
 def test_while_skipped_when_register_zero():
     program = from_instructions([("WHILE", 3, (("INC", 0),)), ("INC", 1)])
     trace = run_trace(program, (), 2)
-    assert trace.states[0].registers == (0, 0, 0, 0)
-    assert trace.states[1].registers == (0, 1, 0, 0)
-    assert trace.states[1].halted
+    assert trace[0].registers == (0, 0, 0, 0)
+    assert trace[1].registers == (0, 1, 0, 0)
+    assert trace[1].halted
 
 
 def test_empty_while_body_spins_forever():
     program = from_instructions([("INC", 2), ("WHILE", 2, ())])
     trace = run_trace(program, (), 6)
-    assert not trace.states[-1].halted
-    assert trace.states[-1].registers == (0, 0, 1, 0)
+    assert not trace[-1].halted
+    assert trace[-1].registers == (0, 0, 1, 0)
 
 
 def test_halt_inside_loop():
     program = from_instructions([("INC", 0), ("WHILE", 0, (("HALT",),))])
     trace = run_trace(program, (), 3)
-    assert trace.states[2].halted
-    assert trace.states[2].registers == (1, 0, 0, 0)
+    assert trace[2].halted
+    assert trace[2].registers == (1, 0, 0, 0)
 
 
 def test_exec_of_empty_program_single_noop_step():
     program = decode("011111111111")
     trace = run_trace(program, (), 2)
-    s1 = trace.states[0]
+    s1 = trace[0]
     assert s1.halted  # the host moves past EXEC and reaches END in the same step
     assert s1.event is not None
     assert s1.event.code_bits == "1111"
     assert s1.event.step_index == 1
     assert s1.event.state.halted
-    assert len(trace.events) == 1
+    assert len(trace_events(trace)) == 1
 
 
 def test_exec_runs_child_one_step_per_host_step():
     child = (("IN", 0), ("INC", 1), ("OUT", 1))
     program = from_instructions([("EXEC", child), ("INC", 3)])
     trace = run_trace(program, (5,), 4)
-    events = trace.events
+    events = trace_events(trace)
     # The child halts at its third step; the host then runs INC r3.
     assert [e.step_index for e in events] == [1, 2, 3]
     assert all(e.code_bits == from_instructions(child).bits for e in events)
@@ -154,19 +152,19 @@ def test_exec_runs_child_one_step_per_host_step():
     assert events[0].state.registers == (0, 0, 0, 0)
     assert events[2].state.outputs == (1,)
     assert events[2].state.halted
-    assert trace.states[3].registers == (0, 0, 0, 1)
-    assert trace.states[3].halted
+    assert trace[3].registers == (0, 0, 0, 1)
+    assert trace[3].halted
     # Child outputs stay in the emulation events, not the host log.
-    assert trace.states[3].outputs == ()
+    assert trace[3].outputs == ()
 
 
 def test_exec_of_nonhalting_child_never_advances():
     child = (("INC", 0), ("WHILE", 0, ()))
     program = from_instructions([("EXEC", child), ("OUT", 0)])
     trace = run_trace(program, (), 10)
-    assert not trace.states[-1].halted
-    assert trace.states[-1].outputs == ()
-    assert [e.step_index for e in trace.events] == list(range(1, 11))
+    assert not trace[-1].halted
+    assert trace[-1].outputs == ()
+    assert [e.step_index for e in trace_events(trace)] == list(range(1, 11))
 
 
 def test_emulated_step_indices_consecutive_per_instance():
@@ -175,7 +173,7 @@ def test_emulated_step_indices_consecutive_per_instance():
     # that dovetail themselves), so it is not grouped here.
     trace = run_trace(DVT_PROG, (), 30)
     by_code: dict[str, list[int]] = {}
-    for state in trace.states:
+    for state in trace:
         assert state.event is not None
         by_code.setdefault(state.event.code_bits, []).append(state.event.step_index)
     for indices in by_code.values():
@@ -209,18 +207,67 @@ def test_state_json_form_matches_golden_digest():
     for table in (TABLE_A, TABLE_B):
         for program in enumerate_programs(12, table):
             for tape in DEFAULT_UNIVERSE.tapes:
-                digest.update(json.dumps(run_trace(program, tape, 40).states).encode())
+                digest.update(json.dumps(run_trace(program, tape, 40)).encode())
     assert digest.hexdigest() == STATE_FORM_DIGEST
+
+
+# sha256 goldens of the emulation events, captured from the event sink that
+# step() once threaded through every emulation level, before the states'
+# nested event chains became the one record.  Each covers every L<=16
+# program under A then B: the events of its 40-step traces on () then
+# (1, 0), and its run_events summaries at T=50 then T=3000.  The dovetailer
+# goldens cover dovetail_run(3000).
+TRACE_EVENTS_DIGEST = "b0d59dc7774387298913c4b58c9cfc37f82323af45f2e7f06b2414e201519240"
+RUN_EVENTS_DIGEST = "3e56c0352d09027711dd1ec4cc574f463cdd306c04820ff40a83a1d705d573ca"
+DOVETAIL_RUN_DIGESTS = {
+    "A": "9eeacb75696ddcdb015739df4fa8a9ab0d85c349b73e7f21077f9d4e0f68441e",
+    "B": "b710f1c6e40c116fc50714b5f9d4774f2726b8d329241342aa6fb82cebf7b739",
+}
+
+
+def test_trace_events_match_golden_digest():
+    digest = hashlib.sha256()
+    for table in (TABLE_A, TABLE_B):
+        for program in enumerate_programs(16, table):
+            for tape in ((), (1, 0)):
+                events = trace_events(run_trace(program, tape, 40))
+                digest.update(json.dumps(events).encode())
+    assert digest.hexdigest() == TRACE_EVENTS_DIGEST
+
+
+def test_run_events_match_golden_digest():
+    digest = hashlib.sha256()
+    for table in (TABLE_A, TABLE_B):
+        for program in enumerate_programs(16, table):
+            for steps in (50, 3000):
+                digest.update(json.dumps(list(run_events(program, steps).items())).encode())
+    assert digest.hexdigest() == RUN_EVENTS_DIGEST
+
+
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_dovetail_run_matches_golden_digest(table):
+    events = json.dumps(dovetail_run(3000, table)).encode()
+    assert hashlib.sha256(events).hexdigest() == DOVETAIL_RUN_DIGESTS[table.variant_id]
+
+
+def test_step_events_is_the_chain_innermost_first():
+    assert step_events(None) == []
+    # Under B the second program is the dovetailer itself, so the host's DVT
+    # tick 3 starts it, and its first step is its own tick 1.
+    program = decode(canonical_dvt_bits(TABLE_B), TABLE_B)
+    direct = run_trace(program, (), 3)[2].event
+    inner, outer = step_events(direct)
+    assert outer is direct and inner is direct.state.event
+    assert inner.code_bits == "1111" and outer.code_bits == "00001111"
+    assert inner.state.event is None
 
 
 @pytest.mark.parametrize("steps", [1, 10, 1000])
 def test_run_events_agrees_with_run_trace_events(steps):
     # Oracle: the summary rebuilt from every buffered event of a traced run.
     for program in enumerate_programs(12):
-        expected: dict[str, int] = {}
-        for event in run_trace(program, (), steps).events:
-            if event.step_index > expected.get(event.code_bits, 0):
-                expected[event.code_bits] = event.step_index
+        expected = MaxSteps()
+        expected.fold(trace_events(run_trace(program, (), steps)))
         summary = run_events(program, steps)
         assert type(summary) is dict
         assert list(summary.items()) == list(expected.items()), program.bits
@@ -297,7 +344,7 @@ def test_run_events_memory_stays_flat_in_steps():
 def test_step_counter_advances():
     # INC r0 halts at step 1; the three later entries are padding, not steps.
     before = step_count()
-    states = run_trace(from_instructions([("INC", 0)]), (), 4).states
+    states = run_trace(from_instructions([("INC", 0)]), (), 4)
     assert step_count() - before == 1
     assert len(states) == 4
     halted = states[0]
@@ -307,41 +354,34 @@ def test_step_counter_advances():
 
 PROGRAMS = enumerate_programs(12)
 TAPES = [(), (0,), (1,), (1, 1), (0, 1, 0)]
+CASES = [(p, tape, k) for p in PROGRAMS for tape in TAPES for k in range(1, 13)]
 
 
-@given(
-    st.sampled_from(PROGRAMS),
-    st.sampled_from(TAPES),
-    st.integers(min_value=1, max_value=12),
-)
-def test_run_trace_deterministic(program, tape, k):
-    first = run_trace(program, tape, k)
-    second = run_trace(program, tape, k)
-    assert first.states == second.states
-    assert first.events == second.events
+def test_run_trace_deterministic():
+    for program, tape, k in CASES:
+        assert run_trace(program, tape, k) == run_trace(program, tape, k), (program.bits, tape, k)
 
 
-@given(
-    st.sampled_from(PROGRAMS),
-    st.sampled_from(TAPES),
-    st.integers(min_value=1, max_value=10),
-)
-def test_trace_entries_absorb_after_halt(program, tape, k):
-    states = run_trace(program, tape, k).states
-    halt_at = next((i for i, s in enumerate(states) if s.halted), None)
-    if halt_at is not None:
-        for later in states[halt_at:]:
-            assert later == states[halt_at]
+def test_trace_entries_absorb_after_halt():
+    # The halting entry keeps the event of the step that halted (an EXEC
+    # child can halt in its host's halting step); every later entry is the
+    # halted configuration with no event.
+    for program, tape, k in CASES:
+        states = run_trace(program, tape, k)
+        halt_at = next((i for i, s in enumerate(states) if s.halted), None)
+        if halt_at is not None:
+            padding = states[halt_at]._replace(event=None)
+            for later in states[halt_at + 1 :]:
+                assert later == padding, (program.bits, tape, k)
 
 
-@given(st.sampled_from(PROGRAMS), st.sampled_from(TAPES), st.integers(min_value=1, max_value=9))
-def test_trace_prefix_property(program, tape, k):
-    longer = run_trace(program, tape, k + 1).states
-    shorter = run_trace(program, tape, k).states
-    assert longer[:k] == shorter
+def test_trace_prefix_property():
+    for program, tape, k in CASES:
+        longer = run_trace(program, tape, k + 1)
+        assert longer[:k] == run_trace(program, tape, k), (program.bits, tape, k)
 
 
 def test_run_trace_exact_on_oversized_values():
     program = from_instructions([("IN", 0), ("OUT", 0)])
     trace = run_trace(program, (2**62,), 2)
-    assert trace.states[1].outputs == (2**62,)
+    assert trace[1].outputs == (2**62,)

@@ -377,10 +377,10 @@ def test_measure_ticks_one_shared_dovetail_stream(monkeypatch, capsys):
     ticks = 0
     tick = DovetailEngine.tick
 
-    def counted(self, events=None):
+    def counted(self):
         nonlocal ticks
         ticks += 1
-        return tick(self, events)
+        return tick(self)
 
     monkeypatch.setattr(DovetailEngine, "tick", counted)
     budget = 20000

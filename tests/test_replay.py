@@ -42,7 +42,7 @@ def test_record_matches_run_trace():
     for program in (EMPTY, ECHO, decode("10001111")):
         for tape in ((), (1,), (0, 1)):
             rec = record(program, tape, 4)
-            assert rec.trace == run_trace(program, tape, 4).states
+            assert rec.trace == run_trace(program, tape, 4)
 
 
 def test_record_and_hybrid_take_no_configuration_snapshots(monkeypatch):
@@ -67,7 +67,7 @@ def test_record_validates_k():
 
 def test_playback_returns_trace_without_stepping():
     rec = record(ECHO, (1,), 3)
-    live = run_trace(ECHO, (1,), 3).states
+    live = run_trace(ECHO, (1,), 3)
     before = step_count()
     replayed = playback(rec)
     assert step_count() == before
@@ -86,7 +86,7 @@ def test_hybrid_switches_at_first_divergence():
     rec = record(ECHO, (1,), 2)
     result = hybrid_run(rec, (0,))
     assert result.switch_step == 1
-    assert result.trace == run_trace(ECHO, (0,), 2).states
+    assert result.trace == run_trace(ECHO, (0,), 2)
     assert result.trace[0].registers == (0, 0, 0, 0)
     assert result.trace[1].outputs == (0,)
 
@@ -105,7 +105,7 @@ def test_hybrid_soundness_prefix_and_live_suffix():
     result = hybrid_run(rec, (1, 2))
     assert result.switch_step == 2
     assert result.trace[: result.switch_step - 1] == rec.trace[: result.switch_step - 1]
-    assert result.trace == run_trace(program, (1, 2), 4).states
+    assert result.trace == run_trace(program, (1, 2), 4)
 
 
 def test_sever_nothing_reproduces_recording():
