@@ -434,6 +434,8 @@ def _load_recording(run: _Run):
         return recording_from_data(data, encoding)
     except DecodeError as exc:
         raise ValueError(f"recording {path}: 'program_bits' does not decode: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"recording {path}: {exc}") from None
 
 
 def _cmd_replay(run: _Run) -> None:
@@ -503,6 +505,9 @@ _HANDLERS = {
     "invariance": (_cmd_invariance, "csv"),
 }
 
+# Commands whose output has no table form: any other --format is refused.
+_JSON_ONLY = {"record", "replay", "hybrid", "sever"}
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -523,6 +528,8 @@ def main(argv: list[str] | None = None) -> int:
 
     handler, default_fmt = _HANDLERS[args.command]
     try:
+        if args.command in _JSON_ONLY and args.fmt not in (None, "json"):
+            raise ValueError(f"{args.command} writes JSON only, not --format {args.fmt}")
         run = _Run(args, default_fmt)
         handler(run)
     except (DecodeError, ValueError, OSError) as exc:

@@ -8,9 +8,10 @@ over at the first divergence, which preserves counterfactual behavior
 exactly.  sever_and_project replaces chosen transitions with the recorded
 ones, producing a system that is state-trace identical on the recorded input
 yet, in general, no longer counterfactually equivalent to the program it was
-filmed from; the verdict quantifies exactly that over an input universe.  The
-machine configurations those severed transitions impose are not stored: they
-are re-derived by deterministic re-execution on the recorded tape.
+filmed from; the verdict quantifies exactly that over an input universe.  A
+recording stores no machine configuration: severance re-derives the ones its
+severed transitions impose by re-running the program on the recorded tape,
+and needs none when the film read no input.
 """
 
 from __future__ import annotations
@@ -125,21 +126,25 @@ def sever_and_project(
     severed system as a program-like object and asks whether it is
     counterfactually equivalent to the original program over the universe:
     its trace must match the original's on every tape, not just the actual one.
-    A program that executes no IN in k steps films the same run on every
-    tape, so its severed system reads no IN either and is run once.
+
+    Runs agree on every tape until their first IN, so a film that read no
+    input is the run on every tape, and so is its severed system, whose live
+    steps start from filmed configurations and read nothing either: the
+    result is the film, equivalent, with no step run.  Otherwise the filmed
+    configurations are re-derived by one run on the recorded tape and each
+    tape's live run takes a copy at every severed step.
     """
     if any(s > rec.k for s in plan.severed_steps):
         raise ValueError(f"severed steps must lie in 1..{rec.k}")
+    if rec.trace[-1].input_cursor == 0:
+        return SeveranceResult(trace=rec.trace, equivalent=True)
     frames = _filmed_frames(rec, plan.severed_steps)
     trace = _severed_states(rec, frames, tuple(actual_tape))
     traces = trace_family(rec.program, universe, rec.k)
-    if traces[0][-1].input_cursor == 0:
-        equivalent = trace == traces[0]
-    else:
-        equivalent = all(
-            _severed_states(rec, frames, tape) == original
-            for tape, original in zip(universe.tapes, traces)
-        )
+    equivalent = all(
+        _severed_states(rec, frames, tape) == original
+        for tape, original in zip(universe.tapes, traces)
+    )
     return SeveranceResult(trace=trace, equivalent=equivalent)
 
 
@@ -164,11 +169,11 @@ def recording_from_data(data: dict, table: EncodingTable = TABLE_A) -> Recording
     for key, kind in _RECORDING_FIELDS.items():
         value = data.get(key)
         if not isinstance(value, kind) or isinstance(value, bool):
-            raise ValueError(f"recording field {key!r} is missing or not of type {kind.__name__}")
+            raise ValueError(f"field {key!r} is missing or not of type {kind.__name__}")
     if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in data["tape"]):
-        raise ValueError(f"recording tape entries must be naturals, got {data['tape']!r}")
+        raise ValueError(f"tape entries must be naturals, got {data['tape']!r}")
     if len(data["trace"]) != data["k"]:
-        raise ValueError(f"recording trace holds {len(data['trace'])} states, not k={data['k']}")
+        raise ValueError(f"trace holds {len(data['trace'])} states, not k={data['k']}")
     rec = record(decode(data["program_bits"], table), tuple(data["tape"]), data["k"])
     if json.dumps(rec.trace) != json.dumps(data["trace"]):
         raise ValueError("stored trace does not match deterministic re-execution")

@@ -49,16 +49,17 @@ def full_events(program, checkpoints, tape=()):
 def per_tape_sever(rec, severed, actual_tape, universe):
     """(trace on the actual tape, verdict) of a severance, the severed system
     and the filmed program each stepped afresh on every tape of the universe.
-    A severed step imposes the filmed configuration and the filmed state."""
+    A severed step i imposes the filmed state and the filmed configuration,
+    re-derived by stepping a fresh configuration i times on the recorded tape."""
 
     def severed_trace(tape):
-        filmed = Configuration.fresh(rec.program)
         live = Configuration.fresh(rec.program)
         states = []
         for i in range(1, rec.k + 1):
-            step(filmed, rec.program, rec.tape)
             if i in severed:
-                live = filmed.clone()
+                live = Configuration.fresh(rec.program)
+                for _ in range(i):
+                    step(live, rec.program, rec.tape)
                 states.append(rec.trace[i - 1])
             else:
                 direct = step(live, rec.program, tape)

@@ -370,6 +370,7 @@ def test_malformed_recording_exits_2(tmp_path, capsys, command):
         # program is re-run for k steps.
         {"k": 200000},
         {"program_bits": "10001111", "tape": [], "k": 200000, "trace": []},
+        {"k": 0, "trace": []},
     ]
     before = step_count()
     for data in [{"k": 2}, [1, 2]] + [dict(valid, **change) for change in malformed]:
@@ -377,7 +378,35 @@ def test_malformed_recording_exits_2(tmp_path, capsys, command):
         code, _, err = run_cli(capsys, command, "--recording", str(path), "--tape", "0")
         assert code == 2, data
         assert err.startswith("error:") and "recording" in err, err
+        assert f"{path}: recording" not in err, err
     assert step_count() - before == 0
+    # Tampering is found by re-running the program, so these cases step.
+    for field, value in ((0, [42, 0, 0, 0]), (1, 5)):
+        tampered = json.loads(json.dumps(valid))
+        tampered["trace"][0][field] = value
+        path.write_text(json.dumps(tampered))
+        code, _, err = run_cli(capsys, command, "--recording", str(path), "--tape", "0")
+        assert code == 2, tampered
+        assert err.startswith(f"error: recording {path}: "), err
+
+
+@pytest.mark.parametrize("command", ["record", "replay", "hybrid", "sever"])
+def test_json_only_commands_refuse_csv(tmp_path, capsys, command):
+    # These commands wrote JSON tagged "format": "csv" when asked for CSV.
+    path = tmp_path / "rec.json"
+    code, _, _ = run_cli(capsys, "record", "--program", "10001111", "-k", "3", "--out", str(path))
+    assert code == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "csv"}))
+    argv = (command, "--program", "10001111", "-k", "3", "--recording", str(path))
+    before = step_count()
+    for extra in (("--format", "csv"), ("--config", str(config))):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2 and out == "", extra
+        assert err.startswith(f"error: {command} writes JSON only"), err
+    assert step_count() == before
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["config"]["format"] == "json"
 
 
 def test_kraft_beyond_the_enumeration_limit(capsys):

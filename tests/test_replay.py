@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from stepping import per_tape_sever
@@ -22,6 +26,7 @@ from udlab.replay import (
 
 ECHO = from_instructions([("IN", 0), ("OUT", 0)])
 EMPTY = decode("1111")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_record_empty_program():
@@ -52,6 +57,36 @@ def test_record_and_hybrid_take_no_configuration_snapshots(monkeypatch):
     monkeypatch.setattr(Configuration, "clone", refuse)
     rec = record(decode("10001111"), (1,), 50)
     assert hybrid_run(rec, (0,)).trace == rec.trace
+
+
+# A child's peak RSS includes its parent's RSS at fork time, so the run forks
+# from a fresh interpreter rather than from the test process.
+SEVER_RSS = """
+import os
+pid = os.fork()
+if pid == 0:
+    from udlab.encoding import decode
+    from udlab.replay import SeverancePlan, record, sever_and_project
+    rec = record(decode("10001111"), (), 3000)
+    result = sever_and_project(rec, SeverancePlan.of(range(1, 3001)), (1, 2))
+    os._exit(0 if result.equivalent and result.trace == rec.trace else 1)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_full_severance_memory_stays_flat_in_k():
+    # Copying the filmed configuration of a DVT host at each of 3000 severed
+    # steps peaks near 210 MB.  The host reads no input, so its film is its
+    # severed system on every tape, and severance keeps near the
+    # interpreter's own footprint.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", SEVER_RSS], env=env, capture_output=True, text=True, timeout=120
+    )
+    code, maxrss_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert maxrss_kib < 40 * 1024
 
 
 def test_recording_of_dovetailer_carries_events():
@@ -131,6 +166,36 @@ def test_full_severance_of_constant_program_stays_equivalent():
     assert result.equivalent
 
 
+def test_severing_a_film_that_read_no_input_runs_no_step():
+    for program in (EMPTY, decode("10001111"), from_instructions([("INC", 0), ("OUT", 0)])):
+        rec = record(program, (1, 2), 40)
+        before = step_count()
+        for steps in ((), (1,), (3, 7, 40), range(1, 41)):
+            result = sever_and_project(rec, SeverancePlan.of(steps), (2, 0, 1))
+            assert (result.trace, result.equivalent) == (rec.trace, True)
+        assert step_count() == before
+
+
+def test_severing_a_loop_reader_on_a_long_tape_steps_linearly():
+    # A reader that consumes a 300-cell tape cell by cell, every third step
+    # severed, on an actual tape that differs in every cell: each tape's live
+    # run is stepped once, alongside one film run and the universe's traces.
+    # Re-running the program from step 0 for each severed segment that reads
+    # a differing cell, instead of copying configurations, takes about
+    # 358,000 steps here.
+    k = 3000
+    program = from_instructions(
+        [("INC", 0), ("WHILE", 0, [("IN", 1), ("WHILE", 1, [("DEC", 1), ("INC", 2)])])]
+    )
+    rec = record(program, tuple(1 + i % 2 for i in range(300)), k)
+    assert rec.trace[-1].input_cursor > 300
+    tape = tuple(2 + i % 2 for i in range(300))
+    before = step_count()
+    result = sever_and_project(rec, SeverancePlan.of(range(1, k + 1, 3)), tape)
+    assert not result.equivalent
+    assert step_count() - before <= (2 * len(DEFAULT_UNIVERSE.tapes) + 2) * k
+
+
 def test_partial_severance_can_stay_equivalent_on_matching_world():
     # Severing step 1 pins r0 to the recorded read; on the recorded tape the
     # hybrid is indistinguishable, on others it is not.
@@ -154,29 +219,50 @@ def test_sever_verdict_uses_given_universe():
     assert not sever_and_project(rec, plan, (1,), DEFAULT_UNIVERSE).equivalent
 
 
+# Programs that read input in a loop: a severed step can leave the filmed
+# cursor past the end of the recorded tape.
+LOOP_READERS = [
+    [("INC", 0), ("WHILE", 0, [("IN", 1), ("OUT", 1)])],
+    [("IN", 0), ("WHILE", 0, [("OUT", 0), ("IN", 0)])],
+    [("INC", 0), ("WHILE", 0, [("IN", 1), ("WHILE", 1, [("DEC", 1), ("IN", 2), ("OUT", 2)])])],
+]
+
+
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_sever_matches_per_tape_oracle(variant):
-    # Tape-blind programs (no IN in k steps) run the severed system once for
-    # every tape; the oracle runs it, and the program, on each tape afresh.
+    # Tape-blind programs (no IN in k steps) read every tape alike; the oracle
+    # runs the severed system, and the program, on each tape afresh.
+    table = get_table(variant)
     universes = (
         DEFAULT_UNIVERSE,
         InputUniverse.from_tapes([(2,)]),
         InputUniverse.from_tapes([(), (0, 2), (1, 2, 0)]),
     )
-    plans = [SeverancePlan.of(steps) for steps in ((), (1,), (1, 2), (2, 5, 9))]
-    tape_blind, verdicts = set(), set()
-    for program in enumerate_programs(12, get_table(variant)):
-        for rec_tape in ((), (1, 0)):
-            rec = record(program, rec_tape, 9)
-            tape_blind.add(rec.trace[-1].input_cursor == 0)
-            for universe in universes:
-                for plan in plans:
-                    for tape in ((), (1,), (0, 1)):
-                        result = sever_and_project(rec, plan, tape, universe)
-                        expected = per_tape_sever(rec, plan.severed_steps, tape, universe)
-                        assert (result.trace, result.equivalent) == expected, program.bits
-                        verdicts.add(result.equivalent)
-    assert tape_blind == verdicts == {True, False}
+    short = [
+        (program, rec_tape, 9, steps)
+        for program in enumerate_programs(12, table)
+        for rec_tape in ((), (1, 0))
+        for steps in ((), (1,), (1, 2), (2, 5, 9))
+    ]
+    looping = [
+        (from_instructions(instructions, table), rec_tape, 24, steps)
+        for instructions in LOOP_READERS
+        for rec_tape in ((), (1,), (2, 0, 0), (1, 3, 0, 2))
+        for steps in ((7,), (3, 12), (5, 6, 7, 20), range(1, 25))
+    ]
+    tape_blind, verdicts, past_end = set(), set(), set()
+    for program, rec_tape, k, steps in short + looping:
+        rec = record(program, rec_tape, k)
+        plan = SeverancePlan.of(steps)
+        tape_blind.add(rec.trace[-1].input_cursor == 0)
+        past_end.add(any(rec.trace[s - 1].input_cursor > len(rec_tape) for s in steps))
+        for universe in universes:
+            for tape in ((), (1,), (0, 1), (2, 1, 0, 0)):
+                result = sever_and_project(rec, plan, tape, universe)
+                expected = per_tape_sever(rec, plan.severed_steps, tape, universe)
+                assert (result.trace, result.equivalent) == expected, (program.bits, steps)
+                verdicts.add(result.equivalent)
+    assert tape_blind == verdicts == past_end == {True, False}
 
 
 def test_sever_builds_no_family_key(monkeypatch):
