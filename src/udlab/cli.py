@@ -16,7 +16,7 @@ import io
 import json
 import sys
 
-from .dovetailer import DovetailEngine, schedule_pair
+from .dovetailer import schedule_pair, stream_tick
 from .encoding import DecodeError, EncodingTable, decode, get_table
 from .enumeration import enumerate_programs, kraft_mass
 from .equivalence import DEFAULT_UNIVERSE, InputUniverse, partition, refine
@@ -160,10 +160,13 @@ def _load_universe(source: str | None) -> InputUniverse:
     if source is None or source == "default":
         return DEFAULT_UNIVERSE
     with open(source, "r", encoding="utf-8") as fh:
-        tapes = json.load(fh)
-    if not isinstance(tapes, list) or not all(isinstance(t, list) for t in tapes):
-        raise ValueError("universe file must hold a JSON list of tapes, each a list")
-    return InputUniverse.from_tapes(tuple(tuple(t) for t in tapes))
+        try:
+            tapes = json.load(fh)
+            if not isinstance(tapes, list) or not all(isinstance(t, list) for t in tapes):
+                raise ValueError("must hold a JSON list of tapes, each a list")
+            return InputUniverse.from_tapes(tuple(tuple(t) for t in tapes))
+        except ValueError as exc:
+            raise ValueError(f"universe {source}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -270,11 +273,10 @@ def _cmd_schedule(run: _Run) -> None:
 
 
 def _tick_rows(ticks: int, table: EncodingTable) -> list[list]:
-    engine = DovetailEngine(table)
     rows = []
     for tick in range(1, ticks + 1):
         index, _ = schedule_pair(tick)
-        event = engine.tick()
+        event = stream_tick(tick, table)
         state = event.state
         rows.append(
             [
@@ -416,7 +418,10 @@ def _load_recording(run: _Run):
     if path is None:
         raise ValueError(f"{run.command} requires --recording")
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"recording {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"recording {path} must hold a JSON object")
     encoding = run.encoding
@@ -535,7 +540,12 @@ def main(argv: list[str] | None = None) -> int:
     except (DecodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    except MemoryError:
+        pass  # reported below, once the traceback no longer holds the run's memory
+    else:
+        return 0
+    print("error: out of memory; lower -L, -k or -T", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
-"""The canonical dovetailing schedule and its runner.
+"""The canonical dovetailing schedule and the one stream it yields.
 
 Ticks sweep anti-diagonals of the (program index, step index) grid: diagonal
 d covers ticks (d-1)(d-2)/2 + 1 .. d(d-1)/2 and runs step d-i of program i
 for i ascending.  Every pair is reached at a predictable tick, which makes
 fairness a testable closed form rather than a promise.
 
-The same engine backs both the standalone runner below and the machine's DVT
-instruction, so the two event streams agree by construction; each child steps
+One engine per encoding lazily fills the list of tick events that the runner
+below, the CLI's rows and every DVT host read through stream_tick, so those
+event streams agree by construction and share objects; each child steps
 through the machine's _Emulation, as an EXEC child does.  A tick returns one
 event, and whatever the child emulated in turn is nested in that event's
 state, so the runner's stream is read off the ticks with step_events.
@@ -17,8 +18,8 @@ long-lived hosts eventually witness arbitrarily many steps of every program.
 Every DVT host emulates this one canonical stream, so the hosts share it:
 what a host reaches after its DVT fires is dovetail_summary at the number of
 ticks it runs, computed from the schedule's closed form and the lazily
-extended per-encoding program stream rather than by ticking an engine per
-host.  The closed form needs no record of what children emulate in turn,
+extended per-encoding program stream rather than by ticking the shared
+stream.  The closed form needs no record of what children emulate in turn,
 because no such nested event ever passes the top-level count of its code:
 
 * a program that a child EXECs is strictly shorter than the child, so it
@@ -61,29 +62,37 @@ def canonical_dvt_bits(table: EncodingTable = TABLE_A) -> str:
 
 
 class DovetailEngine:
-    """Mutable dovetailer state: one tick advances one child by one step."""
+    """One encoding's stream: a tick steps one child and appends its event."""
 
     def __init__(self, table: EncodingTable) -> None:
-        self.table = table
-        self.tick_index = 0
+        self.events: list[EmulationRef] = []
         self.children: dict[int, _Emulation] = {}
         self._stream = program_stream(table)
 
-    def clone(self) -> "DovetailEngine":
-        other = DovetailEngine(self.table)
-        other.tick_index = self.tick_index
-        other.children = {index: child.clone() for index, child in self.children.items()}
-        return other
-
     def tick(self) -> EmulationRef:
-        self.tick_index += 1
-        index, step_index = schedule_pair(self.tick_index)
+        index, step_index = schedule_pair(len(self.events) + 1)
         child = self.children.get(index)
         if child is None:
             child = self.children[index] = _Emulation(self._stream.nth(index))
         ref = child.tick()
         assert ref.step_index == step_index
+        self.events.append(ref)
         return ref
+
+
+_ENGINES: dict[str, DovetailEngine] = {}
+
+
+def stream_tick(tick: int, table: EncodingTable) -> EmulationRef:
+    """Tick `tick`'s event of the one stream under `table`, ticked that far
+    first.  Reentrant: a dovetailer nested in the child that tick t runs
+    reads a tick m < t, which is already in the list."""
+    engine = _ENGINES.get(table.variant_id)
+    if engine is None:
+        engine = _ENGINES[table.variant_id] = DovetailEngine(table)
+    while len(engine.events) < tick:
+        engine.tick()
+    return engine.events[tick - 1]
 
 
 def dovetail_summary(ticks: int, table: EncodingTable = TABLE_A) -> dict[str, int]:
@@ -105,7 +114,7 @@ def dovetail_summary(ticks: int, table: EncodingTable = TABLE_A) -> dict[str, in
 
 
 def dovetail_run(ticks: int, table: EncodingTable = TABLE_A) -> list[EmulationRef]:
-    """Run `ticks` dovetailer ticks from scratch and return the event stream.
+    """The events of the shared stream's first `ticks` ticks.
 
     The stream is each tick's step_events: its event, preceded by the events
     nested in it when the child emulates in turn, innermost first, exactly
@@ -113,5 +122,4 @@ def dovetail_run(ticks: int, table: EncodingTable = TABLE_A) -> list[EmulationRe
     """
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
-    engine = DovetailEngine(table)
-    return [event for _ in range(ticks) for event in step_events(engine.tick())]
+    return [event for t in range(1, ticks + 1) for event in step_events(stream_tick(t, table))]

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 OPCODE_BITS = 4
 REGISTER_BITS = 2
-NUM_REGISTERS = 4
 MIN_PROGRAM_BITS = 4  # a lone END
 
 HALT = "HALT"
@@ -39,9 +38,6 @@ WEND = "WEND"
 EXEC = "EXEC"
 DVT = "DVT"
 END = "END"
-
-# Opcodes that carry a 2-bit register operand.
-REGISTER_OPS = frozenset({INC, DEC, OUT, IN, WHILE})
 
 _ASSIGNMENT_A = {
     "0000": HALT,

@@ -13,8 +13,9 @@ Two meta-instructions make emulation observable by construction:
   EmulationRef for each; when the child halts, the host moves on.
 * DVT is absorbing: every subsequent host step performs one tick of the
   canonical dovetailing schedule over the full program enumeration.  All DVT
-  hosts emulate that one stream, so run_events reads what a host reaches
-  after its DVT from the stream's shared summary instead of ticking.
+  hosts emulate that one stream: a host's context is the number of ticks it
+  has run, each step reads the stream's next tick, and run_events reads what
+  a host reaches after its DVT from the stream's closed-form summary.
 
 Both advance each child they emulate through _Emulation.tick.  A step
 advances each emulation level once, so its states are the whole record of
@@ -34,12 +35,9 @@ an event as [code_bits, step_index, state].
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .encoding import DEC, DVT, EXEC, HALT, IN, INC, OUT, WHILE, Program
-
-if TYPE_CHECKING:
-    from .dovetailer import DovetailEngine
 
 Tape = tuple[int, ...]
 
@@ -85,7 +83,7 @@ class Configuration:
         self.outputs: list[int] = []
         self.frames: list[_Frame] = []
         self.halted = False
-        self.context = None  # None | _Emulation | dovetailer.DovetailEngine
+        self.context = None  # None | _Emulation | ticks the host's DVT has run
 
     @classmethod
     def fresh(cls, program: Program) -> "Configuration":
@@ -100,7 +98,8 @@ class Configuration:
         other.outputs = list(self.outputs)
         other.frames = [f.clone() for f in self.frames]
         other.halted = self.halted
-        other.context = None if self.context is None else self.context.clone()
+        context = self.context
+        other.context = context.clone() if isinstance(context, _Emulation) else context
         return other
 
     def semantic_state(self, event: EmulationRef | None) -> SemanticState:
@@ -174,7 +173,8 @@ def step(config: Configuration, program: Program, tape: Tape) -> EmulationRef | 
     if config.context is not None:
         if isinstance(config.context, _Emulation):
             return _tick_exec(config)
-        return config.context.tick()
+        config.context += 1
+        return dovetailer.stream_tick(config.context, program.encoding)
 
     frame = config.frames[-1]
     if frame.idx >= len(frame.body):
@@ -217,11 +217,9 @@ def step(config: Configuration, program: Program, tape: Tape) -> EmulationRef | 
     elif op == EXEC:
         config.context = _Emulation(instr[1])
         return _tick_exec(config)
-    else:  # DVT: absorbing, one dovetailer tick per host step from now on
-        from .dovetailer import DovetailEngine  # deferred: dovetailer imports this module
-
-        config.context = DovetailEngine(program.encoding)
-        return config.context.tick()
+    else:  # DVT: absorbing, one tick of the shared stream per host step from now on
+        config.context = 1
+        return dovetailer.stream_tick(1, program.encoding)
 
     frame.idx += 1
     _settle(config)
@@ -268,9 +266,9 @@ def _raise_to(summary: dict[str, int], code_bits: str, step_index: int) -> None:
         summary[code_bits] = step_index
 
 
-def _dovetailing(config: Configuration) -> tuple[list[_Emulation], DovetailEngine] | None:
+def _dovetailing(config: Configuration) -> tuple[list[_Emulation], int] | None:
     """The emulations from config down to a dovetailer, outermost first, and
-    that dovetailer; None when the context chain ends without one."""
+    the ticks that dovetailer has run; None when the chain ends without one."""
     chain = []
     context = config.context
     while isinstance(context, _Emulation):
@@ -294,8 +292,6 @@ def run_events(program: Program, steps: int, tape: Tape = ()) -> dict[str, int]:
         raise ValueError("steps must be >= 0")
     if not program.contains_meta:
         return {}
-    from .dovetailer import dovetail_summary  # deferred: dovetailer imports this module
-
     config = Configuration.fresh(program)
     summary: dict[str, int] = {}
     for done in range(1, steps + 1):
@@ -305,12 +301,16 @@ def run_events(program: Program, steps: int, tape: Tape = ()) -> dict[str, int]:
             _raise_to(summary, event.code_bits, event.step_index)
         found = _dovetailing(config)
         if found is not None:
-            chain, engine = found
+            chain, ticks = found
             remaining = steps - done
-            ticks = dovetail_summary(engine.tick_index + remaining, engine.table)
-            for code_bits, step_index in ticks.items():
+            reached = dovetailer.dovetail_summary(ticks + remaining, program.encoding)
+            for code_bits, step_index in reached.items():
                 _raise_to(summary, code_bits, step_index)
             for emulation in chain:
                 _raise_to(summary, emulation.program.bits, emulation.steps + remaining)
             break
     return summary
+
+
+# Bound last and read as attributes: dovetailer imports this module's names.
+from . import dovetailer  # noqa: E402

@@ -1,9 +1,10 @@
 """Full-stepping oracles for the machine's shortcuts.
 
 Each helper is the plain loop the shortcut replaces: every one of the k or T
-steps goes through step(), halted or not, on every tape, and a DVT host ticks
-its own dovetailer.  They are slow on purpose; tests compare the tracer, the
-trace-family keys, run_events and sever_and_project against them.
+steps goes through step(), halted or not, on every tape, and a DVT host reads
+every tick of the shared dovetail stream.  They are slow on purpose; tests
+compare the tracer, the trace-family keys, run_events and sever_and_project
+against them.
 """
 
 from udlab.machine import Configuration, step, step_events

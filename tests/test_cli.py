@@ -222,7 +222,12 @@ def test_universe_entries_must_be_lists(tmp_path, capsys):
     path.write_text(json.dumps([1, 2]))
     code, _, err = run_cli(capsys, "partition", "-L", "8", "-k", "1", "--universe", str(path))
     assert code == 2
-    assert err.startswith("error:") and "universe" in err
+    assert err.startswith(f"error: universe {path}: must hold a JSON list"), err
+    for text, message in (("not json", "Expecting value"), ("[[-1]]", "tape (-1,) must contain")):
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "partition", "-L", "8", "-k", "1", "--universe", str(path))
+        assert code == 2
+        assert err.startswith(f"error: universe {path}: {message}"), err
 
 
 def test_config_file_missing_or_invalid_exits_2(tmp_path, capsys):
@@ -380,6 +385,10 @@ def test_malformed_recording_exits_2(tmp_path, capsys, command):
         assert err.startswith("error:") and "recording" in err, err
         assert f"{path}: recording" not in err, err
     assert step_count() - before == 0
+    path.write_text("not json")
+    code, _, err = run_cli(capsys, command, "--recording", str(path), "--tape", "0")
+    assert code == 2
+    assert err.startswith(f"error: recording {path}: Expecting value"), err
     # Tampering is found by re-running the program, so these cases step.
     for field, value in ((0, [42, 0, 0, 0]), (1, 5)):
         tampered = json.loads(json.dumps(valid))
@@ -429,3 +438,23 @@ def test_oversized_enumeration_exits_2_under_memory_cap():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: max_len 40 covers")
+
+
+def test_out_of_memory_exits_2_with_a_message():
+    # A program that outputs in a loop copies its whole output log into every
+    # state, so filming it for 8000 steps needs far more than 100 MB.
+    cap = 100 * 1024**2
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "udlab.cli", "record", "--program", "00010001010000110001101111",
+         "-k", "8000"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: out of memory; lower -L, -k or -T\n"
+    assert "Traceback" not in done.stderr

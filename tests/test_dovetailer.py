@@ -1,6 +1,8 @@
 import pytest
 
 from stepping import MaxSteps, trace_events
+from udlab import dovetailer
+from udlab.cli import main
 from udlab.dovetailer import (
     DovetailEngine,
     canonical_dvt_bits,
@@ -8,7 +10,7 @@ from udlab.dovetailer import (
     dovetail_summary,
     schedule_pair,
 )
-from udlab.encoding import EXEC, TABLE_A, TABLE_B, decode, from_instructions
+from udlab.encoding import DVT, EXEC, HALT, TABLE_A, TABLE_B, decode, from_instructions
 from udlab.enumeration import enumerate_programs
 from udlab.machine import run_trace, step_events
 
@@ -137,14 +139,30 @@ def test_runs_are_independent():
     assert first == second
 
 
-def test_engine_clone_is_detached():
-    engine = DovetailEngine(TABLE_A)
-    for _ in range(6):
-        engine.tick()
-    copy = engine.clone()
-    a = [engine.tick() for _ in range(5)]
-    b = [copy.tick() for _ in range(5)]
-    assert a == b
+def test_partition_ticks_one_stream_not_one_engine_per_host(monkeypatch, capsys):
+    # The three DVT hosts of L<=12 each ticked an engine of their own, at
+    # least 3*k ticks; they now read one stream, ticked only as far as the
+    # furthest tick a host reads.
+    monkeypatch.setattr(dovetailer, "_ENGINES", {})
+    ticks = 0
+    tick = DovetailEngine.tick
+
+    def counted(self):
+        nonlocal ticks
+        ticks += 1
+        return tick(self)
+
+    monkeypatch.setattr(DovetailEngine, "tick", counted)
+    assert main(["partition", "-L", "12", "-k", "500"]) == 0
+    assert capsys.readouterr().out
+    assert 0 < ticks <= 500
+
+
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_dvt_hosts_carry_the_same_event_objects(table):
+    first = run_trace(from_instructions([(DVT,)], table), (), 50)
+    second = run_trace(from_instructions([(DVT,), (HALT,)], table), (), 50)
+    assert all(a.event is b.event for a, b in zip(first, second))
 
 
 def test_encoding_b_runner_uses_b_bits():

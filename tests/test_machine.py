@@ -278,8 +278,8 @@ EVENT_CHECKPOINTS = (0, 1, 2, 50, 3000)
 
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
 def test_run_events_matches_full_stepping(table):
-    # The oracle steps every host step and ticks each DVT host's own engine;
-    # run_events reads the post-DVT rest off the shared stream.
+    # The oracle steps every host step, reading every tick of the shared
+    # stream; run_events reads the post-DVT rest off its closed-form summary.
     for program in enumerate_programs(16, table):
         if not program.contains_meta:
             assert run_events(program, max(EVENT_CHECKPOINTS)) == {}

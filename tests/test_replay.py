@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 from stepping import per_tape_sever
 
-from udlab import equivalence
+from udlab import dovetailer, equivalence
 from udlab.encoding import decode, from_instructions, get_table
 from udlab.enumeration import enumerate_programs
 from udlab.equivalence import DEFAULT_UNIVERSE, InputUniverse
-from udlab.machine import Configuration, run_trace, step_count
+from udlab.machine import Configuration, _Emulation, run_trace, step_count
 from udlab.replay import (
     Recording,
     SeverancePlan,
@@ -194,6 +194,31 @@ def test_severing_a_loop_reader_on_a_long_tape_steps_linearly():
     result = sever_and_project(rec, SeverancePlan.of(range(1, k + 1, 3)), tape)
     assert not result.equivalent
     assert step_count() - before <= (2 * len(DEFAULT_UNIVERSE.tapes) + 2) * k
+
+
+def test_severing_a_reader_that_dovetails_copies_no_emulation(monkeypatch):
+    # IN r0; DVT filmed on (1,) and severed at every step on (2,): each
+    # tape's live run takes the filmed configuration at every step.  A DVT
+    # host's context is its tick count, so the copy holds no emulation and
+    # the severance steps linearly in k; copying a dovetailer with all of
+    # its children there took 3.8 s at k=2000.
+    monkeypatch.setattr(dovetailer, "_ENGINES", {})
+    clones = 0
+    clone = _Emulation.clone
+
+    def counted(self):
+        nonlocal clones
+        clones += 1
+        return clone(self)
+
+    monkeypatch.setattr(_Emulation, "clone", counted)
+    k = 2000
+    rec = record(decode("01000010001111"), (1,), k)
+    before = step_count()
+    result = sever_and_project(rec, SeverancePlan.of(range(1, k + 1)), (2,))
+    assert result.trace == rec.trace and not result.equivalent
+    assert clones == 0
+    assert step_count() - before <= (len(DEFAULT_UNIVERSE.tapes) + 2) * k
 
 
 def test_partial_severance_can_stay_equivalent_on_matching_world():
