@@ -7,10 +7,20 @@ halting, and the step's emulation event, but never the structural program
 position, so distinct texts can be equivalent and (the interesting converse)
 programs that coincide on one tape can still be inequivalent.
 
+A run can depend only on the tape cells it read: those below its final
+input cursor, counted as 0 past the tape's end, since IN reads 0 there.  Two
+tapes that agree on those cells drive the same run, so trace_family traces
+each distinct run once and hands its trace object to every tape that drives
+it; a run that read nothing is the run on every tape.
+
 Partitions group codes by the ids of a ClassIndex, which serves every level
-from one trace per code.  Each class's canonical key, the serialization of
-its trace family, is encoded once, and class indices come from sorting those
-keys, so the result is independent of input order.
+from one trace per code.  A class's key is its family's JSON kept as parts,
+one JSON array per tape, encoded once per distinct trace object and shared
+by the tapes that hold it; the joined key is never built to sort or digest.
+Each part is a complete JSON array, so no part is a proper prefix of
+another, and the tuple order of parts is exactly the string order of the
+joined keys.  Class indices come from sorting the part tuples, so the result
+is independent of input order.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 from .encoding import Program
@@ -81,28 +92,50 @@ def _trace_json(states: tuple) -> str:
     return "[" + ",".join(parts) + "]"
 
 
-def _family_json(traces: tuple, k: int) -> str:
-    """json.dumps of the traces' first k states, separators (",", ":"),
-    encoding each distinct trace object once."""
+def _key_parts(traces: tuple, k: int) -> tuple[str, ...]:
+    """Each trace's JSON over its first k states, in tape order, encoding
+    each distinct trace object once and sharing its string."""
     encoded: dict[int, str] = {}
     for trace in traces:
         if id(trace) not in encoded:
             encoded[id(trace)] = _trace_json(trace[:k])
-    return "[" + ",".join(encoded[id(trace)] for trace in traces) + "]"
+    return tuple(encoded[id(trace)] for trace in traces)
+
+
+def _joined(parts: tuple[str, ...]) -> str:
+    """json.dumps of the family, separators (",", ":"), from its parts."""
+    return "[" + ",".join(parts) + "]"
+
+
+def _read_cells(tape: Tape, cursor: int) -> Tape:
+    """The cells below cursor, zero-padded past the tape's end."""
+    return tape[:cursor] + (0,) * (cursor - len(tape))
 
 
 def trace_family(program: Program, universe: InputUniverse, k: int) -> tuple[tuple, ...]:
-    """The program's k-step traces, one per tape in universe order.  A run
-    whose cursor is still 0 after k steps executed no IN, so it is the same
-    on every tape: it is traced once and shared."""
-    first = run_trace(program, universe.tapes[0], k)
-    if first[-1].input_cursor == 0:
-        return (first,) * len(universe.tapes)
-    return (first,) + tuple(run_trace(program, tape, k) for tape in universe.tapes[1:])
+    """The program's k-step traces, one per tape in universe order.  A tape
+    that agrees, zero-padded, with a traced tape on the cells that run read
+    gets that run's trace object; any other tape is traced.  Runs are looked
+    up by (final cursor, cells read), one lookup per distinct cursor."""
+    runs: dict[tuple[int, Tape], tuple] = {}
+    cursors: set[int] = set()  # final cursors of the runs traced so far
+    traces = []
+    for tape in universe.tapes:
+        for cursor in cursors:
+            trace = runs.get((cursor, _read_cells(tape, cursor)))
+            if trace is not None:
+                break
+        else:
+            trace = run_trace(program, tape, k)
+            cursor = trace[-1].input_cursor
+            cursors.add(cursor)
+            runs[cursor, _read_cells(tape, cursor)] = trace
+        traces.append(trace)
+    return tuple(traces)
 
 
 def family_key(program: Program, universe: InputUniverse, k: int) -> str:
-    return _family_json(trace_family(program, universe, k), k)
+    return _joined(_key_parts(trace_family(program, universe, k), k))
 
 
 def counterfactually_equivalent(
@@ -117,8 +150,16 @@ def counterfactually_equivalent(
     )
 
 
-def key_digest(canonical_key: str) -> str:
-    return hashlib.sha256(canonical_key.encode()).hexdigest()[:16]
+def key_digest(key_parts: tuple[str, ...]) -> str:
+    """The first 16 hex digits of the sha256 of the joined key, streamed
+    over "[", the parts separated by ",", and "]"."""
+    digest = hashlib.sha256(b"[")
+    for i, part in enumerate(key_parts):
+        if i:
+            digest.update(b",")
+        digest.update(part.encode())
+    digest.update(b"]")
+    return digest.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -128,13 +169,18 @@ class EquivClass:
     k: int
     index: int
     members: tuple[Program, ...]
-    canonical_key: str
+    key_parts: tuple[str, ...]  # the family's JSON, one array per tape
     universe_id: str
     member_bits: frozenset[str] = field(compare=False, hash=False, default=frozenset())
 
     @property
+    def canonical_key(self) -> str:
+        """The family's JSON, joined from the parts on each access."""
+        return _joined(self.key_parts)
+
+    @cached_property
     def key_digest(self) -> str:
-        return key_digest(self.canonical_key)
+        return key_digest(self.key_parts)
 
 
 class ClassIndex:
@@ -177,19 +223,19 @@ class ClassIndex:
 
     def partition(self, programs, level: int, ids_of=None) -> list[EquivClass]:
         """Group programs by their level id (ids_of defaults to ids); each
-        class key is encoded from the family that created the id."""
+        class's key parts are encoded from the family that created the id."""
         ids_of = ids_of or self.ids
         groups: dict[int, list[Program]] = {}
         for program in programs:
             groups.setdefault(ids_of(program)[level - 1], []).append(program)
         keyed = sorted(
-            (_family_json(self._creators[cid], level), members) for cid, members in groups.items()
+            (_key_parts(self._creators[cid], level), members) for cid, members in groups.items()
         )
         classes = []
-        for index, (key, members) in enumerate(keyed):
+        for index, (parts, members) in enumerate(keyed):
             members = tuple(sorted(members, key=lambda p: (p.length, p.bits)))
             bits = frozenset(p.bits for p in members)
-            classes.append(EquivClass(level, index, members, key, self.universe.universe_id, bits))
+            classes.append(EquivClass(level, index, members, parts, self.universe.universe_id, bits))
         return classes
 
 
@@ -197,7 +243,7 @@ def partition(programs, universe: InputUniverse, k: int) -> list[EquivClass]:
     """Group programs by their k-step trace family over the universe.
 
     Classes are disjoint, cover the input, and carry indices derived from
-    sorted canonical keys, so the same set of programs always yields the same
+    their sorted keys, so the same set of programs always yields the same
     partition no matter how it was ordered.
     """
     programs = list(programs)

@@ -144,9 +144,9 @@ def _class_weights(
             raise EmptyClass(f"class {cls.index} has no members")
     index_of_id = {ctx.class_ids(cls.members[0])[level - 1]: i for i, cls in enumerate(classes)}
     index_of_bits = {bits: i for i, cls in enumerate(classes) for bits in cls.member_bits}
-    keys = {cls.canonical_key for cls in classes}
+    parts = {cls.key_parts for cls in classes}  # equal tuples, equal keys
     members = sum(len(cls.member_bits) for cls in classes)
-    if len(keys) < len(classes) or len(index_of_id) < len(classes) or len(index_of_bits) < members:
+    if len(parts) < len(classes) or len(index_of_id) < len(classes) or len(index_of_bits) < members:
         raise ValueError("classes must have distinct keys and disjoint members")
     totals = [0] * len(classes)
     sent: dict[tuple[int | None, int], int] = {}

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from stepping import full_trace
 from udlab.encoding import TABLE_A, TABLE_B, decode, from_instructions
 from udlab.enumeration import enumerate_programs
+from udlab import equivalence
 from udlab.equivalence import (
     DEFAULT_UNIVERSE,
     ClassIndex,
@@ -170,12 +173,66 @@ HAND_BUILT = (
 )
 
 
+UNIVERSES = [DEFAULT_UNIVERSE, InputUniverse.from_tapes([(1,)]), UNIVERSE_012]
+UNIVERSE_IDS = ["default", "one-tape", "012"]
+# Reads until it reads a 0, so its final cursor differs between tapes.
+READ_TO_ZERO = [("IN", 0), ("WHILE", 0, [("IN", 0)])]
+
+
+@pytest.mark.parametrize("k", [1, 7, 300])
+@pytest.mark.parametrize("universe", UNIVERSES, ids=UNIVERSE_IDS)
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_trace_family_shares_runs_exactly_by_read_cells(monkeypatch, table, universe, k):
+    # Each tape's traces equal its own run, and two tapes hold one trace
+    # object exactly when they agree, zero-padded, on the cells it read.
+    traced = 0
+
+    def counted_run_trace(program, tape, k):
+        nonlocal traced
+        traced += 1
+        return run_trace(program, tape, k)
+
+    monkeypatch.setattr(equivalence, "run_trace", counted_run_trace)
+    programs = enumerate_programs(14, table)
+    programs += [from_instructions(i, table) for i in (*HAND_BUILT, READ_TO_ZERO)]
+    for program in programs:
+        traced = 0
+        traces = trace_family(program, universe, k)
+        assert traces == tuple(run_trace(program, tape, k) for tape in universe.tapes), program.bits
+        assert traced == len({id(trace) for trace in traces}), program.bits
+        for (s, s_trace), (t, t_trace) in combinations(zip(universe.tapes, traces), 2):
+            read = s_trace[-1].input_cursor
+            agree = (s + (0,) * read)[:read] == (t + (0,) * read)[:read]
+            assert (s_trace is t_trace) == agree, (program.bits, s, t)
+
+
+def test_partition_holds_key_parts_not_joined_keys():
+    # Parts are shared by the tapes that hold one trace, so a class holds
+    # each distinct trace's JSON once; the joined key is built on demand.
+    classes = partition(enumerate_programs(12), DEFAULT_UNIVERSE, 2000)
+    held = {id(part): len(part) for c in classes for part in c.key_parts}
+    joined = sum(len(c.canonical_key) for c in classes)
+    assert len(classes) == 12
+    assert sum(held.values()) * 4 < joined
+    for c in classes:
+        assert c.key_digest == hashlib.sha256(c.canonical_key.encode()).hexdigest()[:16]
+
+
+def test_key_digest_is_hashed_once_per_class(monkeypatch):
+    digests = []
+
+    def counted_key_digest(parts):
+        digests.append(parts)
+        return "digest"
+
+    monkeypatch.setattr(equivalence, "key_digest", counted_key_digest)
+    cls = partition(enumerate_programs(8), DEFAULT_UNIVERSE, 2)[0]
+    assert [cls.key_digest, cls.key_digest, cls.key_digest] == ["digest"] * 3
+    assert digests == [cls.key_parts]
+
+
 @pytest.mark.parametrize("top", [1, 7, 40])
-@pytest.mark.parametrize(
-    "universe",
-    [DEFAULT_UNIVERSE, InputUniverse.from_tapes([(1,)]), UNIVERSE_012],
-    ids=["default", "one-tape", "012"],
-)
+@pytest.mark.parametrize("universe", UNIVERSES, ids=UNIVERSE_IDS)
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
 def test_class_index_partitions_equal_family_key_grouping(table, universe, top):
     # One trace per program to the top level; every lower level must group,

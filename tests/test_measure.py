@@ -285,7 +285,7 @@ def test_class_masses_equal_per_class_masses(variant):
 
 def test_class_masses_reject_overlapping_classes():
     first, second = classes_at(8, 1)[:2]
-    same_key = replace(second, canonical_key=first.canonical_key)
+    same_key = replace(second, key_parts=first.key_parts)
     same_members = replace(second, members=first.members, member_bits=first.member_bits)
     for pair in ([first, first], [first, same_key], [first, same_members]):
         with pytest.raises(ValueError):
@@ -410,7 +410,7 @@ def test_empty_class_guard():
         k=1,
         index=99,
         members=(),
-        canonical_key=classes[0].canonical_key,
+        key_parts=classes[0].key_parts,
         universe_id="default",
         member_bits=frozenset(),
     )
