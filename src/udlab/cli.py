@@ -15,23 +15,19 @@ import csv
 import io
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .dovetailer import schedule_pair, stream_tick
 from .encoding import DecodeError, EncodingTable, decode, get_table
 from .enumeration import enumerate_programs, kraft_mass
 from .equivalence import DEFAULT_UNIVERSE, InputUniverse, partition, refine
-from .measure import (
-    MeasureContext, class_masses, decomposition_check, divergence_report, fraction_str
-)
-from .replay import (
-    SeverancePlan,
-    hybrid_run,
-    playback,
-    record,
-    recording_from_data,
-    recording_to_data,
-    sever_and_project,
-)
+
+# The mass commands import udlab.measure, and the recording commands
+# udlab.replay, inside their handlers, so that a command loads only the code
+# it runs.
+if TYPE_CHECKING:
+    from .measure import MeasureContext
+    from .replay import Recording
 
 DEFAULT_MAX_LEN = 12
 DEFAULT_K = 2
@@ -76,24 +72,26 @@ _CHOICES = {"encoding": ("A", "B"), "fmt": ("csv", "json")}
 
 
 def _build_parser() -> _Parser:
+    # Every subcommand takes the same options, declared once on a parent.
+    common = _Parser(add_help=False)
+    common.add_argument("--max-len", "-L", dest="max_len", type=int, default=None)
+    common.add_argument("-k", dest="k", type=int, default=None)
+    common.add_argument("--budget", "-T", dest="budget", type=int, default=None)
+    common.add_argument("--universe", default=None, help="path to a JSON tape list, or 'default'")
+    common.add_argument("--encoding", default=None, choices=_CHOICES["encoding"])
+    common.add_argument("--format", dest="fmt", default=None, choices=_CHOICES["fmt"])
+    common.add_argument("--out", default=None)
+    common.add_argument("--tick", type=int, default=None)
+    common.add_argument("--ticks", type=int, default=None)
+    common.add_argument("--program", default=None, help="program bits ('0'/'1' string)")
+    common.add_argument("--tape", default=None, help="comma-separated naturals, empty for ()")
+    common.add_argument("--severed", default=None, help="comma-separated step indices")
+    common.add_argument("--recording", default=None, help="path to a recording JSON file")
+    common.add_argument("--config", default=None, help="JSON file of default option values")
     parser = _Parser(prog="udlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="|".join(_COMMANDS))
     for name in _COMMANDS:
-        p = sub.add_parser(name, add_help=True)
-        p.add_argument("--max-len", "-L", dest="max_len", type=int, default=None)
-        p.add_argument("-k", dest="k", type=int, default=None)
-        p.add_argument("--budget", "-T", dest="budget", type=int, default=None)
-        p.add_argument("--universe", default=None, help="path to a JSON tape list, or 'default'")
-        p.add_argument("--encoding", default=None, choices=_CHOICES["encoding"])
-        p.add_argument("--format", dest="fmt", default=None, choices=_CHOICES["fmt"])
-        p.add_argument("--out", default=None)
-        p.add_argument("--tick", type=int, default=None)
-        p.add_argument("--ticks", type=int, default=None)
-        p.add_argument("--program", default=None, help="program bits ('0'/'1' string)")
-        p.add_argument("--tape", default=None, help="comma-separated naturals, empty for ()")
-        p.add_argument("--severed", default=None, help="comma-separated step indices")
-        p.add_argument("--recording", default=None, help="path to a recording JSON file")
-        p.add_argument("--config", default=None, help="JSON file of default option values")
+        sub.add_parser(name, parents=[common])
     return parser
 
 
@@ -138,22 +136,17 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             setattr(args, dest, value)
 
 
-def _parse_tape(text: str | None) -> tuple[int, ...]:
+def _parse_naturals(text: str | None, what: str) -> tuple[int, ...]:
+    """Comma-separated naturals (a tape, or severed steps); None or "" is ()."""
     if text is None or text == "":
         return ()
     values = []
     for part in text.split(","):
         part = part.strip()
-        if not part.isdigit():
-            raise ValueError(f"tape entry {part!r} is not a natural number")
+        if not part.isdecimal():
+            raise ValueError(f"{what} entry {part!r} is not a natural number")
         values.append(int(part))
     return tuple(values)
-
-
-def _parse_severed(text: str | None) -> SeverancePlan:
-    if text is None or text == "":
-        return SeverancePlan.of(())
-    return SeverancePlan.of(int(part) for part in text.split(","))
 
 
 def _load_universe(source: str | None) -> InputUniverse:
@@ -228,6 +221,8 @@ class _Run:
         return base
 
     def context(self, k: int | None = None, table: EncodingTable | None = None) -> MeasureContext:
+        from .measure import MeasureContext
+
         return MeasureContext(
             max_len=self.max_len,
             k=self.k if k is None else k,
@@ -248,6 +243,8 @@ def _cmd_enumerate(run: _Run) -> None:
 
 
 def _cmd_kraft(run: _Run) -> None:
+    from .measure import fraction_str
+
     mass = kraft_mass(run.max_len, run.encoding)
     if run.fmt == "json":
         _emit(_json_doc({"config": run.config_dict(), "kraft_mass": fraction_str(mass)}), run.out)
@@ -338,6 +335,8 @@ _CONTEXT_HEADER = ["L", "k", "T", "universe_id", "encoding_id"]
 
 
 def _cmd_measure(run: _Run) -> None:
+    from .measure import class_masses, fraction_str
+
     ctx = run.context()
     classes = ctx.partition(run.k)
     rows = [
@@ -349,6 +348,8 @@ def _cmd_measure(run: _Run) -> None:
 
 
 def _cmd_decompose(run: _Run) -> None:
+    from .measure import decomposition_check, fraction_str
+
     ctx = run.context()
     classes = ctx.partition(run.k)
     residuals = decomposition_check(classes, ctx)
@@ -361,6 +362,8 @@ def _cmd_decompose(run: _Run) -> None:
 
 
 def _relmeasure_rows(run: _Run, table: EncodingTable) -> list[list]:
+    from .measure import class_masses, fraction_str
+
     ctx = run.context(k=run.k + 1, table=table)
     parents, children = ctx.partition(run.k), ctx.partition(run.k + 1)
     mapping = refine(parents, children)
@@ -391,6 +394,8 @@ def _cmd_relmeasure(run: _Run) -> None:
 
 
 def _cmd_levels(run: _Run) -> None:
+    from .measure import divergence_report, fraction_str
+
     # -k is the top level; the report always starts at level 1.
     rows_data = divergence_report(1, run.k, run.context())
     rows = [
@@ -403,17 +408,21 @@ def _cmd_levels(run: _Run) -> None:
 
 
 def _cmd_record(run: _Run) -> None:
+    from .replay import record, recording_to_data
+
     if run.args.program is None:
         raise ValueError("record requires --program")
     program = decode(run.args.program, run.encoding)
-    tape = _parse_tape(run.args.tape)
+    tape = _parse_naturals(run.args.tape, "tape")
     rec = record(program, tape, run.k)
     payload = {"config": run.config_dict(("tape", list(tape)))}
     payload.update(recording_to_data(rec))
     _emit(_json_doc(payload), run.out)
 
 
-def _load_recording(run: _Run):
+def _load_recording(run: _Run) -> Recording:
+    from .replay import recording_from_data
+
     path = run.args.recording
     if path is None:
         raise ValueError(f"{run.command} requires --recording")
@@ -444,6 +453,8 @@ def _load_recording(run: _Run):
 
 
 def _cmd_replay(run: _Run) -> None:
+    from .replay import playback
+
     rec = _load_recording(run)
     states = playback(rec)
     payload = {
@@ -455,12 +466,13 @@ def _cmd_replay(run: _Run) -> None:
 
 
 def _cmd_hybrid(run: _Run) -> None:
+    from .replay import hybrid_run
+
     rec = _load_recording(run)
-    result = hybrid_run(rec, _parse_tape(run.args.tape))
+    tape = _parse_naturals(run.args.tape, "tape")
+    result = hybrid_run(rec, tape)
     payload = {
-        "config": run.config_dict(
-            ("recording", run.args.recording), ("tape", list(_parse_tape(run.args.tape)))
-        ),
+        "config": run.config_dict(("recording", run.args.recording), ("tape", list(tape))),
         "switch_step": result.switch_step,
         "trace": list(result.trace),
     }
@@ -468,9 +480,11 @@ def _cmd_hybrid(run: _Run) -> None:
 
 
 def _cmd_sever(run: _Run) -> None:
+    from .replay import SeverancePlan, sever_and_project
+
     rec = _load_recording(run)
-    plan = _parse_severed(run.args.severed)
-    tape = _parse_tape(run.args.tape)
+    plan = SeverancePlan.of(_parse_naturals(run.args.severed, "--severed"))
+    tape = _parse_naturals(run.args.tape, "tape")
     result = sever_and_project(rec, plan, tape, run.universe)
     payload = {
         "config": run.config_dict(

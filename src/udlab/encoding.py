@@ -22,7 +22,7 @@ measure experiments can be repeated under a second, equally valid encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 OPCODE_BITS = 4
 REGISTER_BITS = 2
@@ -113,20 +113,20 @@ def get_table(variant_id: str) -> EncodingTable:
         raise ValueError(f"unknown encoding variant {variant_id!r} (expected 'A' or 'B')") from None
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     """A decoded program: its exact bits plus the structured instruction list.
 
     Instructions are plain tuples: ("HALT",), ("DVT",), ("INC", r), ("DEC", r),
     ("OUT", r), ("IN", r), ("WHILE", r, body) with body a tuple of
     instructions, and ("EXEC", Program) with a fully decoded embedded program.
-    The terminating END is implicit.
+    The terminating END is implicit.  contains_meta is a function of the
+    instructions, so it never tells two programs apart.
     """
 
     bits: str
     instructions: tuple
     encoding: EncodingTable
-    contains_meta: bool = field(compare=False, default=False)
+    contains_meta: bool = False
 
     @property
     def length(self) -> int:

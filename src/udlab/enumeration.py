@@ -17,7 +17,6 @@ program is available without choosing a length bound up front.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 
 from .encoding import (
     DEC,
@@ -166,6 +165,8 @@ def kraft_mass(max_len: int, table: EncodingTable = TABLE_A) -> Fraction:
     Computed from the grammar counts, so it needs no enumeration and is the
     same under every encoding table.
     """
+    from fractions import Fraction  # loaded only by the commands that make one
+
     if max_len < MIN_PROGRAM_BITS:
         raise ValueError(f"max_len must be >= {MIN_PROGRAM_BITS}")
     return sum(

@@ -25,11 +25,9 @@ is independent of input order.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
+from typing import NamedTuple
 
 from .encoding import Program
 from .machine import run_trace
@@ -53,8 +51,7 @@ def _canonical_tapes(tapes) -> tuple[Tape, ...]:
     return tuple(unique)
 
 
-@dataclass(frozen=True)
-class InputUniverse:
+class InputUniverse(NamedTuple):
     """The finite set of tapes the counterfactual quantifies over."""
 
     tapes: tuple[Tape, ...]
@@ -64,6 +61,8 @@ class InputUniverse:
     def from_tapes(tapes, universe_id: str | None = None) -> "InputUniverse":
         canonical = _canonical_tapes(tapes)
         if universe_id is None:
+            import hashlib  # as in key_digest
+
             digest = hashlib.sha256(
                 json.dumps([list(t) for t in canonical], separators=(",", ":")).encode()
             ).hexdigest()
@@ -153,6 +152,8 @@ def counterfactually_equivalent(
 def key_digest(key_parts: tuple[str, ...]) -> str:
     """The first 16 hex digits of the sha256 of the joined key, streamed
     over "[", the parts separated by ",", and "]"."""
+    import hashlib  # loads OpenSSL: only the commands that take a digest pay for it
+
     digest = hashlib.sha256(b"[")
     for i, part in enumerate(key_parts):
         if i:
@@ -162,25 +163,57 @@ def key_digest(key_parts: tuple[str, ...]) -> str:
     return digest.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
 class EquivClass:
-    """One block of the partition at level k."""
+    """One block of the partition at level k, treated as immutable.  Classes
+    compare and hash by (k, index, members, key_parts, universe_id);
+    member_bits, the members' bits as a set for membership tests, takes no
+    part in either."""
 
-    k: int
-    index: int
-    members: tuple[Program, ...]
-    key_parts: tuple[str, ...]  # the family's JSON, one array per tape
-    universe_id: str
-    member_bits: frozenset[str] = field(compare=False, hash=False, default=frozenset())
+    __slots__ = ("k", "index", "members", "key_parts", "universe_id", "member_bits", "_digest")
+
+    def __init__(
+        self,
+        k: int,
+        index: int,
+        members: tuple[Program, ...],
+        key_parts: tuple[str, ...],  # the family's JSON, one array per tape
+        universe_id: str,
+        member_bits: frozenset[str] = frozenset(),
+    ) -> None:
+        self.k = k
+        self.index = index
+        self.members = members
+        self.key_parts = key_parts
+        self.universe_id = universe_id
+        self.member_bits = member_bits
+        self._digest: str | None = None
+
+    def _identity(self) -> tuple:
+        return (self.k, self.index, self.members, self.key_parts, self.universe_id)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
+    def __repr__(self) -> str:
+        bits = [p.bits for p in self.members]
+        return f"EquivClass(k={self.k}, index={self.index}, members={bits}, {self.universe_id!r})"
 
     @property
     def canonical_key(self) -> str:
         """The family's JSON, joined from the parts on each access."""
         return _joined(self.key_parts)
 
-    @cached_property
+    @property
     def key_digest(self) -> str:
-        return key_digest(self.key_parts)
+        """The key's digest, hashed on first access and kept."""
+        if self._digest is None:
+            self._digest = key_digest(self.key_parts)
+        return self._digest
 
 
 class ClassIndex:

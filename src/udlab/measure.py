@@ -19,8 +19,8 @@ encoding) and contributions only grow as T or L grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .encoding import EncodingTable, Program, decode
 from .enumeration import enumerate_programs
@@ -42,25 +42,27 @@ class NotARefinement(ValueError):
     """The child class is not a subset of the parent class."""
 
 
-@dataclass
 class MeasureContext:
     """Truncation parameters every measure result is relative to; k is the
     top level, and every level 1..k is measured from the same traces."""
 
-    max_len: int
-    k: int
-    budget: int
-    universe: InputUniverse
-    encoding: EncodingTable
-    _events: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("max_len", "k", "budget", "universe", "encoding", "_events", "_ids", "_index")
 
-    def __post_init__(self) -> None:
-        if self.max_len < 4:
+    def __init__(
+        self, max_len: int, k: int, budget: int, universe: InputUniverse, encoding: EncodingTable
+    ) -> None:
+        if max_len < 4:
             raise ValueError("max_len must be >= 4")
-        if self.budget < 0:
+        if budget < 0:
             raise ValueError("budget must be >= 0")
-        self._index = ClassIndex(self.universe, self.k)  # checks k >= 1
+        self.max_len = max_len
+        self.k = k
+        self.budget = budget
+        self.universe = universe
+        self.encoding = encoding
+        self._events: dict[str, dict[str, int]] = {}
+        self._ids: dict[str, tuple[int, ...]] = {}
+        self._index = ClassIndex(universe, k)  # checks k >= 1
 
     def programs(self) -> list[Program]:
         return enumerate_programs(self.max_len, self.encoding)
@@ -214,8 +216,7 @@ def level_mass(k: int, ctx: MeasureContext) -> Fraction:
     return divergence_report(k, k, ctx)[0].level_mass
 
 
-@dataclass(frozen=True)
-class LevelRow:
+class LevelRow(NamedTuple):
     k: int
     class_count: int
     level_mass: Fraction

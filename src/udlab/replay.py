@@ -17,7 +17,7 @@ and needs none when the film read no input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .encoding import EncodingTable, Program, TABLE_A, decode
 from .equivalence import DEFAULT_UNIVERSE, InputUniverse, trace_family
@@ -26,8 +26,7 @@ from .machine import Configuration, SemanticState, run_trace, step
 Tape = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Recording:
+class Recording(NamedTuple):
     """A filmed run: program, tape, k and the k-step semantic trace.  The
     configurations behind severed frames are not stored; severance re-derives
     them by deterministic re-execution on the recorded tape."""
@@ -38,14 +37,12 @@ class Recording:
     trace: tuple[SemanticState, ...]
 
 
-@dataclass(frozen=True)
-class HybridResult:
+class HybridResult(NamedTuple):
     trace: tuple[SemanticState, ...]
     switch_step: int | None  # first step where live computation took over
 
 
-@dataclass(frozen=True)
-class SeverancePlan:
+class SeverancePlan(NamedTuple):
     severed_steps: frozenset[int]
 
     @staticmethod
@@ -56,8 +53,7 @@ class SeverancePlan:
         return SeverancePlan(severed_steps=steps)
 
 
-@dataclass(frozen=True)
-class SeveranceResult:
+class SeveranceResult(NamedTuple):
     trace: tuple[SemanticState, ...]
     equivalent: bool  # counterfactual verdict over the universe
 

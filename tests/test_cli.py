@@ -176,6 +176,18 @@ def test_validation_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_malformed_severed_entries_exit_2(tmp_path, capsys):
+    rec_path = tmp_path / "rec.json"
+    code, _, _ = run_cli(capsys, "record", "--program", "10001111", "-k", "3", "--out", str(rec_path))
+    assert code == 0
+    for text, entry in (("x", "'x'"), ("1,,2", "''"), ("1,-2", "'-2'")):
+        code, out, err = run_cli(capsys, "sever", "--recording", str(rec_path), "--severed", text)
+        assert code == 2 and out == ""
+        assert err == f"error: --severed entry {entry} is not a natural number\n", err
+    code, _, err = run_cli(capsys, "sever", "--recording", str(rec_path), "--severed", "0")
+    assert code == 2 and "1-based" in err
+
+
 def test_custom_universe_file(tmp_path, capsys):
     path = tmp_path / "universe.json"
     path.write_text(json.dumps([[], [0, 0], [1, 1]]))
@@ -215,6 +227,10 @@ def test_out_writes_exact_bytes(tmp_path, capsys):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+    # Every subcommand takes the shared options.
+    for command in ("kraft", "sever"):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0 and "--severed" in out and "--max-len" in out
 
 
 def test_universe_entries_must_be_lists(tmp_path, capsys):

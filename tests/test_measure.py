@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,7 @@ from udlab.cli import main
 from udlab.dovetailer import DovetailEngine
 from udlab.encoding import TABLE_A, decode, from_instructions, get_table
 from udlab.enumeration import enumerate_programs, kraft_mass
-from udlab.equivalence import DEFAULT_UNIVERSE, partition, refine
+from udlab.equivalence import DEFAULT_UNIVERSE, EquivClass, partition, refine
 from udlab.machine import run_events, run_trace
 from udlab.measure import (
     EmptyClass,
@@ -285,8 +284,14 @@ def test_class_masses_equal_per_class_masses(variant):
 
 def test_class_masses_reject_overlapping_classes():
     first, second = classes_at(8, 1)[:2]
-    same_key = replace(second, key_parts=first.key_parts)
-    same_members = replace(second, members=first.members, member_bits=first.member_bits)
+    same_key = EquivClass(
+        second.k, second.index, second.members, first.key_parts, second.universe_id,
+        second.member_bits,
+    )
+    same_members = EquivClass(
+        second.k, second.index, first.members, second.key_parts, second.universe_id,
+        first.member_bits,
+    )
     for pair in ([first, first], [first, same_key], [first, same_members]):
         with pytest.raises(ValueError):
             class_masses(pair, make_ctx())

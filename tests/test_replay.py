@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -321,7 +320,7 @@ def test_recording_serialization_round_trip():
     data = recording_to_data(rec)
     assert list(data.keys()) == ["program_bits", "tape", "k", "trace"]
     # The file holds the whole recording: nothing is lost in the round trip.
-    assert [f.name for f in fields(Recording)] == ["program", "tape", "k", "trace"]
+    assert Recording._fields == ("program", "tape", "k", "trace")
     clone = recording_from_data(data)
     assert clone == rec
     dvt = record(decode("10001111"), (1,), 40)
