@@ -6,6 +6,9 @@ strings, and each emitted result embeds the configuration that produced it.
 Computation is serial ("threads" is always 1), and a mass command measures
 every level it reports from one measure context per encoding.  Exit codes:
 0 success, 1 usage error, 2 validation or precondition failure.
+
+Each handler returns the text of the document its command writes, and main
+writes it once, to stdout or --out.
 """
 
 from __future__ import annotations
@@ -33,23 +36,6 @@ DEFAULT_MAX_LEN = 12
 DEFAULT_K = 2
 DEFAULT_BUDGET = 1000
 
-_COMMANDS = (
-    "enumerate",
-    "kraft",
-    "schedule",
-    "dovetail",
-    "partition",
-    "measure",
-    "decompose",
-    "relmeasure",
-    "levels",
-    "record",
-    "replay",
-    "hybrid",
-    "sever",
-    "invariance",
-)
-
 
 class _UsageError(Exception):
     pass
@@ -66,48 +52,37 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-# Options restricted to a fixed set of values, on the command line and in
-# --config files alike.
-_CHOICES = {"encoding": ("A", "B"), "fmt": ("csv", "json")}
+# Every option, declared once as dest: (flags, type, choices, help).  The
+# parser and the --config check are both built from it.
+_OPTIONS = {
+    "max_len": (("--max-len", "-L"), int, None, None),
+    "k": (("-k",), int, None, None),
+    "budget": (("--budget", "-T"), int, None, None),
+    "universe": (("--universe",), str, None, "path to a JSON tape list, or 'default'"),
+    "encoding": (("--encoding",), str, ("A", "B"), None),
+    "fmt": (("--format",), str, ("csv", "json"), None),
+    "out": (("--out",), str, None, None),
+    "tick": (("--tick",), int, None, None),
+    "ticks": (("--ticks",), int, None, None),
+    "program": (("--program",), str, None, "program bits ('0'/'1' string)"),
+    "tape": (("--tape",), str, None, "comma-separated naturals, empty for ()"),
+    "severed": (("--severed",), str, None, "comma-separated step indices"),
+    "recording": (("--recording",), str, None, "path to a recording JSON file"),
+    "config": (("--config",), str, None, "JSON file of default option values"),
+}
 
 
 def _build_parser() -> _Parser:
     # Every subcommand takes the same options, declared once on a parent.
     common = _Parser(add_help=False)
-    common.add_argument("--max-len", "-L", dest="max_len", type=int, default=None)
-    common.add_argument("-k", dest="k", type=int, default=None)
-    common.add_argument("--budget", "-T", dest="budget", type=int, default=None)
-    common.add_argument("--universe", default=None, help="path to a JSON tape list, or 'default'")
-    common.add_argument("--encoding", default=None, choices=_CHOICES["encoding"])
-    common.add_argument("--format", dest="fmt", default=None, choices=_CHOICES["fmt"])
-    common.add_argument("--out", default=None)
-    common.add_argument("--tick", type=int, default=None)
-    common.add_argument("--ticks", type=int, default=None)
-    common.add_argument("--program", default=None, help="program bits ('0'/'1' string)")
-    common.add_argument("--tape", default=None, help="comma-separated naturals, empty for ()")
-    common.add_argument("--severed", default=None, help="comma-separated step indices")
-    common.add_argument("--recording", default=None, help="path to a recording JSON file")
-    common.add_argument("--config", default=None, help="JSON file of default option values")
-    parser = _Parser(prog="udlab", description=__doc__)
+    for dest, (flags, kind, choices, text) in _OPTIONS.items():
+        common.add_argument(*flags, dest=dest, type=kind, choices=choices, help=text)
+    # --help shows the docstring up to its last paragraph, which is about the code.
+    parser = _Parser(prog="udlab", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", metavar="|".join(_COMMANDS))
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
-
-
-# Integer options; every other config key holds a string, as its flag does.
-_INT_KEYS = {"max_len", "k", "budget", "tick", "ticks"}
-_CONFIG_KEYS = _INT_KEYS | {
-    "universe",
-    "encoding",
-    "fmt",
-    "format",
-    "out",
-    "program",
-    "tape",
-    "severed",
-    "recording",
-}
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
@@ -120,17 +95,25 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise _ConfigFileError(f"error: --config: {exc}") from None
     if not isinstance(values, dict):
         raise _UsageError("udlab: error: --config file must hold a JSON object")
+    # A key is an option's dest or a long flag spelled as a Python name
+    # ("fmt" or "format", but not "max-len"); --config itself is no key.
+    dests = {
+        key: dest
+        for dest, (flags, *_) in _OPTIONS.items()
+        if dest != "config"
+        for key in (dest, *(flag[2:] for flag in flags if flag[2:].isidentifier()))
+    }
     for key, value in values.items():
-        if key not in _CONFIG_KEYS:
+        if key not in dests:
             raise _UsageError(f"udlab: error: unknown config key {key!r}")
-        expected = int if key in _INT_KEYS else str
+        dest = dests[key]
+        _, expected, choices, _ = _OPTIONS[dest]
         if not isinstance(value, expected) or isinstance(value, bool):
             kind = "an integer" if expected is int else "a string"
             raise _ConfigFileError(f"error: --config: {key!r} must be {kind}, got {value!r}")
-        dest = "fmt" if key == "format" else key
-        if dest in _CHOICES and value not in _CHOICES[dest]:
+        if choices and value not in choices:
             raise _ConfigFileError(
-                f"error: --config: {key!r} must be one of {', '.join(_CHOICES[dest])}, got {value!r}"
+                f"error: --config: {key!r} must be one of {', '.join(choices)}, got {value!r}"
             )
         if getattr(args, dest) is None:  # explicit flags win over the file
             setattr(args, dest, value)
@@ -183,12 +166,12 @@ def _csv_doc(config: dict, header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit_table(run: "_Run", key: str, header: list[str], rows: list[list], config: dict) -> None:
-    """Emit rows as CSV, or as JSON objects listed under `key`."""
+def _table_doc(run: _Run, key: str, header: list[str], rows: list[list], *extra) -> str:
+    """Rows as CSV, or as JSON objects listed under `key`."""
+    config = run.config_dict(*extra)
     if run.fmt == "json":
-        _emit(_json_doc({"config": config, key: [dict(zip(header, row)) for row in rows]}), run.out)
-    else:
-        _emit(_csv_doc(config, header, rows), run.out)
+        return _json_doc({"config": config, key: [dict(zip(header, row)) for row in rows]})
+    return _csv_doc(config, header, rows)
 
 
 class _Run:
@@ -216,9 +199,15 @@ class _Run:
             "threads": 1,
             "format": self.fmt,
         }
-        for key, value in extra:
-            base[key] = value
+        base.update(extra)
         return base
+
+    def required(self, dest: str):
+        """The value of an option this command cannot run without."""
+        value = getattr(self.args, dest)
+        if value is None:
+            raise ValueError(f"{self.command} requires {_OPTIONS[dest][0][0]}")
+        return value
 
     def context(self, k: int | None = None, table: EncodingTable | None = None) -> MeasureContext:
         from .measure import MeasureContext
@@ -232,41 +221,36 @@ class _Run:
         )
 
 
-def _cmd_enumerate(run: _Run) -> None:
+def _cmd_enumerate(run: _Run) -> str:
     programs = enumerate_programs(run.max_len, run.encoding)
     config = run.config_dict()
     if run.fmt == "json":
-        _emit(_json_doc({"config": config, "programs": [p.bits for p in programs]}), run.out)
-    else:
-        rows = [[i + 1, p.bits, p.length] for i, p in enumerate(programs)]
-        _emit(_csv_doc(config, ["index", "bits", "length"], rows), run.out)
+        return _json_doc({"config": config, "programs": [p.bits for p in programs]})
+    rows = [[i + 1, p.bits, p.length] for i, p in enumerate(programs)]
+    return _csv_doc(config, ["index", "bits", "length"], rows)
 
 
-def _cmd_kraft(run: _Run) -> None:
+def _cmd_kraft(run: _Run) -> str:
     from .measure import fraction_str
 
-    mass = kraft_mass(run.max_len, run.encoding)
+    mass = fraction_str(kraft_mass(run.max_len, run.encoding))
     if run.fmt == "json":
-        _emit(_json_doc({"config": run.config_dict(), "kraft_mass": fraction_str(mass)}), run.out)
-    elif run.fmt == "csv":
-        rows = [[run.max_len, run.encoding.variant_id, fraction_str(mass)]]
-        _emit(_csv_doc(run.config_dict(), ["max_len", "encoding", "kraft_mass"], rows), run.out)
-    else:
-        _emit(fraction_str(mass) + "\n", run.out)
+        return _json_doc({"config": run.config_dict(), "kraft_mass": mass})
+    if run.fmt == "csv":
+        rows = [[run.max_len, run.encoding.variant_id, mass]]
+        return _csv_doc(run.config_dict(), ["max_len", "encoding", "kraft_mass"], rows)
+    return mass + "\n"
 
 
-def _cmd_schedule(run: _Run) -> None:
-    if run.args.tick is None:
-        raise ValueError("schedule requires --tick")
-    tick = run.args.tick
+def _cmd_schedule(run: _Run) -> str:
+    tick = run.required("tick")
     i, s = schedule_pair(tick)
     config = run.config_dict(("tick", tick))
     if run.fmt == "json":
-        _emit(_json_doc({"config": config, "tick": tick, "program_index": i, "step_index": s}), run.out)
-    elif run.fmt == "csv":
-        _emit(_csv_doc(config, ["tick", "program_index", "step_index"], [[tick, i, s]]), run.out)
-    else:
-        _emit(f"({i},{s})\n", run.out)
+        return _json_doc({"config": config, "tick": tick, "program_index": i, "step_index": s})
+    if run.fmt == "csv":
+        return _csv_doc(config, ["tick", "program_index", "step_index"], [[tick, i, s]])
+    return f"({i},{s})\n"
 
 
 def _tick_rows(ticks: int, table: EncodingTable) -> list[list]:
@@ -289,18 +273,16 @@ def _tick_rows(ticks: int, table: EncodingTable) -> list[list]:
     return rows
 
 
-def _cmd_dovetail(run: _Run) -> None:
-    if run.args.ticks is None:
-        raise ValueError("dovetail requires --ticks")
-    ticks = run.args.ticks
+def _cmd_dovetail(run: _Run) -> str:
+    ticks = run.required("ticks")
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
     header = ["tick", "program_index", "program_bits", "step_index", "halted", "registers", "outputs"]
     rows = _tick_rows(ticks, run.encoding)
-    _emit_table(run, "events", header, rows, run.config_dict(("ticks", ticks)))
+    return _table_doc(run, "events", header, rows, ("ticks", ticks))
 
 
-def _cmd_partition(run: _Run) -> None:
+def _cmd_partition(run: _Run) -> str:
     classes = partition(enumerate_programs(run.max_len, run.encoding), run.universe, run.k)
     config = run.config_dict()
     if run.fmt == "csv":
@@ -308,22 +290,21 @@ def _cmd_partition(run: _Run) -> None:
             [c.index, c.key_digest, len(c.members), ";".join(p.bits for p in c.members)]
             for c in classes
         ]
-        _emit(_csv_doc(config, ["index", "canonical_key_digest", "size", "members"], rows), run.out)
-    else:
-        payload = {
-            "config": config,
-            "k": run.k,
-            "universe_id": run.universe.universe_id,
-            "classes": [
-                {
-                    "index": c.index,
-                    "canonical_key_digest": c.key_digest,
-                    "members": [p.bits for p in c.members],
-                }
-                for c in classes
-            ],
-        }
-        _emit(_json_doc(payload), run.out)
+        return _csv_doc(config, ["index", "canonical_key_digest", "size", "members"], rows)
+    payload = {
+        "config": config,
+        "k": run.k,
+        "universe_id": run.universe.universe_id,
+        "classes": [
+            {
+                "index": c.index,
+                "canonical_key_digest": c.key_digest,
+                "members": [p.bits for p in c.members],
+            }
+            for c in classes
+        ],
+    }
+    return _json_doc(payload)
 
 
 def _context_columns(run: _Run, k: int, table: EncodingTable | None = None) -> list:
@@ -334,7 +315,7 @@ def _context_columns(run: _Run, k: int, table: EncodingTable | None = None) -> l
 _CONTEXT_HEADER = ["L", "k", "T", "universe_id", "encoding_id"]
 
 
-def _cmd_measure(run: _Run) -> None:
+def _cmd_measure(run: _Run) -> str:
     from .measure import class_masses, fraction_str
 
     ctx = run.context()
@@ -344,10 +325,10 @@ def _cmd_measure(run: _Run) -> None:
         for c, mass in zip(classes, class_masses(classes, ctx))
     ]
     header = _CONTEXT_HEADER + ["class_index", "key_digest", "member_count", "mass"]
-    _emit_table(run, "classes", header, rows, run.config_dict())
+    return _table_doc(run, "classes", header, rows)
 
 
-def _cmd_decompose(run: _Run) -> None:
+def _cmd_decompose(run: _Run) -> str:
     from .measure import decomposition_check, fraction_str
 
     ctx = run.context()
@@ -358,7 +339,7 @@ def _cmd_decompose(run: _Run) -> None:
         for c, r in zip(classes, residuals)
     ]
     header = _CONTEXT_HEADER + ["class_index", "residual", "zero"]
-    _emit_table(run, "classes", header, rows, run.config_dict())
+    return _table_doc(run, "classes", header, rows)
 
 
 def _relmeasure_rows(run: _Run, table: EncodingTable) -> list[list]:
@@ -388,12 +369,12 @@ _RELMEASURE_HEADER = _CONTEXT_HEADER + [
 ]
 
 
-def _cmd_relmeasure(run: _Run) -> None:
+def _cmd_relmeasure(run: _Run) -> str:
     rows = _relmeasure_rows(run, run.encoding)
-    _emit_table(run, "pairs", _RELMEASURE_HEADER, rows, run.config_dict())
+    return _table_doc(run, "pairs", _RELMEASURE_HEADER, rows)
 
 
-def _cmd_levels(run: _Run) -> None:
+def _cmd_levels(run: _Run) -> str:
     from .measure import divergence_report, fraction_str
 
     # -k is the top level; the report always starts at level 1.
@@ -404,28 +385,24 @@ def _cmd_levels(run: _Run) -> None:
         for row in rows_data
     ]
     header = _CONTEXT_HEADER + ["class_count", "level_mass", "cumulative"]
-    _emit_table(run, "levels", header, rows, run.config_dict())
+    return _table_doc(run, "levels", header, rows)
 
 
-def _cmd_record(run: _Run) -> None:
+def _cmd_record(run: _Run) -> str:
     from .replay import record, recording_to_data
 
-    if run.args.program is None:
-        raise ValueError("record requires --program")
-    program = decode(run.args.program, run.encoding)
+    program = decode(run.required("program"), run.encoding)
     tape = _parse_naturals(run.args.tape, "tape")
     rec = record(program, tape, run.k)
     payload = {"config": run.config_dict(("tape", list(tape)))}
     payload.update(recording_to_data(rec))
-    _emit(_json_doc(payload), run.out)
+    return _json_doc(payload)
 
 
 def _load_recording(run: _Run) -> Recording:
     from .replay import recording_from_data
 
-    path = run.args.recording
-    if path is None:
-        raise ValueError(f"{run.command} requires --recording")
+    path = run.required("recording")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -433,39 +410,36 @@ def _load_recording(run: _Run) -> Recording:
             raise ValueError(f"recording {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"recording {path} must hold a JSON object")
-    encoding = run.encoding
     config = data.get("config", {})
     if not isinstance(config, dict):
         raise ValueError(f"recording {path}: 'config' must be a JSON object, got {config!r}")
-    if "encoding" in config:
-        if config["encoding"] not in _CHOICES["encoding"]:
-            raise ValueError(
-                f"recording config 'encoding' must be one of {', '.join(_CHOICES['encoding'])}, "
-                f"got {config['encoding']!r}"
-            )
-        encoding = get_table(config["encoding"])
+    variant = config.get("encoding", run.encoding.variant_id)
+    choices = _OPTIONS["encoding"][2]
+    if variant not in choices:
+        raise ValueError(
+            f"recording config 'encoding' must be one of {', '.join(choices)}, got {variant!r}"
+        )
     try:
-        return recording_from_data(data, encoding)
+        return recording_from_data(data, get_table(variant))
     except DecodeError as exc:
         raise ValueError(f"recording {path}: 'program_bits' does not decode: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"recording {path}: {exc}") from None
 
 
-def _cmd_replay(run: _Run) -> None:
+def _cmd_replay(run: _Run) -> str:
     from .replay import playback
 
     rec = _load_recording(run)
-    states = playback(rec)
     payload = {
         "config": run.config_dict(("recording", run.args.recording)),
         "k": rec.k,
-        "trace": list(states),
+        "trace": list(playback(rec)),
     }
-    _emit(_json_doc(payload), run.out)
+    return _json_doc(payload)
 
 
-def _cmd_hybrid(run: _Run) -> None:
+def _cmd_hybrid(run: _Run) -> str:
     from .replay import hybrid_run
 
     rec = _load_recording(run)
@@ -476,10 +450,10 @@ def _cmd_hybrid(run: _Run) -> None:
         "switch_step": result.switch_step,
         "trace": list(result.trace),
     }
-    _emit(_json_doc(payload), run.out)
+    return _json_doc(payload)
 
 
-def _cmd_sever(run: _Run) -> None:
+def _cmd_sever(run: _Run) -> str:
     from .replay import SeverancePlan, sever_and_project
 
     rec = _load_recording(run)
@@ -495,37 +469,35 @@ def _cmd_sever(run: _Run) -> None:
         "counterfactually_equivalent": result.equivalent,
         "trace": list(result.trace),
     }
-    _emit(_json_doc(payload), run.out)
+    return _json_doc(payload)
 
 
-def _cmd_invariance(run: _Run) -> None:
+def _cmd_invariance(run: _Run) -> str:
     """Relative measures side by side under encodings A and B; nothing is
     asserted about their agreement, the table is the experiment."""
     rows = []
     for variant in ("A", "B"):
         rows.extend(_relmeasure_rows(run, get_table(variant)))
-    _emit_table(run, "pairs", _RELMEASURE_HEADER, rows, run.config_dict())
+    return _table_doc(run, "pairs", _RELMEASURE_HEADER, rows)
 
 
-_HANDLERS = {
-    "enumerate": (_cmd_enumerate, "json"),
-    "kraft": (_cmd_kraft, "plain"),
-    "schedule": (_cmd_schedule, "plain"),
-    "dovetail": (_cmd_dovetail, "csv"),
-    "partition": (_cmd_partition, "json"),
-    "measure": (_cmd_measure, "csv"),
-    "decompose": (_cmd_decompose, "csv"),
-    "relmeasure": (_cmd_relmeasure, "csv"),
-    "levels": (_cmd_levels, "csv"),
-    "record": (_cmd_record, "json"),
-    "replay": (_cmd_replay, "json"),
-    "hybrid": (_cmd_hybrid, "json"),
-    "sever": (_cmd_sever, "json"),
-    "invariance": (_cmd_invariance, "csv"),
+# Every command, as name: (handler, the formats it writes, default first).
+_COMMANDS = {
+    "enumerate": (_cmd_enumerate, ("json", "csv")),
+    "kraft": (_cmd_kraft, ("plain", "csv", "json")),
+    "schedule": (_cmd_schedule, ("plain", "csv", "json")),
+    "dovetail": (_cmd_dovetail, ("csv", "json")),
+    "partition": (_cmd_partition, ("json", "csv")),
+    "measure": (_cmd_measure, ("csv", "json")),
+    "decompose": (_cmd_decompose, ("csv", "json")),
+    "relmeasure": (_cmd_relmeasure, ("csv", "json")),
+    "levels": (_cmd_levels, ("csv", "json")),
+    "record": (_cmd_record, ("json",)),
+    "replay": (_cmd_replay, ("json",)),
+    "hybrid": (_cmd_hybrid, ("json",)),
+    "sever": (_cmd_sever, ("json",)),
+    "invariance": (_cmd_invariance, ("csv", "json")),
 }
-
-# Commands whose output has no table form: any other --format is refused.
-_JSON_ONLY = {"record", "replay", "hybrid", "sever"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -545,12 +517,13 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    handler, default_fmt = _HANDLERS[args.command]
+    handler, formats = _COMMANDS[args.command]
     try:
-        if args.command in _JSON_ONLY and args.fmt not in (None, "json"):
-            raise ValueError(f"{args.command} writes JSON only, not --format {args.fmt}")
-        run = _Run(args, default_fmt)
-        handler(run)
+        if args.fmt not in (None, *formats):
+            only = "/".join(formats).upper()
+            raise ValueError(f"{args.command} writes {only} only, not --format {args.fmt}")
+        run = _Run(args, formats[0])
+        _emit(handler(run), run.out)
     except (DecodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -119,18 +119,21 @@ class Program(NamedTuple):
     Instructions are plain tuples: ("HALT",), ("DVT",), ("INC", r), ("DEC", r),
     ("OUT", r), ("IN", r), ("WHILE", r, body) with body a tuple of
     instructions, and ("EXEC", Program) with a fully decoded embedded program.
-    The terminating END is implicit.  contains_meta is a function of the
-    instructions, so it never tells two programs apart.
+    The terminating END is implicit.
     """
 
     bits: str
     instructions: tuple
     encoding: EncodingTable
-    contains_meta: bool = False
 
     @property
     def length(self) -> int:
         return len(self.bits)
+
+    @property
+    def contains_meta(self) -> bool:
+        """Whether any instruction, loop bodies included, is an EXEC or a DVT."""
+        return _has_meta(self.instructions)
 
     def __repr__(self) -> str:
         return f"Program({self.bits!r}, encoding={self.encoding.variant_id!r})"
@@ -170,13 +173,7 @@ def _parse_until(bits: str, pos: int, table: EncodingTable, terminator: str) -> 
         else:  # EXEC: an embedded self-delimiting program follows
             start = pos
             sub_instrs, pos = _parse_until(bits, pos, table, END)
-            sub = Program(
-                bits=bits[start:pos],
-                instructions=sub_instrs,
-                encoding=table,
-                contains_meta=_has_meta(sub_instrs),
-            )
-            items.append((EXEC, sub))
+            items.append((EXEC, Program(bits[start:pos], sub_instrs, table)))
 
 
 def _has_meta(instructions: tuple) -> bool:
@@ -200,16 +197,12 @@ def decode(bits: str, table: EncodingTable = TABLE_A) -> Program:
     instructions, pos = _parse_until(bits, 0, table, END)
     if pos != len(bits):
         raise TrailingBits(f"{len(bits) - pos} bits left after the top-level END")
-    return Program(
-        bits=bits,
-        instructions=instructions,
-        encoding=table,
-        contains_meta=_has_meta(instructions),
-    )
+    return Program(bits, instructions, table)
 
 
-def encode_instructions(instructions: tuple, table: EncodingTable = TABLE_A) -> str:
-    """Inverse of decode: emit the exact bits for an instruction list."""
+def encode_instructions(instructions, table: EncodingTable = TABLE_A) -> str:
+    """Inverse of decode: emit the exact bits for an instruction list.  An
+    EXEC operand may be a Program or an instruction list of its own."""
     code = table.code_by_name
     parts: list[str] = []
 
@@ -225,7 +218,7 @@ def encode_instructions(instructions: tuple, table: EncodingTable = TABLE_A) -> 
                 parts.append(code[WEND])
             elif op == EXEC:
                 sub = instr[1]
-                emit(sub.instructions)
+                emit(sub.instructions if isinstance(sub, Program) else sub)
                 parts.append(code[END])
 
     emit(instructions)
@@ -234,23 +227,6 @@ def encode_instructions(instructions: tuple, table: EncodingTable = TABLE_A) -> 
 
 
 def from_instructions(instructions, table: EncodingTable = TABLE_A) -> Program:
-    """Build a Program from an instruction list (bits derived by encoding).
-
-    Embedded EXEC operands may be given either as Programs or as instruction
-    tuples; the result is re-decoded so all invariants hold by construction.
-    """
-    normalized = _normalize(tuple(instructions), table)
-    return decode(encode_instructions(normalized, table), table)
-
-
-def _normalize(instructions: tuple, table: EncodingTable) -> tuple:
-    out = []
-    for instr in instructions:
-        op = instr[0]
-        if op == WHILE:
-            out.append((WHILE, instr[1], _normalize(tuple(instr[2]), table)))
-        elif op == EXEC and not isinstance(instr[1], Program):
-            out.append((EXEC, from_instructions(tuple(instr[1]), table)))
-        else:
-            out.append(tuple(instr))
-    return tuple(out)
+    """Build a Program from an instruction list, as encode_instructions reads
+    it; the bits are re-decoded, so all invariants hold by construction."""
+    return decode(encode_instructions(instructions, table), table)

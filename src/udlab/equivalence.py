@@ -166,8 +166,8 @@ def key_digest(key_parts: tuple[str, ...]) -> str:
 class EquivClass:
     """One block of the partition at level k, treated as immutable.  Classes
     compare and hash by (k, index, members, key_parts, universe_id);
-    member_bits, the members' bits as a set for membership tests, takes no
-    part in either."""
+    member_bits, the members' bits as a set for membership tests, is derived
+    from members."""
 
     __slots__ = ("k", "index", "members", "key_parts", "universe_id", "member_bits", "_digest")
 
@@ -178,14 +178,13 @@ class EquivClass:
         members: tuple[Program, ...],
         key_parts: tuple[str, ...],  # the family's JSON, one array per tape
         universe_id: str,
-        member_bits: frozenset[str] = frozenset(),
     ) -> None:
         self.k = k
         self.index = index
         self.members = members
         self.key_parts = key_parts
         self.universe_id = universe_id
-        self.member_bits = member_bits
+        self.member_bits = frozenset(p.bits for p in members)
         self._digest: str | None = None
 
     def _identity(self) -> tuple:
@@ -267,8 +266,7 @@ class ClassIndex:
         classes = []
         for index, (parts, members) in enumerate(keyed):
             members = tuple(sorted(members, key=lambda p: (p.length, p.bits)))
-            bits = frozenset(p.bits for p in members)
-            classes.append(EquivClass(level, index, members, parts, self.universe.universe_id, bits))
+            classes.append(EquivClass(level, index, members, parts, self.universe.universe_id))
         return classes
 
 

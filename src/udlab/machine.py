@@ -80,7 +80,7 @@ class Configuration:
     def __init__(self) -> None:
         self.registers = [0, 0, 0, 0]
         self.input_cursor = 0
-        self.outputs: list[int] = []
+        self.outputs: tuple[int, ...] = ()  # shared by copies and states; OUT replaces it
         self.frames: list[_Frame] = []
         self.halted = False
         self.context = None  # None | _Emulation | ticks the host's DVT has run
@@ -95,7 +95,7 @@ class Configuration:
         other = Configuration()
         other.registers = list(self.registers)
         other.input_cursor = self.input_cursor
-        other.outputs = list(self.outputs)
+        other.outputs = self.outputs
         other.frames = [f.clone() for f in self.frames]
         other.halted = self.halted
         context = self.context
@@ -104,7 +104,7 @@ class Configuration:
 
     def semantic_state(self, event: EmulationRef | None) -> SemanticState:
         return SemanticState(
-            tuple(self.registers), self.input_cursor, tuple(self.outputs), self.halted, event
+            tuple(self.registers), self.input_cursor, self.outputs, self.halted, event
         )
 
 
@@ -202,7 +202,7 @@ def step(config: Configuration, program: Program, tape: Tape) -> EmulationRef | 
         if config.registers[instr[1]]:
             config.registers[instr[1]] -= 1
     elif op == OUT:
-        config.outputs.append(config.registers[instr[1]])
+        config.outputs += (config.registers[instr[1]],)
     elif op == IN:
         cursor = config.input_cursor
         config.registers[instr[1]] = tape[cursor] if cursor < len(tape) else 0

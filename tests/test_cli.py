@@ -2,16 +2,18 @@ import hashlib
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from udlab.cli import main
+from udlab.cli import _COMMANDS, main
 from udlab.machine import step_count
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +217,23 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     for values in ({"maxlen": 8}, {"threads": 4}):
         config.write_text(json.dumps(values))
         assert run_cli(capsys, "kraft", "--config", str(config))[0] == 1
+
+
+def test_config_file_accepts_exactly_the_option_keys(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    values = {
+        "max_len": 8, "k": 1, "budget": 0, "tick": 1, "ticks": 1, "universe": "default",
+        "encoding": "B", "fmt": "csv", "format": "json", "out": "out.txt", "program": "1111",
+        "tape": "1", "severed": "1", "recording": "rec.json",
+    }
+    config = tmp_path / "run.json"
+    for key, value in values.items():
+        config.write_text(json.dumps({key: value}))
+        assert run_cli(capsys, "kraft", "--config", str(config))[0] == 0, key
+    for key in ("max-len", "L", "T", "config", "command"):
+        config.write_text(json.dumps({key: 1}))
+        code, _, err = run_cli(capsys, "kraft", "--config", str(config))
+        assert code == 1 and err == f"udlab: error: unknown config key {key!r}\n"
 
 
 def test_out_writes_exact_bytes(tmp_path, capsys):
@@ -457,8 +476,9 @@ def test_oversized_enumeration_exits_2_under_memory_cap():
 
 
 def test_out_of_memory_exits_2_with_a_message():
-    # A program that outputs in a loop copies its whole output log into every
-    # state, so filming it for 8000 steps needs far more than 100 MB.
+    # A recording of a program that outputs in a loop writes its whole output
+    # log into every state, so filming it for 8000 steps needs far more than
+    # 100 MB (about 1.3 GB uncapped).
     cap = 100 * 1024**2
 
     def limit_memory():
@@ -474,3 +494,22 @@ def test_out_of_memory_exits_2_with_a_message():
     assert done.stdout == ""
     assert done.stderr == "error: out of memory; lower -L, -k or -T\n"
     assert "Traceback" not in done.stderr
+
+
+def test_readme_command_examples_run(tmp_path, capsys, monkeypatch):
+    # Every `udlab` line of the README's command-line block, in order: record
+    # writes the rec.json that replay, hybrid and sever then read.  A comment
+    # "# -> X" states the command's whole output.
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("udlab ")]
+    assert [shlex.split(line)[1] for line in lines] == list(_COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    stated = []
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0, (line, err)
+        if comment.strip().startswith("->"):
+            assert out == comment.strip()[2:].strip() + "\n", line
+            stated.append(out)
+    assert stated == ["9/128\n", "(2,2)\n"]

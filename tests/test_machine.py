@@ -106,6 +106,21 @@ def test_while_loop_counts_down():
     assert finals.registers == (0, 0, 0, 0)
 
 
+def test_states_share_the_output_log_until_the_next_out():
+    # INC r0; WHILE r0 { IN r1; OUT r1 }: an OUT every third step, forever.
+    # Only an OUT replaces the log, so the states between two OUTs, and a
+    # copy of the configuration, hold the same tuple instead of copies.
+    program = from_instructions([("INC", 0), ("WHILE", 0, (("IN", 1), ("OUT", 1)))])
+    logs = {}
+    for state in run_trace(program, (1, 2, 3), 30):
+        assert logs.setdefault(len(state.outputs), state.outputs) is state.outputs
+    assert len(logs) == 10
+    config, _ = fresh_state_after(program, (1, 2, 3), 10)
+    assert config.outputs == (1, 2, 3)
+    assert config.clone().outputs is config.outputs
+    assert config.semantic_state(None).outputs is config.outputs
+
+
 def test_while_skipped_when_register_zero():
     program = from_instructions([("WHILE", 3, (("INC", 0),)), ("INC", 1)])
     trace = run_trace(program, (), 2)

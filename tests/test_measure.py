@@ -282,15 +282,22 @@ def test_class_masses_equal_per_class_masses(variant):
         assert class_masses([], ctx) == []
 
 
+def test_class_built_from_its_members_alone_gets_their_bits():
+    halted = class_containing(classes_at(8, 1), "1111")
+    rebuilt = EquivClass(halted.k, halted.index, halted.members, halted.key_parts, "default")
+    assert rebuilt.member_bits == {"1111", "00001111"} == halted.member_bits
+    ctx = make_ctx()
+    assert u_weight(decode("1111"), rebuilt, ctx) == 1
+    assert class_masses([rebuilt], ctx) == [Fraction(17, 256)]
+
+
 def test_class_masses_reject_overlapping_classes():
     first, second = classes_at(8, 1)[:2]
     same_key = EquivClass(
-        second.k, second.index, second.members, first.key_parts, second.universe_id,
-        second.member_bits,
+        second.k, second.index, second.members, first.key_parts, second.universe_id
     )
     same_members = EquivClass(
-        second.k, second.index, first.members, second.key_parts, second.universe_id,
-        first.member_bits,
+        second.k, second.index, first.members, second.key_parts, second.universe_id
     )
     for pair in ([first, first], [first, same_key], [first, same_members]):
         with pytest.raises(ValueError):
@@ -417,7 +424,6 @@ def test_empty_class_guard():
         members=(),
         key_parts=classes[0].key_parts,
         universe_id="default",
-        member_bits=frozenset(),
     )
     with pytest.raises(EmptyClass):
         decomposition_check([hollow], make_ctx())

@@ -75,7 +75,7 @@ def loaded(tmp_path_factory) -> dict[str, set[str]]:
 def test_every_subcommand_is_covered():
     from udlab.cli import _COMMANDS
 
-    assert tuple(COMMANDS) == _COMMANDS
+    assert tuple(COMMANDS) == tuple(_COMMANDS)
 
 
 def test_package_root_loads_no_submodule(loaded):
