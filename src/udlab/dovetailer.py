@@ -7,10 +7,11 @@ fairness a testable closed form rather than a promise.
 
 One engine per encoding lazily fills the list of tick events that the runner
 below, the CLI's rows and every DVT host read through stream_tick, so those
-event streams agree by construction and share objects; each child steps
-through the machine's _Emulation, as an EXEC child does.  A tick returns one
-event, and whatever the child emulated in turn is nested in that event's
-state, so the runner's stream is read off the ticks with step_events.
+event streams agree by construction and share objects; each child is a
+machine configuration stepped through emulate(), as an EXEC child is.  A
+tick returns one event, and whatever the child emulated in turn is nested in
+that event's state, so the runner's stream is read off the ticks with
+step_events.
 Children run on empty tapes with zeroed registers and keep ticking after they
 halt (a halted child's step is a no-op whose state keeps repeating); that way
 long-lived hosts eventually witness arbitrarily many steps of every program.
@@ -39,7 +40,7 @@ from math import isqrt
 
 from .encoding import DVT, EncodingTable, TABLE_A, encode_instructions
 from .enumeration import program_stream
-from .machine import EmulationRef, _Emulation, step_events
+from .machine import Configuration, EmulationRef, emulate, step_events
 
 
 def schedule_pair(tick: int) -> tuple[int, int]:
@@ -66,15 +67,15 @@ class DovetailEngine:
 
     def __init__(self, table: EncodingTable) -> None:
         self.events: list[EmulationRef] = []
-        self.children: dict[int, _Emulation] = {}
+        self.children: dict[int, Configuration] = {}
         self._stream = program_stream(table)
 
     def tick(self) -> EmulationRef:
         index, step_index = schedule_pair(len(self.events) + 1)
         child = self.children.get(index)
         if child is None:
-            child = self.children[index] = _Emulation(self._stream.nth(index))
-        ref = child.tick()
+            child = self.children[index] = Configuration.fresh(self._stream.nth(index))
+        ref = emulate(child)
         assert ref.step_index == step_index
         self.events.append(ref)
         return ref

@@ -30,9 +30,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .encoding import Program
-from .machine import run_trace
-
-Tape = tuple[int, ...]
+from .machine import Tape, run_trace
 
 
 def _canonical_tapes(tapes) -> tuple[Tape, ...]:
@@ -295,6 +293,9 @@ def refine(parents: list[EquivClass], children: list[EquivClass]) -> dict[int, i
     if not parents or not children:
         raise ValueError("refine needs nonempty partitions")
     parent_k = parents[0].k
+    parent_id, child_id = parents[0].universe_id, children[0].universe_id
+    if child_id != parent_id:
+        raise ValueError(f"children are over universe {child_id!r}, parents over {parent_id!r}")
     if children[0].k != parent_k + 1:
         raise ValueError(
             f"children are at k={children[0].k}, expected parents' k+1={parent_k + 1}"

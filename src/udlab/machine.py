@@ -6,6 +6,10 @@ one instruction (or one emulated tick when the machine is inside EXEC or DVT)
 and is a total function: DEC saturates at zero, IN past the end of the tape
 reads 0, and a halted configuration is a fixed point.
 
+A configuration steps a program counter through its program laid out flat;
+reaching the end of that code is the top-level END, so a program halts in
+the step that gets there.
+
 Two meta-instructions make emulation observable by construction:
 
 * EXEC runs one embedded program on a fresh zeroed configuration with an
@@ -17,11 +21,12 @@ Two meta-instructions make emulation observable by construction:
   has run, each step reads the stream's next tick, and run_events reads what
   a host reaches after its DVT from the stream's closed-form summary.
 
-Both advance each child they emulate through _Emulation.tick.  A step
-advances each emulation level once, so its states are the whole record of
-what it emulated: the step's direct event sits in its SemanticState, that
-event's state carries the child's own event, and so on down.  step_events
-lists that chain innermost first; no other record of events is kept.
+An emulated child is a configuration that counts its steps, and both
+advance each child they emulate through emulate().  A step advances each
+emulation level once, so its states are the whole record of what it
+emulated: the step's direct event sits in its SemanticState, that event's
+state carries the child's own event, and so on down.  step_events lists that
+chain innermost first; no other record of events is kept.
 
 A SemanticState is the observable part of a configuration after a step.  It
 deliberately excludes the structural program position, so that textually
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .encoding import DEC, DVT, EXEC, HALT, IN, INC, OUT, WHILE, Program
+from .encoding import DEC, EXEC, HALT, IN, INC, OUT, WEND, WHILE, Program
 
 Tape = tuple[int, ...]
 
@@ -60,78 +65,64 @@ class EmulationRef(NamedTuple):
     state: SemanticState
 
 
-class _Frame:
-    __slots__ = ("body", "idx", "reg")
-
-    def __init__(self, body: tuple, idx: int, reg: int | None) -> None:
-        self.body = body
-        self.idx = idx
-        self.reg = reg
-
-    def clone(self) -> "_Frame":
-        return _Frame(self.body, self.idx, self.reg)
+def _lay_out(instructions: tuple, code: list) -> list:
+    """Append `instructions` to `code` flat.  A loop becomes ("WHILE", r,
+    index past its WEND), its body, and ("WEND", r, index of its first body
+    instruction); every other instruction is kept as it is."""
+    for instr in instructions:
+        if instr[0] == WHILE:
+            start = len(code)
+            code.append(instr)
+            _lay_out(instr[2], code)
+            code.append((WEND, instr[1], start + 1))
+            code[start] = (WHILE, instr[1], len(code))
+        else:
+            code.append(instr)
+    return code
 
 
 class Configuration:
-    """Full mutable machine state, including the structural position."""
+    """Full mutable machine state: the program, its code laid out flat, and
+    the program counter into that code.  An emulated child is a
+    configuration too, and `steps` counts the steps it has been run."""
 
-    __slots__ = ("registers", "input_cursor", "outputs", "frames", "halted", "context")
+    __slots__ = (
+        "program", "code", "pc", "registers", "input_cursor", "outputs", "halted", "context",
+        "steps",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, program: Program, code: tuple) -> None:
+        self.program = program
+        self.code = code
+        self.pc = 0
         self.registers = [0, 0, 0, 0]
         self.input_cursor = 0
         self.outputs: tuple[int, ...] = ()  # shared by copies and states; OUT replaces it
-        self.frames: list[_Frame] = []
         self.halted = False
-        self.context = None  # None | _Emulation | ticks the host's DVT has run
+        self.context = None  # None | emulated child | ticks the host's DVT has run
+        self.steps = 0
 
     @classmethod
     def fresh(cls, program: Program) -> "Configuration":
-        config = cls()
-        config.frames = [_Frame(program.instructions, 0, None)]
-        return config
+        # The empty program's first step observes END, which halts as HALT does.
+        return cls(program, tuple(_lay_out(program.instructions, [])) or ((HALT,),))
 
     def clone(self) -> "Configuration":
-        other = Configuration()
+        other = Configuration(self.program, self.code)
+        other.pc = self.pc
         other.registers = list(self.registers)
         other.input_cursor = self.input_cursor
         other.outputs = self.outputs
-        other.frames = [f.clone() for f in self.frames]
         other.halted = self.halted
         context = self.context
-        other.context = context.clone() if isinstance(context, _Emulation) else context
+        other.context = context.clone() if isinstance(context, Configuration) else context
+        other.steps = self.steps
         return other
 
     def semantic_state(self, event: EmulationRef | None) -> SemanticState:
         return SemanticState(
             tuple(self.registers), self.input_cursor, self.outputs, self.halted, event
         )
-
-
-class _Emulation:
-    """One emulated child: a program on a fresh zeroed configuration and an
-    empty tape, and the number of steps it has been run."""
-
-    __slots__ = ("program", "config", "steps")
-
-    def __init__(self, program: Program) -> None:
-        self.program = program
-        self.config = Configuration.fresh(program)
-        self.steps = 0
-
-    def clone(self) -> "_Emulation":
-        other = _Emulation.__new__(_Emulation)
-        other.program = self.program
-        other.config = self.config.clone()
-        other.steps = self.steps
-        return other
-
-    def tick(self) -> EmulationRef:
-        """Step the child once and return its event; the event's state
-        carries whatever the child's own step emulated."""
-        self.steps += 1
-        direct = step(self.config, self.program, ())
-        return EmulationRef(self.program.bits, self.steps, self.config.semantic_state(direct))
 
 
 _STEPS_EXECUTED = 0
@@ -142,24 +133,30 @@ def step_count() -> int:
     return _STEPS_EXECUTED
 
 
-def _settle(config: Configuration) -> None:
-    # Reaching the end of the root frame means the top-level END: halt now.
-    # The end of a loop frame is the WEND position and is handled as a step.
-    if len(config.frames) == 1 and config.frames[0].idx >= len(config.frames[0].body):
-        config.halted = True
+def emulate(child: Configuration) -> EmulationRef:
+    """Step an emulated child once, on the empty tape, and return its event;
+    the event's state carries whatever the child's own step emulated."""
+    child.steps += 1
+    direct = step(child, ())
+    return EmulationRef(child.program.bits, child.steps, child.semantic_state(direct))
 
 
-def _tick_exec(config: Configuration) -> EmulationRef:
-    emulation = config.context
-    ref = emulation.tick()
-    if emulation.config.halted:  # the child is done: the host moves on
+def _tick(config: Configuration) -> EmulationRef:
+    # One step of the emulation the host is in.  A DVT host reads the shared
+    # stream's next tick; an EXEC host moves past its EXEC once the child halts.
+    context = config.context
+    if type(context) is int:
+        config.context = context + 1
+        return dovetailer.stream_tick(context + 1, config.program.encoding)
+    ref = emulate(context)
+    if context.halted:
         config.context = None
-        config.frames[-1].idx += 1
-        _settle(config)
+        config.pc += 1
+        config.halted = config.pc == len(config.code)
     return ref
 
 
-def step(config: Configuration, program: Program, tape: Tape) -> EmulationRef | None:
+def step(config: Configuration, tape: Tape) -> EmulationRef | None:
     """Execute exactly one step, mutating config.
 
     Returns this level's direct event, which belongs in the step's
@@ -171,58 +168,39 @@ def step(config: Configuration, program: Program, tape: Tape) -> EmulationRef | 
     if config.halted:
         return None
     if config.context is not None:
-        if isinstance(config.context, _Emulation):
-            return _tick_exec(config)
-        config.context += 1
-        return dovetailer.stream_tick(config.context, program.encoding)
+        return _tick(config)
 
-    frame = config.frames[-1]
-    if frame.idx >= len(frame.body):
-        if len(config.frames) == 1:
-            # Empty program: the first step observes the top-level END.
-            config.halted = True
-            return None
-        # At WEND: loop back while the register is nonzero, else leave.
-        if config.registers[frame.reg]:
-            frame.idx = 0
-        else:
-            config.frames.pop()
-            config.frames[-1].idx += 1
-            _settle(config)
-        return None
-
-    instr = frame.body[frame.idx]
+    code = config.code
+    pc = config.pc
+    instr = code[pc]
     op = instr[0]
-    if op == HALT:
-        config.halted = True
-        return None
+    registers = config.registers
+    pc += 1
     if op == INC:
-        config.registers[instr[1]] += 1
+        registers[instr[1]] += 1
     elif op == DEC:
-        if config.registers[instr[1]]:
-            config.registers[instr[1]] -= 1
+        if registers[instr[1]]:
+            registers[instr[1]] -= 1
     elif op == OUT:
-        config.outputs += (config.registers[instr[1]],)
+        config.outputs += (registers[instr[1]],)
     elif op == IN:
         cursor = config.input_cursor
-        config.registers[instr[1]] = tape[cursor] if cursor < len(tape) else 0
+        registers[instr[1]] = tape[cursor] if cursor < len(tape) else 0
         config.input_cursor = cursor + 1
-    elif op == WHILE:
-        if config.registers[instr[1]]:
-            config.frames.append(_Frame(instr[2], 0, instr[1]))
-        else:
-            frame.idx += 1
-            _settle(config)
+    elif op == WHILE:  # enter the body, or jump past the WEND
+        if not registers[instr[1]]:
+            pc = instr[2]
+    elif op == WEND:  # loop back while the register is nonzero, else leave
+        if registers[instr[1]]:
+            pc = instr[2]
+    elif op == HALT:
+        config.halted = True
         return None
-    elif op == EXEC:
-        config.context = _Emulation(instr[1])
-        return _tick_exec(config)
-    else:  # DVT: absorbing, one tick of the shared stream per host step from now on
-        config.context = 1
-        return dovetailer.stream_tick(1, program.encoding)
-
-    frame.idx += 1
-    _settle(config)
+    else:  # EXEC a fresh child, or DVT: absorbing, one stream tick per host step
+        config.context = Configuration.fresh(instr[1]) if op == EXEC else 0
+        return _tick(config)
+    config.pc = pc
+    config.halted = pc == len(code)  # the top-level END halts in this step
     return None
 
 
@@ -253,7 +231,7 @@ def run_trace(program: Program, tape: Tape, k: int) -> tuple[SemanticState, ...]
     config = Configuration.fresh(program)
     states = []
     for _ in range(k):
-        direct = step(config, program, tape)
+        direct = step(config, tape)
         states.append(config.semantic_state(direct))
         if config.halted:
             states.extend([config.semantic_state(None)] * (k - len(states)))
@@ -266,14 +244,14 @@ def _raise_to(summary: dict[str, int], code_bits: str, step_index: int) -> None:
         summary[code_bits] = step_index
 
 
-def _dovetailing(config: Configuration) -> tuple[list[_Emulation], int] | None:
-    """The emulations from config down to a dovetailer, outermost first, and
-    the ticks that dovetailer has run; None when the chain ends without one."""
+def _dovetailing(config: Configuration) -> tuple[list[Configuration], int] | None:
+    """The emulated children from config down to a dovetailer, outermost first,
+    and the ticks that dovetailer has run; None when the chain ends without one."""
     chain = []
     context = config.context
-    while isinstance(context, _Emulation):
+    while isinstance(context, Configuration):
         chain.append(context)
-        context = context.config.context
+        context = context.context
     return None if context is None else (chain, context)
 
 
@@ -297,7 +275,7 @@ def run_events(program: Program, steps: int, tape: Tape = ()) -> dict[str, int]:
     for done in range(1, steps + 1):
         if config.halted:
             break
-        for event in step_events(step(config, program, tape)):
+        for event in step_events(step(config, tape)):
             _raise_to(summary, event.code_bits, event.step_index)
         found = _dovetailing(config)
         if found is not None:
@@ -306,8 +284,8 @@ def run_events(program: Program, steps: int, tape: Tape = ()) -> dict[str, int]:
             reached = dovetailer.dovetail_summary(ticks + remaining, program.encoding)
             for code_bits, step_index in reached.items():
                 _raise_to(summary, code_bits, step_index)
-            for emulation in chain:
-                _raise_to(summary, emulation.program.bits, emulation.steps + remaining)
+            for child in chain:
+                _raise_to(summary, child.program.bits, child.steps + remaining)
             break
     return summary
 

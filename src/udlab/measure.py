@@ -27,8 +27,6 @@ from .enumeration import enumerate_programs
 from .equivalence import ClassIndex, EquivClass, InputUniverse, family_key
 from .machine import run_events
 
-MeasureValue = Fraction
-
 
 def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
@@ -105,6 +103,8 @@ class MeasureContext:
                 f"class universe {cls.universe_id!r} differs from context universe "
                 f"{self.universe.universe_id!r}"
             )
+        if any(p.encoding != self.encoding for p in cls.members):
+            raise ValueError(f"class {cls.index} is under another encoding than {self.encoding!r}")
 
 
 def u_weight(program: Program, cls: EquivClass, ctx: MeasureContext) -> int:

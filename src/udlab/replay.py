@@ -21,9 +21,7 @@ from typing import NamedTuple
 
 from .encoding import EncodingTable, Program, TABLE_A, decode
 from .equivalence import DEFAULT_UNIVERSE, InputUniverse, trace_family
-from .machine import Configuration, SemanticState, run_trace, step
-
-Tape = tuple[int, ...]
+from .machine import Configuration, SemanticState, Tape, run_trace, step
 
 
 class Recording(NamedTuple):
@@ -87,7 +85,7 @@ def _filmed_frames(rec: Recording, severed: frozenset[int]) -> dict[int, Configu
     config = Configuration.fresh(rec.program)
     frames = {}
     for i in range(1, max(severed, default=0) + 1):
-        step(config, rec.program, rec.tape)
+        step(config, rec.tape)
         if i in severed:
             frames[i] = config.clone()
     return frames
@@ -104,7 +102,7 @@ def _severed_states(
             config = frames[i].clone()
             states.append(rec.trace[i - 1])
         else:
-            direct = step(config, rec.program, tape)
+            direct = step(config, tape)
             states.append(config.semantic_state(direct))
     return tuple(states)
 

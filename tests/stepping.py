@@ -15,7 +15,7 @@ def full_trace(program, tape, k):
     config = Configuration.fresh(program)
     states = []
     for _ in range(k):
-        direct = step(config, program, tape)
+        direct = step(config, tape)
         states.append(config.semantic_state(direct))
     return tuple(states)
 
@@ -43,7 +43,7 @@ def full_events(program, checkpoints, tape=()):
     for done in range(max(checkpoints) + 1):
         if done in checkpoints:
             found[done] = dict(summary)
-        summary.fold(step_events(step(config, program, tape)))
+        summary.fold(step_events(step(config, tape)))
     return found
 
 
@@ -60,10 +60,10 @@ def per_tape_sever(rec, severed, actual_tape, universe):
             if i in severed:
                 live = Configuration.fresh(rec.program)
                 for _ in range(i):
-                    step(live, rec.program, rec.tape)
+                    step(live, rec.tape)
                 states.append(rec.trace[i - 1])
             else:
-                direct = step(live, rec.program, tape)
+                direct = step(live, tape)
                 states.append(live.semantic_state(direct))
         return tuple(states)
 

@@ -295,6 +295,22 @@ def test_refine_validation():
         refine([], [])
 
 
+def test_refine_rejects_partitions_over_different_universes():
+    # Over one tape the level-1 parents are coarse enough to hold every
+    # default-universe child, so without the check this pairing maps
+    # silently; the other pairing straddles parents.
+    programs = enumerate_programs(12)
+    one_tape = InputUniverse.from_tapes([()])
+    pairings = ((one_tape, DEFAULT_UNIVERSE), (DEFAULT_UNIVERSE, one_tape))
+    for parent_universe, child_universe in pairings:
+        parents = partition(programs, parent_universe, 1)
+        children = partition(programs, child_universe, 2)
+        with pytest.raises(ValueError) as raised:
+            refine(parents, children)
+        assert parent_universe.universe_id in str(raised.value)
+        assert child_universe.universe_id in str(raised.value)
+
+
 PROGRAMS_10 = enumerate_programs(10)
 
 

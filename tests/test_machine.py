@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ def fresh_state_after(program, tape, steps):
     config = Configuration.fresh(program)
     event = None
     for _ in range(steps):
-        event = step(config, program, tape)
+        event = step(config, tape)
     return config, event
 
 
@@ -63,7 +64,7 @@ def test_halted_config_is_fixed_point():
     config, _ = fresh_state_after(program, (), 1)
     snapshot = config.semantic_state(None)
     for _ in range(5):
-        step(config, program, ())
+        step(config, ())
         assert config.semantic_state(None) == snapshot
 
 
@@ -257,6 +258,55 @@ def test_run_events_match_golden_digest():
             for steps in (50, 3000):
                 digest.update(json.dumps(list(run_events(program, steps).items())).encode())
     assert digest.hexdigest() == RUN_EVENTS_DIGEST
+
+
+def _random_block(rng, depth):
+    """1-3 instructions over INC/DEC/OUT/IN, with WHILE and EXEC nested up
+    to depth 3 and a rare HALT or DVT."""
+    block = []
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if roll < 0.02:
+            block.append(("HALT",))
+        elif roll < 0.04:
+            block.append(("DVT",))
+        elif depth < 3 and roll < 0.22:
+            block.append(("WHILE", rng.randrange(4), tuple(_random_block(rng, depth + 1))))
+        elif depth < 3 and roll < 0.30:
+            block.append(("EXEC", tuple(_random_block(rng, depth + 1))))
+        else:
+            block.append((rng.choice(("INC", "DEC", "OUT", "IN")), rng.randrange(4)))
+    return block
+
+
+def loop_programs(count=1500, seed=0):
+    """Seeded instruction trees, each setting a register and then looping
+    on it at the top level, so that most of them step a loop body."""
+    rng = random.Random(seed)
+    programs = []
+    for _ in range(count):
+        reg = rng.randrange(4)
+        body = tuple(_random_block(rng, 1))
+        tail = _random_block(rng, 1) if rng.random() < 0.5 else []
+        programs.append([(rng.choice(("INC", "IN")), reg), ("WHILE", reg, body)] + tail)
+    return programs
+
+
+# sha256 over loop_programs(), each under A then B: the JSON of its k=200
+# traces on (), (2,) and (3, 1, 2), then of its run_events summary at T=500.
+# The L<=16 goldens above never enter a loop with a body; these programs do.
+LOOP_PROGRAMS_DIGEST = "73a884ca892264b490caba7e9f01d37e117178972264068ae131c839527cae7b"
+
+
+def test_loop_programs_match_golden_digest():
+    digest = hashlib.sha256()
+    for instructions in loop_programs():
+        for table in (TABLE_A, TABLE_B):
+            program = from_instructions(instructions, table)
+            for tape in ((), (2,), (3, 1, 2)):
+                digest.update(json.dumps(run_trace(program, tape, 200)).encode())
+            digest.update(json.dumps(list(run_events(program, 500).items())).encode())
+    assert digest.hexdigest() == LOOP_PROGRAMS_DIGEST
 
 
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])

@@ -97,6 +97,27 @@ def test_context_mismatch_rejected():
     assert relative_measure(child, parent, make_ctx(k=2)) == 1
 
 
+def test_class_under_another_encoding_rejected():
+    # Classes partitioned under A, measured in a B context: unchecked, the
+    # B context gives class 1 the mass 1/128 instead of 1/256 and reports
+    # zero decomposition residuals.
+    parents = partition(enumerate_programs(10, TABLE_A), DEFAULT_UNIVERSE, 1)
+    classes = partition(enumerate_programs(10, TABLE_A), DEFAULT_UNIVERSE, 2)
+    ctx = MeasureContext(
+        max_len=10, k=2, budget=100, universe=DEFAULT_UNIVERSE, encoding=get_table("B")
+    )
+    child = class_containing(classes, "1111")
+    parent = class_containing(parents, "1111")
+    for mismatched in (
+        lambda: class_masses(classes, ctx),
+        lambda: u_weight(classes[0].members[0], classes[0], ctx),
+        lambda: decomposition_check(classes, ctx),
+        lambda: relative_measure(child, parent, ctx),
+    ):
+        with pytest.raises(ValueError, match="encoding"):
+            mismatched()
+
+
 @pytest.mark.parametrize("max_len", [8, 10])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("budget", [0, 1])

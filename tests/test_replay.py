@@ -11,7 +11,7 @@ from udlab import dovetailer, equivalence
 from udlab.encoding import decode, from_instructions, get_table
 from udlab.enumeration import enumerate_programs
 from udlab.equivalence import DEFAULT_UNIVERSE, InputUniverse
-from udlab.machine import Configuration, _Emulation, run_trace, step_count
+from udlab.machine import Configuration, run_trace, step_count
 from udlab.replay import (
     Recording,
     SeverancePlan,
@@ -203,14 +203,14 @@ def test_severing_a_reader_that_dovetails_copies_no_emulation(monkeypatch):
     # its children there took 3.8 s at k=2000.
     monkeypatch.setattr(dovetailer, "_ENGINES", {})
     clones = 0
-    clone = _Emulation.clone
+    clone = Configuration.clone
 
     def counted(self):
         nonlocal clones
-        clones += 1
+        clones += isinstance(self.context, Configuration)
         return clone(self)
 
-    monkeypatch.setattr(_Emulation, "clone", counted)
+    monkeypatch.setattr(Configuration, "clone", counted)
     k = 2000
     rec = record(decode("01000010001111"), (1,), k)
     before = step_count()
