@@ -345,6 +345,10 @@ def _cmd_decompose(run: _Run) -> str:
 def _relmeasure_rows(run: _Run, table: EncodingTable) -> list[list]:
     from .measure import class_masses, fraction_str
 
+    # The context's top level is k + 1, so it would accept k = 0 and then
+    # reject level 0 with a range the user never gave.
+    if run.k < 1:
+        raise ValueError("k must be >= 1")
     ctx = run.context(k=run.k + 1, table=table)
     parents, children = ctx.partition(run.k), ctx.partition(run.k + 1)
     mapping = refine(parents, children)

@@ -5,13 +5,12 @@ d covers ticks (d-1)(d-2)/2 + 1 .. d(d-1)/2 and runs step d-i of program i
 for i ascending.  Every pair is reached at a predictable tick, which makes
 fairness a testable closed form rather than a promise.
 
-One engine per encoding lazily fills the list of tick events that the runner
-below, the CLI's rows and every DVT host read through stream_tick, so those
-event streams agree by construction and share objects; each child is a
-machine configuration stepped through emulate(), as an EXEC child is.  A
-tick returns one event, and whatever the child emulated in turn is nested in
-that event's state, so the runner's stream is read off the ticks with
-step_events.
+One engine per encoding lazily fills the list of tick events that the CLI's
+rows and every DVT host read through stream_tick, so those event streams
+agree by construction and share objects; each child is a machine
+configuration stepped through emulate(), as an EXEC child is.  A tick
+returns one event, and whatever the child emulated in turn is nested in that
+event's state.
 Children run on empty tapes with zeroed registers and keep ticking after they
 halt (a halted child's step is a no-op whose state keeps repeating); that way
 long-lived hosts eventually witness arbitrarily many steps of every program.
@@ -38,9 +37,9 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .encoding import DVT, EncodingTable, TABLE_A, encode_instructions
+from .encoding import EncodingTable, TABLE_A
 from .enumeration import program_stream
-from .machine import Configuration, EmulationRef, emulate, step_events
+from .machine import Configuration, EmulationRef, emulate
 
 
 def schedule_pair(tick: int) -> tuple[int, int]:
@@ -55,11 +54,6 @@ def schedule_pair(tick: int) -> tuple[int, int]:
         d -= 1
     i = tick - (d - 1) * (d - 2) // 2
     return i, d - i
-
-
-def canonical_dvt_bits(table: EncodingTable = TABLE_A) -> str:
-    """Bits of the one-instruction dovetailer program under `table`."""
-    return encode_instructions(((DVT,),), table)
 
 
 class DovetailEngine:
@@ -112,15 +106,3 @@ def dovetail_summary(ticks: int, table: EncodingTable = TABLE_A) -> dict[str, in
     return {
         stream.nth(j).bits: d - j if j <= i else d - 1 - j for j in range(1, max(i, d - 2) + 1)
     }
-
-
-def dovetail_run(ticks: int, table: EncodingTable = TABLE_A) -> list[EmulationRef]:
-    """The events of the shared stream's first `ticks` ticks.
-
-    The stream is each tick's step_events: its event, preceded by the events
-    nested in it when the child emulates in turn, innermost first, exactly
-    as a host program executing DVT would produce.
-    """
-    if ticks < 0:
-        raise ValueError("ticks must be >= 0")
-    return [event for t in range(1, ticks + 1) for event in step_events(stream_tick(t, table))]

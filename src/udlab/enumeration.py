@@ -154,11 +154,6 @@ def enumerate_programs(max_len: int, table: EncodingTable = TABLE_A) -> list[Pro
     return program_stream(table).up_to_length(max_len)
 
 
-def nth_program(n: int, table: EncodingTable = TABLE_A) -> Program:
-    """The n-th program (1-based) in canonical order."""
-    return program_stream(table).nth(n)
-
-
 def kraft_mass(max_len: int, table: EncodingTable = TABLE_A) -> Fraction:
     """Exact total weight of the programs up to max_len: sum of 2**-length.
 

@@ -16,11 +16,11 @@ it; a run that read nothing is the run on every tape.
 Partitions group codes by the ids of a ClassIndex, which serves every level
 from one trace per code.  A class's key is its family's JSON kept as parts,
 one JSON array per tape, encoded once per distinct trace object and shared
-by the tapes that hold it; the joined key is never built to sort or digest.
-Each part is a complete JSON array, so no part is a proper prefix of
-another, and the tuple order of parts is exactly the string order of the
-joined keys.  Class indices come from sorting the part tuples, so the result
-is independent of input order.
+by the tapes that hold it; the joined key is never built, not even to sort
+or digest.  Each part is a complete JSON array, so no part is a proper
+prefix of another, and the tuple order of parts is exactly the string order
+of the joined keys.  Class indices come from sorting the part tuples, so the
+result is independent of input order.
 """
 
 from __future__ import annotations
@@ -99,11 +99,6 @@ def _key_parts(traces: tuple, k: int) -> tuple[str, ...]:
     return tuple(encoded[id(trace)] for trace in traces)
 
 
-def _joined(parts: tuple[str, ...]) -> str:
-    """json.dumps of the family, separators (",", ":"), from its parts."""
-    return "[" + ",".join(parts) + "]"
-
-
 def _read_cells(tape: Tape, cursor: int) -> Tape:
     """The cells below cursor, zero-padded past the tape's end."""
     return tape[:cursor] + (0,) * (cursor - len(tape))
@@ -129,22 +124,6 @@ def trace_family(program: Program, universe: InputUniverse, k: int) -> tuple[tup
             runs[cursor, _read_cells(tape, cursor)] = trace
         traces.append(trace)
     return tuple(traces)
-
-
-def family_key(program: Program, universe: InputUniverse, k: int) -> str:
-    return _joined(_key_parts(trace_family(program, universe, k), k))
-
-
-def counterfactually_equivalent(
-    p: Program, q: Program, universe: InputUniverse, k: int
-) -> bool:
-    """True iff p and q produce identical k-step traces on every tape."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return all(
-        run_trace(p, tape, k) == run_trace(q, tape, k)
-        for tape in universe.tapes
-    )
 
 
 def key_digest(key_parts: tuple[str, ...]) -> str:
@@ -199,11 +178,6 @@ class EquivClass:
     def __repr__(self) -> str:
         bits = [p.bits for p in self.members]
         return f"EquivClass(k={self.k}, index={self.index}, members={bits}, {self.universe_id!r})"
-
-    @property
-    def canonical_key(self) -> str:
-        """The family's JSON, joined from the parts on each access."""
-        return _joined(self.key_parts)
 
     @property
     def key_digest(self) -> str:

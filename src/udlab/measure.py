@@ -7,10 +7,10 @@ tape within a host-step budget, it raises emulation events showing some code
 advanced to at least k emulated steps whose k-step trace family matches the
 class.  Class mass is the exact sum of contributing weights, taken for a
 whole level in one pass that adds each program's weight to every class in
-its reach set (u_weight, the per-pair test, is the oracle); one class index,
-tracing each code once, serves every level up to the context's k.  All
-arithmetic is Fraction-exact, and the recursive regrouping of the mass over
-any partition is checked as an identity with zero residual, never a tolerance.
+its reach set; one class index, tracing each code once, serves every level
+up to the context's k.  All arithmetic is Fraction-exact, and the recursive
+regrouping of the mass over any partition is checked as an identity with
+zero residual, never a tolerance.
 
 "Eventually emulates" is semidecidable, so the budget T truncates it; every
 result carries its full context (length bound L, level k, budget T, universe,
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .encoding import EncodingTable, Program, decode
 from .enumeration import enumerate_programs
-from .equivalence import ClassIndex, EquivClass, InputUniverse, family_key
+from .equivalence import ClassIndex, EquivClass, InputUniverse
 from .machine import run_events
 
 
@@ -34,10 +34,6 @@ def fraction_str(value: Fraction) -> str:
 
 class EmptyClass(ValueError):
     """A class with no members has zero mass and cannot be a divisor."""
-
-
-class NotARefinement(ValueError):
-    """The child class is not a subset of the parent class."""
 
 
 class MeasureContext:
@@ -107,27 +103,6 @@ class MeasureContext:
             raise ValueError(f"class {cls.index} is under another encoding than {self.encoding!r}")
 
 
-def u_weight(program: Program, cls: EquivClass, ctx: MeasureContext) -> int:
-    """1 when the program reaches the class within the context budget, else 0.
-
-    Membership counts as reaching (a program trivially emulates itself), so
-    programs that never execute EXEC/DVT contribute exactly to their own
-    class.  Otherwise the program's event summary must show some emulated
-    code at >= k steps whose k-step family key, built afresh rather than
-    read from the class index, matches the class; that code's membership is
-    judged on demand, even when it is longer than the length bound.
-    """
-    ctx._check_class(cls)
-    if program.bits in cls.member_bits:
-        return 1
-    for code_bits, max_step in ctx.events_summary(program).items():
-        if max_step >= cls.k:
-            code = decode(code_bits, ctx.encoding)
-            if family_key(code, ctx.universe, cls.k) == cls.canonical_key:
-                return 1
-    return 0
-
-
 def _class_weights(
     classes: list[EquivClass], ctx: MeasureContext
 ) -> tuple[list[Fraction], dict[tuple[int, int], Fraction]]:
@@ -172,11 +147,6 @@ def class_masses(classes: list[EquivClass], ctx: MeasureContext) -> list[Fractio
     return _class_weights(classes, ctx)[0]
 
 
-def measure_class(cls: EquivClass, ctx: MeasureContext) -> Fraction:
-    """Exact mass of a class: sum of 2**-length over contributing programs."""
-    return class_masses([cls], ctx)[0]
-
-
 def decomposition_check(classes: list[EquivClass], ctx: MeasureContext) -> list[Fraction]:
     """Residuals of the recursive mass regrouping, one per class.
 
@@ -197,23 +167,6 @@ def decomposition_check(classes: list[EquivClass], ctx: MeasureContext) -> list[
         denominator = mass[source]
         regrouped[target] += mass[source] * numerator / denominator
     return [r - m for r, m in zip(regrouped, mass)]
-
-
-def relative_measure(child: EquivClass, parent: EquivClass, ctx: MeasureContext) -> Fraction:
-    """Exact ratio mass(child at k+1) / mass(parent at k), same truncation."""
-    if child.k != parent.k + 1:
-        raise ValueError(f"child must be one level below parent (got {child.k} vs {parent.k})")
-    if not child.member_bits <= parent.member_bits:
-        raise NotARefinement(
-            f"child class {child.index} at k={child.k} is not contained in "
-            f"parent class {parent.index} at k={parent.k}"
-        )
-    return measure_class(child, ctx) / measure_class(parent, ctx)
-
-
-def level_mass(k: int, ctx: MeasureContext) -> Fraction:
-    """Total mass at level k <= ctx.k, summed over the level-k partition."""
-    return divergence_report(k, k, ctx)[0].level_mass
 
 
 class LevelRow(NamedTuple):

@@ -1,0 +1,66 @@
+"""Per-pair oracles for the one-pass routes of the package.
+
+The paper's definitions are tests on one pair at a time: whether two
+programs agree on every tape, whether a program reaches one class, and what
+a DVT host sees tick by tick.  The package answers them for a whole level at
+once (ClassIndex, class_masses, stream_tick); these helpers answer them one
+pair at a time, so the tests can check the one route against the definition.
+"""
+
+from udlab.dovetailer import stream_tick
+from udlab.encoding import TABLE_A, decode
+from udlab.equivalence import _key_parts, trace_family
+from udlab.machine import run_trace, step_events
+from udlab.measure import class_masses
+
+
+def joined_key(parts):
+    """The family's JSON, separators (",", ":"), joined from its parts."""
+    return "[" + ",".join(parts) + "]"
+
+
+def family_key(program, universe, k):
+    """The program's k-step trace family over the universe, as JSON."""
+    return joined_key(_key_parts(trace_family(program, universe, k), k))
+
+
+def counterfactually_equivalent(p, q, universe, k):
+    """True iff p and q produce identical k-step traces on every tape."""
+    return all(run_trace(p, tape, k) == run_trace(q, tape, k) for tape in universe.tapes)
+
+
+def u_weight(program, cls, ctx):
+    """1 when the program reaches the class within the context budget, else 0.
+
+    Membership counts as reaching (a program trivially emulates itself).
+    Otherwise the program's event summary must show some emulated code at
+    >= k steps whose k-step family key, built afresh rather than read from
+    the class index, matches the class; that code's membership is judged on
+    demand, even when it is longer than the length bound.
+    """
+    ctx._check_class(cls)
+    if program.bits in cls.member_bits:
+        return 1
+    key = joined_key(cls.key_parts)
+    for code_bits, max_step in ctx.events_summary(program).items():
+        if max_step >= cls.k:
+            code = decode(code_bits, ctx.encoding)
+            if family_key(code, ctx.universe, cls.k) == key:
+                return 1
+    return 0
+
+
+def relative_measure(child, parent, ctx):
+    """mass(child at k+1) / mass(parent at k), each class measured alone."""
+    if child.k != parent.k + 1:
+        raise ValueError(f"child must be one level below parent (got {child.k} vs {parent.k})")
+    return class_masses([child], ctx)[0] / class_masses([parent], ctx)[0]
+
+
+def dovetail_run(ticks, table=TABLE_A):
+    """The events of the shared stream's first `ticks` ticks: each tick's
+    event, preceded by the events nested in it, innermost first, exactly as
+    a host program executing DVT would produce."""
+    if ticks < 0:
+        raise ValueError("ticks must be >= 0")
+    return [event for t in range(1, ticks + 1) for event in step_events(stream_tick(t, table))]

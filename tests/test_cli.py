@@ -170,12 +170,20 @@ def test_validation_errors_exit_2(capsys):
     assert code == 2 and "max_len" in err
     code, _, err = run_cli(capsys, "record", "--program", "0101", "-k", "1")
     assert code == 2
-    code, _, err = run_cli(capsys, "partition", "-k", "0")
-    assert code == 2
     code, _, err = run_cli(capsys, "record", "-k", "1")
     assert code == 2 and "--program" in err
     code, _, err = run_cli(capsys, "replay", "--recording", "/nonexistent/file.json")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["partition", "measure", "decompose", "relmeasure", "levels", "invariance", "record"],
+)
+def test_k_below_one_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, command, "-L", "8", "-k", "0", "--program", "1111")
+    assert code == 2 and out == ""
+    assert "k must be >= 1" in err, err
 
 
 def test_malformed_severed_entries_exit_2(tmp_path, capsys):
@@ -331,7 +339,8 @@ def test_deep_level_commands_match_golden_digests(tmp_path, capsys, monkeypatch,
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DEEP_DIGESTS[argv]
 
 
-# sha256 of the JSON form of each table command, and of the dovetail table.
+# sha256 of the JSON form of each table command, of the dovetail table, and
+# of the enumerate and partition tables under both encodings.
 GOLDEN_TABLE_DIGESTS = {
     "measure -L 12 -k 2 -T 200 --format json": "b95e7d6d15b6073018d0273d22b6a68d367209ca3b27eb4678ccdabe8730b0b0",
     "decompose -L 12 -k 2 -T 200 --format json": "d197aefa9cb25f1caef824b195e8b924bb17553ce698db73cacb6872b4cf811e",
@@ -340,6 +349,10 @@ GOLDEN_TABLE_DIGESTS = {
     "invariance -L 12 -k 1 -T 200 --format json": "e45b2a289556206c0efe91460bf1104ff129e39888f8c7502ac5495ec1278706",
     "dovetail --ticks 30": "123c62454f7158553909c302a64271ca2e61e8ae299f2be600712e9de0068ce5",
     "dovetail --ticks 30 --format json": "eed915ba1e8c22c7dab8fcf09a34357dfd286c017d994a30b30a43ec615e72ae",
+    "enumerate -L 14": "5c69528d2770b4688bd7876c31f036eaaf28be033f850ffcf4212ad1c5149c9b",
+    "enumerate -L 14 --encoding B --format csv": "70a1d594d7f4ebb0c9034a3a6b621e54f04eac51d5e922c979c542e11cfcdd48",
+    "partition -L 12 -k 3": "58e9771940d1548b9add560b7f3d0e1a57f8dadebd4625fb3da33cd2b69da8df",
+    "partition -L 12 -k 3 --encoding B --format csv": "04f29f9126bd415b59bfa1dfdc3157e78eb4a131b3e79367512d1f71df4bbfc0",
 }
 
 

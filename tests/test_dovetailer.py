@@ -1,16 +1,11 @@
 import pytest
 
+from oracles import dovetail_run
 from stepping import MaxSteps, trace_events
 from udlab import dovetailer
 from udlab.cli import main
-from udlab.dovetailer import (
-    DovetailEngine,
-    canonical_dvt_bits,
-    dovetail_run,
-    dovetail_summary,
-    schedule_pair,
-)
-from udlab.encoding import DVT, EXEC, HALT, TABLE_A, TABLE_B, decode, from_instructions
+from udlab.dovetailer import DovetailEngine, dovetail_summary, schedule_pair
+from udlab.encoding import DVT, EXEC, HALT, TABLE_A, TABLE_B, from_instructions
 from udlab.enumeration import enumerate_programs
 from udlab.machine import run_trace, step_events
 
@@ -102,7 +97,7 @@ def test_dvt_instruction_agrees_with_runner():
     # The canonical host is the one-instruction dovetailer program itself, so
     # the two streams must be identical, event for event.
     for ticks in (1, 7, 25):
-        program = decode(canonical_dvt_bits(TABLE_A))
+        program = from_instructions([(DVT,)], TABLE_A)
         assert trace_events(run_trace(program, (), ticks)) == dovetail_run(ticks)
 
 

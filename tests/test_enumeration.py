@@ -10,7 +10,7 @@ from udlab.enumeration import (
     block_counts,
     enumerate_programs,
     kraft_mass,
-    nth_program,
+    program_stream,
 )
 
 # New programs per exact length, counted by hand from the grammar:
@@ -53,17 +53,17 @@ def test_canonical_order_and_uniqueness():
 def test_nth_program_consistent_with_enumeration():
     programs = enumerate_programs(12)
     for i, program in enumerate(programs, start=1):
-        assert nth_program(i).bits == program.bits
+        assert program_stream().nth(i).bits == program.bits
 
 
 def test_nth_program_first_three():
-    assert nth_program(1).bits == "1111"
-    assert nth_program(2).bits == "00001111"
-    assert nth_program(3).bits == "10001111"
+    assert program_stream().nth(1).bits == "1111"
+    assert program_stream().nth(2).bits == "00001111"
+    assert program_stream().nth(3).bits == "10001111"
 
 
 def test_nth_program_extends_lazily():
-    assert nth_program(50).length >= 14
+    assert program_stream().nth(50).length >= 14
 
 
 def test_kraft_values():
@@ -100,7 +100,7 @@ def test_validation():
     with pytest.raises(ValueError):
         enumerate_programs(3)
     with pytest.raises(ValueError):
-        nth_program(0)
+        program_stream().nth(0)
 
 
 def test_encoding_b_same_bits_different_meaning():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import counterfactually_equivalent, family_key, joined_key
 from stepping import full_trace
 from udlab.encoding import TABLE_A, TABLE_B, decode, from_instructions
 from udlab.enumeration import enumerate_programs
@@ -14,9 +15,9 @@ from udlab import equivalence
 from udlab.equivalence import (
     DEFAULT_UNIVERSE,
     ClassIndex,
+    EquivClass,
     InputUniverse,
-    counterfactually_equivalent,
-    family_key,
+    RefinementViolation,
     partition,
     refine,
     trace_family,
@@ -120,7 +121,7 @@ def test_partition_laws():
     assert len(all_bits) == len(set(all_bits)) == len(programs)
     assert set(all_bits) == {p.bits for p in programs}
     assert [c.index for c in classes] == list(range(len(classes)))
-    keys = [c.canonical_key for c in classes]
+    keys = [joined_key(c.key_parts) for c in classes]
     assert keys == sorted(keys)
 
 
@@ -211,11 +212,11 @@ def test_partition_holds_key_parts_not_joined_keys():
     # each distinct trace's JSON once; the joined key is built on demand.
     classes = partition(enumerate_programs(12), DEFAULT_UNIVERSE, 2000)
     held = {id(part): len(part) for c in classes for part in c.key_parts}
-    joined = sum(len(c.canonical_key) for c in classes)
+    joined = sum(len(joined_key(c.key_parts)) for c in classes)
     assert len(classes) == 12
     assert sum(held.values()) * 4 < joined
     for c in classes:
-        assert c.key_digest == hashlib.sha256(c.canonical_key.encode()).hexdigest()[:16]
+        assert c.key_digest == hashlib.sha256(joined_key(c.key_parts).encode()).hexdigest()[:16]
 
 
 def test_key_digest_is_hashed_once_per_class(monkeypatch):
@@ -247,7 +248,7 @@ def test_class_index_partitions_equal_family_key_grouping(table, universe, top):
             groups.setdefault(family_key(p, universe, level), set()).add(p.bits)
         expected = [(i, key, groups[key]) for i, key in enumerate(sorted(groups))]
         classes = index.partition(programs, level, lambda p: ids[p.bits])
-        assert [(c.index, c.canonical_key, c.member_bits) for c in classes] == expected, level
+        assert [(c.index, joined_key(c.key_parts), c.member_bits) for c in classes] == expected, level
         assert all(c.k == level and c.universe_id == universe.universe_id for c in classes)
 
 
@@ -293,6 +294,23 @@ def test_refine_validation():
         refine(parents, partition(enumerate_programs(10), DEFAULT_UNIVERSE, 2))
     with pytest.raises(ValueError):
         refine([], [])
+
+
+def test_refine_rejects_a_child_that_straddles_parents():
+    # Two children of different parents merged into one class: the cover is
+    # unchanged, so only the straddle check can catch it.
+    programs = enumerate_programs(10)
+    parents = partition(programs, DEFAULT_UNIVERSE, 1)
+    children = partition(programs, DEFAULT_UNIVERSE, 2)
+    mapping = refine(parents, children)
+    first = children[0]
+    second = next(c for c in children if mapping[c.index] != mapping[first.index])
+    merged = EquivClass(
+        first.k, first.index, first.members + second.members, first.key_parts, first.universe_id
+    )
+    straddling = [merged] + [c for c in children if c not in (first, second)]
+    with pytest.raises(RefinementViolation, match="straddles"):
+        refine(parents, straddling)
 
 
 def test_refine_rejects_partitions_over_different_universes():

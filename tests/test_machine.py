@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import dovetail_run
 from stepping import MaxSteps, full_events, trace_events
-from udlab.dovetailer import canonical_dvt_bits, dovetail_run
-from udlab.encoding import TABLE_A, TABLE_B, decode, from_instructions
+from udlab.encoding import DVT, TABLE_A, TABLE_B, decode, from_instructions
 from udlab.enumeration import enumerate_programs
 from udlab.equivalence import DEFAULT_UNIVERSE
 from udlab.machine import (
@@ -319,7 +319,7 @@ def test_step_events_is_the_chain_innermost_first():
     assert step_events(None) == []
     # Under B the second program is the dovetailer itself, so the host's DVT
     # tick 3 starts it, and its first step is its own tick 1.
-    program = decode(canonical_dvt_bits(TABLE_B), TABLE_B)
+    program = from_instructions([(DVT,)], TABLE_B)
     direct = run_trace(program, (), 3)[2].event
     inner, outer = step_events(direct)
     assert outer is direct and inner is direct.state.event
