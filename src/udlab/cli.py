@@ -353,13 +353,14 @@ def _relmeasure_rows(run: _Run, table: EncodingTable) -> list[list]:
     parents, children = ctx.partition(run.k), ctx.partition(run.k + 1)
     mapping = refine(parents, children)
     parent_masses = class_masses(parents, ctx)
+    parent_digests = [parent.key_digest for parent in parents]
     rows = []
     for child, child_mass in zip(children, class_masses(children, ctx)):
-        parent = parents[mapping[child.index]]
-        ratio = child_mass / parent_masses[parent.index]
+        parent = mapping[child.index]
+        ratio = child_mass / parent_masses[parent]
         rows.append(
             _context_columns(run, run.k, table)
-            + [child.index, parent.index, child.key_digest, parent.key_digest, fraction_str(ratio)]
+            + [child.index, parent, child.key_digest, parent_digests[parent], fraction_str(ratio)]
         )
     return rows
 

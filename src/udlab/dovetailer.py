@@ -82,6 +82,8 @@ def stream_tick(tick: int, table: EncodingTable) -> EmulationRef:
     """Tick `tick`'s event of the one stream under `table`, ticked that far
     first.  Reentrant: a dovetailer nested in the child that tick t runs
     reads a tick m < t, which is already in the list."""
+    if tick < 1:
+        raise ValueError("tick is 1-based and must be >= 1")
     engine = _ENGINES.get(table.variant_id)
     if engine is None:
         engine = _ENGINES[table.variant_id] = DovetailEngine(table)

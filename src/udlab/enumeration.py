@@ -16,8 +16,6 @@ program is available without choosing a length bound up front.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .encoding import (
     DEC,
     DVT,
@@ -40,10 +38,11 @@ from .encoding import (
 
 # A Program holds its bits, instruction tuples and nested EXEC programs, about
 # 600 B each.  Generation is proportional to its output, so an oversized
-# request would not hang but exhaust memory.  This limit admits every length
-# up to 31 bits (454,169 programs, a few hundred MB) and refuses 32 bits
-# (1,484,319 programs) and beyond with a ValueError before generating any.
+# request would not hang but exhaust memory.  MAX_LEN is the longest bound
+# this limit admits (454,169 programs, a few hundred MB); a longer one, from
+# 32 bits (1,484,319 programs) on, is refused before anything is generated.
 MAX_PROGRAMS = 2**20
+MAX_LEN = 31
 
 _REGISTER_OPERANDS = tuple(format(r, f"0{REGISTER_BITS}b") for r in range(2**REGISTER_BITS))
 _OPERAND_OPS = (INC, DEC, OUT, IN)
@@ -79,7 +78,6 @@ class ProgramStream:
     def __init__(self, table: EncodingTable) -> None:
         self.table = table
         self._programs: list[Program] = []
-        self._lengths: list[int] = []
         self._generated_to = 0  # every length <= this has been generated
         self._blocks: dict[tuple[int, str], list[str]] = {}
 
@@ -112,23 +110,21 @@ class ProgramStream:
     def _extend_to_length(self, max_len: int) -> None:
         if max_len <= self._generated_to:
             return
-        total = sum(block_counts(max_len))
-        if total > MAX_PROGRAMS:
+        if max_len > MAX_LEN:
             raise ValueError(
-                f"max_len {max_len} covers {total} programs, more than the "
-                f"{MAX_PROGRAMS} that enumeration holds in memory"
+                f"max_len {max_len} covers at least {sum(block_counts(MAX_LEN + 1))} "
+                f"programs, more than the {MAX_PROGRAMS} that enumeration holds in memory"
             )
         for length in range(max(self._generated_to + 1, MIN_PROGRAM_BITS), max_len + 1):
             for bits in sorted(self._block(length, END)):
                 self._programs.append(decode(bits, self.table))
-                self._lengths.append(length)
         self._generated_to = max_len
 
     def up_to_length(self, max_len: int) -> list[Program]:
         if max_len < MIN_PROGRAM_BITS:
             raise ValueError(f"max_len must be >= {MIN_PROGRAM_BITS}")
         self._extend_to_length(max_len)
-        return self._programs[: bisect_right(self._lengths, max_len)]
+        return self._programs[: sum(block_counts(max_len))]
 
     def nth(self, n: int) -> Program:
         if n < 1:

@@ -20,7 +20,9 @@ by the tapes that hold it; the joined key is never built, not even to sort
 or digest.  Each part is a complete JSON array, so no part is a proper
 prefix of another, and the tuple order of parts is exactly the string order
 of the joined keys.  Class indices come from sorting the part tuples, so the
-result is independent of input order.
+result is independent of input order.  A class is a plain NamedTuple of
+(k, index, members, key parts, universe id) that caches nothing: its digest
+is hashed on each access, and each command takes it once per class.
 """
 
 from __future__ import annotations
@@ -56,21 +58,19 @@ class InputUniverse(NamedTuple):
     universe_id: str
 
     @staticmethod
-    def from_tapes(tapes, universe_id: str | None = None) -> "InputUniverse":
-        canonical = _canonical_tapes(tapes)
-        if universe_id is None:
-            import hashlib  # as in key_digest
+    def from_tapes(tapes) -> "InputUniverse":
+        import hashlib  # as in key_digest
 
-            digest = hashlib.sha256(
-                json.dumps([list(t) for t in canonical], separators=(",", ":")).encode()
-            ).hexdigest()
-            universe_id = f"sha256:{digest[:12]}"
-        return InputUniverse(tapes=canonical, universe_id=universe_id)
+        canonical = _canonical_tapes(tapes)
+        digest = hashlib.sha256(
+            json.dumps([list(t) for t in canonical], separators=(",", ":")).encode()
+        ).hexdigest()
+        return InputUniverse(canonical, f"sha256:{digest[:12]}")
 
 
 # All tapes over {0,1} of length <= 2, canonically ordered.
-DEFAULT_UNIVERSE = InputUniverse.from_tapes(
-    [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)], universe_id="default"
+DEFAULT_UNIVERSE = InputUniverse(
+    _canonical_tapes([(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]), "default"
 )
 
 
@@ -140,51 +140,24 @@ def key_digest(key_parts: tuple[str, ...]) -> str:
     return digest.hexdigest()[:16]
 
 
-class EquivClass:
-    """One block of the partition at level k, treated as immutable.  Classes
-    compare and hash by (k, index, members, key_parts, universe_id);
-    member_bits, the members' bits as a set for membership tests, is derived
-    from members."""
+class EquivClass(NamedTuple):
+    """One block of the partition at level k: its five fields, compared and
+    hashed as a tuple.  member_bits and key_digest are derived on every
+    access, so a caller that needs one twice takes it once."""
 
-    __slots__ = ("k", "index", "members", "key_parts", "universe_id", "member_bits", "_digest")
+    k: int
+    index: int
+    members: tuple[Program, ...]
+    key_parts: tuple[str, ...]  # the family's JSON, one array per tape
+    universe_id: str
 
-    def __init__(
-        self,
-        k: int,
-        index: int,
-        members: tuple[Program, ...],
-        key_parts: tuple[str, ...],  # the family's JSON, one array per tape
-        universe_id: str,
-    ) -> None:
-        self.k = k
-        self.index = index
-        self.members = members
-        self.key_parts = key_parts
-        self.universe_id = universe_id
-        self.member_bits = frozenset(p.bits for p in members)
-        self._digest: str | None = None
-
-    def _identity(self) -> tuple:
-        return (self.k, self.index, self.members, self.key_parts, self.universe_id)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._identity() == other._identity()
-
-    def __hash__(self) -> int:
-        return hash(self._identity())
-
-    def __repr__(self) -> str:
-        bits = [p.bits for p in self.members]
-        return f"EquivClass(k={self.k}, index={self.index}, members={bits}, {self.universe_id!r})"
+    @property
+    def member_bits(self) -> frozenset[str]:
+        return frozenset(p.bits for p in self.members)
 
     @property
     def key_digest(self) -> str:
-        """The key's digest, hashed on first access and kept."""
-        if self._digest is None:
-            self._digest = key_digest(self.key_parts)
-        return self._digest
+        return key_digest(self.key_parts)
 
 
 class ClassIndex:
@@ -274,15 +247,13 @@ def refine(parents: list[EquivClass], children: list[EquivClass]) -> dict[int, i
         raise ValueError(
             f"children are at k={children[0].k}, expected parents' k+1={parent_k + 1}"
         )
-    parent_members = set().union(*(c.member_bits for c in parents))
-    child_members = set().union(*(c.member_bits for c in children))
-    if parent_members != child_members:
+    parent_of_bits = {p.bits: c.index for c in parents for p in c.members}
+    if {p.bits for c in children for p in c.members} != parent_of_bits.keys():
         raise ValueError("partitions do not cover the same program list")
 
-    parent_of_bits = {bits: c.index for c in parents for bits in c.member_bits}
     mapping: dict[int, int] = {}
     for child in children:
-        parent_indices = {parent_of_bits[bits] for bits in child.member_bits}
+        parent_indices = {parent_of_bits[p.bits] for p in child.members}
         if len(parent_indices) != 1:
             raise RefinementViolation(
                 f"child class {child.index} at k={child.k} straddles parents {sorted(parent_indices)}"

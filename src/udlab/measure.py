@@ -112,7 +112,9 @@ def _class_weights(
     its reach set.  Weights are summed as integers 2**(L - length), divided by
     2**L at the end.
     """
-    level = classes[0].k if classes else 1
+    if not classes:
+        return [], {}
+    level = classes[0].k
     for cls in classes:
         ctx._check_class(cls)
         if cls.k != level:
@@ -120,9 +122,9 @@ def _class_weights(
         if not cls.members:
             raise EmptyClass(f"class {cls.index} has no members")
     index_of_id = {ctx.class_ids(cls.members[0])[level - 1]: i for i, cls in enumerate(classes)}
-    index_of_bits = {bits: i for i, cls in enumerate(classes) for bits in cls.member_bits}
+    index_of_bits = {p.bits: i for i, cls in enumerate(classes) for p in cls.members}
     parts = {cls.key_parts for cls in classes}  # equal tuples, equal keys
-    members = sum(len(cls.member_bits) for cls in classes)
+    members = sum(len(cls.members) for cls in classes)
     if len(parts) < len(classes) or len(index_of_id) < len(classes) or len(index_of_bits) < members:
         raise ValueError("classes must have distinct keys and disjoint members")
     totals = [0] * len(classes)
@@ -156,7 +158,7 @@ def decomposition_check(classes: list[EquivClass], ctx: MeasureContext) -> list[
     against the direct mass is identically zero; anything else is a bug.
     """
     mass, numerators = _class_weights(classes, ctx)
-    covered = set().union(*(c.member_bits for c in classes))
+    covered = {p.bits for c in classes for p in c.members}
     if covered != {p.bits for p in ctx.programs()}:
         raise ValueError("partition does not cover the enumerated programs at max_len")
     regrouped = [Fraction(0)] * len(classes)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from udlab import equivalence
 from udlab.cli import _COMMANDS, main
 from udlab.machine import step_count
 
@@ -125,6 +126,26 @@ def test_invariance_reports_both_encodings(capsys):
     lines = [line for line in out.splitlines() if not line.startswith("#")]
     encodings = {line.split(",")[4] for line in lines[1:]}
     assert encodings == {"A", "B"}
+
+
+@pytest.mark.parametrize("command", ["relmeasure", "invariance"])
+def test_relative_measures_hash_each_class_once_per_encoding(monkeypatch, capsys, command):
+    # A class derives its digest on every access, so a command must take it
+    # once per class, however many child rows repeat a parent's digest.
+    hashed = []
+    real_key_digest = equivalence.key_digest
+
+    def counted_key_digest(parts):
+        hashed.append(parts)
+        return real_key_digest(parts)
+
+    monkeypatch.setattr(equivalence, "key_digest", counted_key_digest)
+    code, out, _ = run_cli(capsys, command, "-L", "14", "-k", "1", "-T", "50", "--format", "json")
+    assert code == 0
+    pairs = json.loads(out)["pairs"]
+    parents = {(row["encoding_id"], row["parent_index"]) for row in pairs}
+    assert len(pairs) > len(parents)  # some parent has several children
+    assert len(hashed) == len(pairs) + len(parents)  # one row per child
 
 
 def test_record_replay_hybrid_sever_round_trip(tmp_path, capsys):

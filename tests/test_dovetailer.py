@@ -64,11 +64,20 @@ def test_completed_steps_after_full_diagonal():
             assert done.get(i, 0) == max(0, D - i)
 
 
-def test_tick_validation():
+def test_tick_validation(monkeypatch):
     with pytest.raises(ValueError):
         schedule_pair(0)
     with pytest.raises(ValueError):
         dovetail_run(-1)
+    # stream_tick indexes events[tick - 1]: on a fresh stream a tick below 1
+    # would raise IndexError, and on a ticked one read from the list's end.
+    monkeypatch.setattr(dovetailer, "_ENGINES", {})
+    for ticks_before in (0, 3):
+        if ticks_before:
+            dovetailer.stream_tick(ticks_before, TABLE_A)
+        for tick in (0, -1):
+            with pytest.raises(ValueError, match="1-based"):
+                dovetailer.stream_tick(tick, TABLE_A)
 
 
 def test_single_tick():

@@ -4,7 +4,9 @@ import pytest
 
 from census import scan_length
 from udlab.encoding import TABLE_A, TABLE_B
+from udlab import enumeration
 from udlab.enumeration import (
+    MAX_LEN,
     MAX_PROGRAMS,
     ProgramStream,
     block_counts,
@@ -130,13 +132,25 @@ def test_grammar_counts_match_enumeration(table):
 def test_grammar_counts_at_the_size_limit():
     assert sum(block_counts(20)) == 2396
     assert sum(block_counts(30)) == 454_169
-    assert sum(block_counts(31)) <= MAX_PROGRAMS < sum(block_counts(32)) == 1_484_319
+    assert sum(block_counts(MAX_LEN)) <= MAX_PROGRAMS < sum(block_counts(MAX_LEN + 1)) == 1_484_319
 
 
-def test_oversized_enumeration_is_refused_up_front():
+def test_oversized_enumeration_is_refused_up_front(monkeypatch):
+    # Totals only grow with the length, so a bound past MAX_LEN is refused
+    # from the count at MAX_LEN + 1; counting to L itself is a big-integer
+    # DP that grows faster than L squared.
+    asked = []
+
+    def counted_block_counts(max_len):
+        asked.append(max_len)
+        return block_counts(max_len)
+
+    monkeypatch.setattr(enumeration, "block_counts", counted_block_counts)
     stream = ProgramStream(TABLE_A)
-    with pytest.raises(ValueError, match="max_len 40 covers"):
-        stream.up_to_length(40)
+    for max_len in (MAX_LEN + 1, 40, 1000):
+        with pytest.raises(ValueError, match=f"max_len {max_len} covers at least 1484319 "):
+            stream.up_to_length(max_len)
+    assert asked and max(asked) == MAX_LEN + 1
     assert stream.up_to_length(8)[-1].bits == "10001111"
 
 

@@ -219,17 +219,11 @@ def test_partition_holds_key_parts_not_joined_keys():
         assert c.key_digest == hashlib.sha256(joined_key(c.key_parts).encode()).hexdigest()[:16]
 
 
-def test_key_digest_is_hashed_once_per_class(monkeypatch):
-    digests = []
-
-    def counted_key_digest(parts):
-        digests.append(parts)
-        return "digest"
-
-    monkeypatch.setattr(equivalence, "key_digest", counted_key_digest)
+def test_class_is_its_five_fields():
     cls = partition(enumerate_programs(8), DEFAULT_UNIVERSE, 2)[0]
-    assert [cls.key_digest, cls.key_digest, cls.key_digest] == ["digest"] * 3
-    assert digests == [cls.key_parts]
+    assert EquivClass._fields == ("k", "index", "members", "key_parts", "universe_id")
+    rebuilt = EquivClass(**cls._asdict())
+    assert rebuilt == cls and hash(rebuilt) == hash(cls) and rebuilt.key_digest == cls.key_digest
 
 
 @pytest.mark.parametrize("top", [1, 7, 40])

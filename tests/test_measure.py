@@ -10,7 +10,7 @@ from udlab.dovetailer import DovetailEngine
 from udlab.encoding import TABLE_A, decode, from_instructions, get_table
 from udlab.enumeration import enumerate_programs, kraft_mass
 from udlab.equivalence import DEFAULT_UNIVERSE, EquivClass, partition, refine
-from udlab.machine import run_events, run_trace
+from udlab.machine import run_events, run_trace, step_count
 from udlab.measure import (
     EmptyClass,
     MeasureContext,
@@ -292,6 +292,13 @@ def test_class_masses_equal_per_class_masses(variant):
         assert masses == [class_masses([cls], ctx)[0] for cls in classes]
         assert class_masses(classes[::-1], ctx) == masses[::-1]
         assert class_masses([], ctx) == []
+
+
+def test_no_classes_take_no_pass_over_the_programs():
+    ctx = make_ctx(max_len=12, k=2, budget=1000)
+    steps = step_count()
+    assert class_masses([], ctx) == []
+    assert step_count() == steps and not ctx._events and not ctx._ids
 
 
 def test_class_built_from_its_members_alone_gets_their_bits():
