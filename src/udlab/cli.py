@@ -72,16 +72,24 @@ _OPTIONS = {
 }
 
 
+class _CommandParser(_Parser):
+    # One invocation parses one command, so a subcommand's parser declares
+    # the options only when it parses, not when all fourteen are built.
+    def parse_known_args(self, args=None, namespace=None):
+        if len(self._actions) == 1:  # only -h so far
+            for dest, (flags, kind, choices, text) in _OPTIONS.items():
+                self.add_argument(*flags, dest=dest, type=kind, choices=choices, help=text)
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser() -> _Parser:
-    # Every subcommand takes the same options, declared once on a parent.
-    common = _Parser(add_help=False)
-    for dest, (flags, kind, choices, text) in _OPTIONS.items():
-        common.add_argument(*flags, dest=dest, type=kind, choices=choices, help=text)
     # --help shows the docstring up to its last paragraph, which is about the code.
     parser = _Parser(prog="udlab", description=(__doc__ or "").rsplit("\n\n", 1)[0])
-    sub = parser.add_subparsers(dest="command", metavar="|".join(_COMMANDS))
+    sub = parser.add_subparsers(
+        dest="command", metavar="|".join(_COMMANDS), parser_class=_CommandParser
+    )
     for name in _COMMANDS:
-        sub.add_parser(name, parents=[common])
+        sub.add_parser(name)
     return parser
 
 
@@ -394,14 +402,14 @@ def _cmd_levels(run: _Run) -> str:
 
 
 def _cmd_record(run: _Run) -> str:
-    from .replay import record, recording_to_data
+    from .replay import document, record, recording_to_data
 
     program = decode(run.required("program"), run.encoding)
     tape = _parse_naturals(run.args.tape, "tape")
     rec = record(program, tape, run.k)
     payload = {"config": run.config_dict(("tape", list(tape)))}
     payload.update(recording_to_data(rec))
-    return _json_doc(payload)
+    return document(payload)
 
 
 def _load_recording(run: _Run) -> Recording:
@@ -424,8 +432,13 @@ def _load_recording(run: _Run) -> Recording:
         raise ValueError(
             f"recording config 'encoding' must be one of {', '.join(choices)}, got {variant!r}"
         )
+    if run.args.encoding not in (None, variant):  # a flag or --config value
+        raise ValueError(
+            f"recording {path} is under encoding {variant}, not --encoding {run.args.encoding}"
+        )
+    run.encoding = get_table(variant)  # the config reports the recording's encoding
     try:
-        return recording_from_data(data, get_table(variant))
+        return recording_from_data(data, run.encoding)
     except DecodeError as exc:
         raise ValueError(f"recording {path}: 'program_bits' does not decode: {exc}") from None
     except ValueError as exc:
@@ -433,19 +446,19 @@ def _load_recording(run: _Run) -> Recording:
 
 
 def _cmd_replay(run: _Run) -> str:
-    from .replay import playback
+    from .replay import document, playback
 
     rec = _load_recording(run)
     payload = {
         "config": run.config_dict(("recording", run.args.recording)),
         "k": rec.k,
-        "trace": list(playback(rec)),
+        "trace": playback(rec),
     }
-    return _json_doc(payload)
+    return document(payload)
 
 
 def _cmd_hybrid(run: _Run) -> str:
-    from .replay import hybrid_run
+    from .replay import document, hybrid_run
 
     rec = _load_recording(run)
     tape = _parse_naturals(run.args.tape, "tape")
@@ -453,13 +466,13 @@ def _cmd_hybrid(run: _Run) -> str:
     payload = {
         "config": run.config_dict(("recording", run.args.recording), ("tape", list(tape))),
         "switch_step": result.switch_step,
-        "trace": list(result.trace),
+        "trace": result.trace,
     }
-    return _json_doc(payload)
+    return document(payload)
 
 
 def _cmd_sever(run: _Run) -> str:
-    from .replay import SeverancePlan, sever_and_project
+    from .replay import SeverancePlan, document, sever_and_project
 
     rec = _load_recording(run)
     plan = SeverancePlan.of(_parse_naturals(run.args.severed, "--severed"))
@@ -472,9 +485,9 @@ def _cmd_sever(run: _Run) -> str:
             ("severed", sorted(plan.severed_steps)),
         ),
         "counterfactually_equivalent": result.equivalent,
-        "trace": list(result.trace),
+        "trace": result.trace,
     }
-    return _json_doc(payload)
+    return document(payload)
 
 
 def _cmd_invariance(run: _Run) -> str:

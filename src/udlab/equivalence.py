@@ -99,7 +99,7 @@ def _key_parts(traces: tuple, k: int) -> tuple[str, ...]:
     return tuple(encoded[id(trace)] for trace in traces)
 
 
-def _read_cells(tape: Tape, cursor: int) -> Tape:
+def read_cells(tape: Tape, cursor: int) -> Tape:
     """The cells below cursor, zero-padded past the tape's end."""
     return tape[:cursor] + (0,) * (cursor - len(tape))
 
@@ -114,14 +114,14 @@ def trace_family(program: Program, universe: InputUniverse, k: int) -> tuple[tup
     traces = []
     for tape in universe.tapes:
         for cursor in cursors:
-            trace = runs.get((cursor, _read_cells(tape, cursor)))
+            trace = runs.get((cursor, read_cells(tape, cursor)))
             if trace is not None:
                 break
         else:
             trace = run_trace(program, tape, k)
             cursor = trace[-1].input_cursor
             cursors.add(cursor)
-            runs[cursor, _read_cells(tape, cursor)] = trace
+            runs[cursor, read_cells(tape, cursor)] = trace
         traces.append(trace)
     return tuple(traces)
 

@@ -20,7 +20,7 @@ import json
 from typing import NamedTuple
 
 from .encoding import EncodingTable, Program, TABLE_A, decode
-from .equivalence import DEFAULT_UNIVERSE, InputUniverse, trace_family
+from .equivalence import DEFAULT_UNIVERSE, InputUniverse, read_cells, trace_family
 from .machine import Configuration, SemanticState, Tape, run_trace, step
 
 
@@ -74,8 +74,18 @@ def hybrid_run(rec: Recording, actual_tape: Tape) -> HybridResult:
     The live trace is computed on the actual tape and compared against the
     recording; while they agree the steps count as replayed, and from the
     first mismatch on the trace is the live one.
+
+    A Recording's trace is its program's run on its tape, which record and
+    recording_from_data guarantee, and a run depends only on the cells it
+    read.  On a tape that agrees, zero-padded, with the recorded one on the
+    cells the film read, the live run is the film: it is returned with no
+    step run and no switch.
     """
-    live = run_trace(rec.program, tuple(actual_tape), rec.k)
+    actual_tape = tuple(actual_tape)
+    cursor = rec.trace[-1].input_cursor
+    if read_cells(actual_tape, cursor) == read_cells(rec.tape, cursor):
+        return HybridResult(trace=rec.trace, switch_step=None)
+    live = run_trace(rec.program, actual_tape, rec.k)
     switch = next((i for i, (a, b) in enumerate(zip(live, rec.trace), 1) if a != b), None)
     return HybridResult(trace=live, switch_step=switch)
 
@@ -172,3 +182,44 @@ def recording_from_data(data: dict, table: EncodingTable = TABLE_A) -> Recording
     if json.dumps(rec.trace) != json.dumps(data["trace"]):
         raise ValueError("stored trace does not match deterministic re-execution")
     return rec
+
+
+def _state_json(state: SemanticState, level: int) -> str:
+    """One state as json.dumps(indent=2) writes it `level` indents deep: a
+    state is always [registers(4), cursor, outputs, halted, event] and an
+    event [bits, step, state], so one f-string per nesting level does."""
+    end = "\n" + "  " * level  # before the state's closing bracket
+    field = end + "  "  # before each of its five fields
+    first = field + "  "  # before the first entry of a field
+    entry = "," + first  # before each later one
+    r0, r1, r2, r3 = state.registers
+    outputs = state.outputs
+    outputs = f"[{first}{entry.join(map(str, outputs))}{field}]" if outputs else "[]"
+    event = state.event
+    if event is None:
+        event = "null"
+    else:
+        inner = _state_json(event.state, level + 2)
+        event = f'[{first}"{event.code_bits}"{entry}{event.step_index}{entry}{inner}{field}]'
+    return (
+        f"[{field}[{first}{r0}{entry}{r1}{entry}{r2}{entry}{r3}{field}],"
+        f"{field}{state.input_cursor},{field}{outputs},"
+        f"{field}{'true' if state.halted else 'false'},{field}{event}{end}]"
+    )
+
+
+def document(payload: dict) -> str:
+    """json.dumps(payload, indent=2) + "\n", byte for byte, for the document
+    of a recording command: other keys, then "trace", a nonempty sequence
+    of states.  The other keys go through json.dumps; the trace is written
+    by _state_json, each distinct state object once, since a halted run
+    repeats one padding state."""
+    *head, (_, trace) = payload.items()
+    parts = [json.dumps(dict(head), indent=2)[:-2], ',\n  "trace": [']
+    last = text = None
+    for state in trace:
+        if state is not last:
+            last, text = state, _state_json(state, 2)
+        parts += ("\n    ", text, ",")
+    parts[-1] = "\n  ]\n}\n"
+    return "".join(parts)

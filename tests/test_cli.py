@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from udlab import equivalence
-from udlab.cli import _COMMANDS, main
+from udlab import cli, equivalence
+from udlab.cli import _COMMANDS, _OPTIONS, main
 from udlab.machine import step_count
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -281,6 +281,40 @@ def test_help_exits_zero(capsys):
         assert code == 0 and "--severed" in out and "--max-len" in out
 
 
+def _parser_with_copied_options():
+    """The parser as it was built when every subcommand copied all of
+    _OPTIONS from one parent at start-up: the oracle for the lazy one."""
+    common = cli._Parser(add_help=False)
+    for dest, (flags, kind, choices, text) in _OPTIONS.items():
+        common.add_argument(*flags, dest=dest, type=kind, choices=choices, help=text)
+    parser = cli._Parser(prog="udlab", description=(cli.__doc__ or "").rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", metavar="|".join(_COMMANDS))
+    for name in _COMMANDS:
+        sub.add_parser(name, parents=[common])
+    return parser
+
+
+PARSER_CASES = [
+    ["--help"],
+    *([command, "--help"] for command in _COMMANDS),
+    [],
+    ["no-such-command"],
+    ["kraft", "--max-len", "eight"],
+    ["sever", "--encoding", "C"],
+    ["schedule", "--tick", "5", "--bogus"],
+    ["kraft", "-L", "8", "--format", "json"],
+]
+
+
+def test_options_declared_on_parse_match_options_copied_at_start_up(capsys, monkeypatch):
+    # Help text, usage errors and a parsed run, byte for byte.
+    lazy = [run_cli(capsys, *argv) for argv in PARSER_CASES]
+    monkeypatch.setattr(cli, "_build_parser", _parser_with_copied_options)
+    copied = [run_cli(capsys, *argv) for argv in PARSER_CASES]
+    assert lazy == copied
+    assert [code for code, _, _ in lazy] == [0] * 15 + [1] * 5 + [0]
+
+
 def test_universe_entries_must_be_lists(tmp_path, capsys):
     path = tmp_path / "universe.json"
     path.write_text(json.dumps([1, 2]))
@@ -468,6 +502,29 @@ def test_malformed_recording_exits_2(tmp_path, capsys, command):
         assert err.startswith(f"error: recording {path}: "), err
 
 
+def test_recording_commands_report_the_recording_encoding(tmp_path, capsys):
+    # 00001111 is DVT; END under encoding B and HALT; END under A.  The
+    # commands decoded it under B but wrote "encoding": "A" in their config,
+    # and echoed an explicit --encoding A that they ignored.
+    path = tmp_path / "recB.json"
+    code, _, _ = run_cli(
+        capsys, "record", "--program", "00001111", "-k", "3", "--encoding", "B", "--out", str(path)
+    )
+    assert code == 0
+    assert json.loads(path.read_text())["trace"][0][4][0] == "1111"  # a dovetailer
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"encoding": "A"}))
+    for command in ("replay", "hybrid", "sever"):
+        argv = (command, "--recording", str(path))
+        for extra in ((), ("--encoding", "B")):
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == 0 and json.loads(out)["config"]["encoding"] == "B", (command, extra)
+        for extra in (("--encoding", "A"), ("--config", str(config))):
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert code == 2 and out == "", (command, extra)
+            assert err == f"error: recording {path} is under encoding B, not --encoding A\n"
+
+
 @pytest.mark.parametrize("command", ["record", "replay", "hybrid", "sever"])
 def test_json_only_commands_refuse_csv(tmp_path, capsys, command):
     # These commands wrote JSON tagged "format": "csv" when asked for CSV.
@@ -509,10 +566,32 @@ def test_oversized_enumeration_exits_2_under_memory_cap():
     assert done.stderr.startswith("error: max_len 40 covers")
 
 
+def test_recording_an_output_loop_fits_under_a_250_mb_cap():
+    # INC r0; WHILE r0 OUT r0 WEND filmed for 4000 steps: its document is
+    # about 50 MB.  Rendered through json.dumps(indent=2), which builds a
+    # chunk list before joining it, the run peaked near 350 MB and exited 2
+    # under this cap; the state writer keeps it near 130 MB.
+    cap = 250 * 1024**2
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "udlab.cli", "record", "--program", "00010001010000110001101111",
+         "-k", "4000"],
+        env=env, capture_output=True, timeout=120, preexec_fn=limit_memory,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == (
+        "41d0d21dce02ddccf46a3239dc713faabe808c276fb3ec4d9105a60214497004"
+    )
+
+
 def test_out_of_memory_exits_2_with_a_message():
     # A recording of a program that outputs in a loop writes its whole output
     # log into every state, so filming it for 8000 steps needs far more than
-    # 100 MB (about 1.3 GB uncapped).
+    # 100 MB (about 480 MB uncapped).
     cap = 100 * 1024**2
 
     def limit_memory():

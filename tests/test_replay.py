@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from stepping import per_tape_sever
+from stepping import full_trace, per_tape_sever
 
 from udlab import dovetailer, equivalence
 from udlab.encoding import decode, from_instructions, get_table
@@ -15,6 +15,7 @@ from udlab.machine import Configuration, run_trace, step_count
 from udlab.replay import (
     Recording,
     SeverancePlan,
+    document,
     hybrid_run,
     playback,
     record,
@@ -25,6 +26,8 @@ from udlab.replay import (
 
 ECHO = from_instructions([("IN", 0), ("OUT", 0)])
 EMPTY = decode("1111")
+# INC r0; WHILE r0 OUT r0 WEND: outputs in a loop, so its states grow with k.
+OUTPUT_LOOP = decode("00010001010000110001101111")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -289,6 +292,43 @@ def test_sever_matches_per_tape_oracle(variant):
     assert tape_blind == verdicts == past_end == {True, False}
 
 
+def test_hybrid_reuses_the_film_on_tapes_that_agree_on_the_cells_read():
+    # ECHO reads one cell and halts; the dovetailer reads none.  A tape that
+    # agrees with the recorded one on the cells read, zero-padded, runs no step.
+    cases = [
+        (ECHO, (1,), [(1,), (1, 5), (1, 0, 0)]),
+        (ECHO, (), [(), (0,), (0, 3)]),
+        (decode("10001111"), (1,), [(), (0,), (2, 2)]),
+    ]
+    for program, rec_tape, tapes in cases:
+        rec = record(program, rec_tape, 300)
+        for tape in tapes:
+            before = step_count()
+            result = hybrid_run(rec, tape)
+            assert step_count() == before
+            assert result.trace is rec.trace and result.switch_step is None
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_hybrid_matches_a_live_run(variant):
+    table = get_table(variant)
+    tapes = ((), (1,), (0, 1), (2, 0, 1))
+    programs = enumerate_programs(14, table)
+    programs += [from_instructions(instructions, table) for instructions in LOOP_READERS]
+    switched = set()
+    for program in programs:
+        for rec_tape in tapes:
+            rec = record(program, rec_tape, 12)
+            for tape in tapes:
+                live = full_trace(program, tape, 12)
+                diverged = [i for i, (a, b) in enumerate(zip(live, rec.trace), 1) if a != b]
+                result = hybrid_run(rec, tape)
+                assert result == (live, diverged[0] if diverged else None), (program.bits, tape)
+                switched.add(result.switch_step is None)
+    assert switched == {True, False}
+
+
+
 def test_sever_builds_no_family_key(monkeypatch):
     # The verdict compares traces; no canonical JSON key is encoded for it.
     encodes = 0
@@ -357,3 +397,33 @@ def test_recording_tamper_detection():
     data["tape"] = [-1]
     with pytest.raises(ValueError):
         recording_from_data(data)
+
+
+def _document_matches_json_dumps(rec):
+    payload = {
+        "config": {"command": "record", "tape": list(rec.tape)},
+        "switch_step": None,
+        "counterfactually_equivalent": False,
+        "k": rec.k,
+        "trace": rec.trace,
+    }
+    assert document(payload) == json.dumps(payload, indent=2) + "\n", (rec.program.bits, rec.tape)
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_document_matches_json_dumps_for_every_short_program(variant):
+    for program in enumerate_programs(14, get_table(variant)):
+        for tape in ((), (1,), (2, 0, 1)):
+            for k in (1, 9, 60):
+                _document_matches_json_dumps(record(program, tape, k))
+
+
+def test_document_matches_json_dumps_on_nested_long_and_padded_traces():
+    exec_of_dvt = record(from_instructions([("EXEC", [("DVT",)])]), (), 200)
+    assert exec_of_dvt.trace[-1].event.state.event is not None  # events two levels deep
+    loop = record(OUTPUT_LOOP, (), 300)
+    assert len(loop.trace[-1].outputs) > 100
+    short = record(from_instructions([("INC", 0), ("INC", 1), ("INC", 2)]), (), 500)
+    assert short.trace[2].halted and short.trace[3] is short.trace[-1]  # one padding object
+    for rec in (exec_of_dvt, loop, short):
+        _document_matches_json_dumps(rec)
