@@ -241,7 +241,7 @@ def _cmd_enumerate(run: _Run) -> str:
 def _cmd_kraft(run: _Run) -> str:
     from .measure import fraction_str
 
-    mass = fraction_str(kraft_mass(run.max_len, run.encoding))
+    mass = fraction_str(kraft_mass(run.max_len))
     if run.fmt == "json":
         return _json_doc({"config": run.config_dict(), "kraft_mass": mass})
     if run.fmt == "csv":
@@ -390,8 +390,8 @@ def _cmd_relmeasure(run: _Run) -> str:
 def _cmd_levels(run: _Run) -> str:
     from .measure import divergence_report, fraction_str
 
-    # -k is the top level; the report always starts at level 1.
-    rows_data = divergence_report(1, run.k, run.context())
+    # -k is the context's top level; the report runs every level 1..k.
+    rows_data = divergence_report(run.context())
     rows = [
         _context_columns(run, row.k)
         + [row.class_count, fraction_str(row.level_mass), fraction_str(row.cumulative)]
@@ -472,17 +472,17 @@ def _cmd_hybrid(run: _Run) -> str:
 
 
 def _cmd_sever(run: _Run) -> str:
-    from .replay import SeverancePlan, document, sever_and_project
+    from .replay import document, sever_and_project
 
     rec = _load_recording(run)
-    plan = SeverancePlan.of(_parse_naturals(run.args.severed, "--severed"))
+    steps = _parse_naturals(run.args.severed, "--severed")
     tape = _parse_naturals(run.args.tape, "tape")
-    result = sever_and_project(rec, plan, tape, run.universe)
+    result = sever_and_project(rec, steps, tape, run.universe)
     payload = {
         "config": run.config_dict(
             ("recording", run.args.recording),
             ("tape", list(tape)),
-            ("severed", sorted(plan.severed_steps)),
+            ("severed", sorted(set(steps))),
         ),
         "counterfactually_equivalent": result.equivalent,
         "trace": result.trace,

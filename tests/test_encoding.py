@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from udlab.encoding import (
     DecodeError,
+    EncodingTable,
     TABLE_A,
     TABLE_B,
     TrailingBits,
@@ -117,6 +118,12 @@ def test_encoding_b_permutation():
 def test_get_table():
     assert get_table("A") is TABLE_A
     assert get_table("B") is TABLE_B
+    # Only these two tables are ever built, so a table's identity is its
+    # value: a program, and each program it embeds, holds the table itself.
+    program = from_instructions([("EXEC", [("INC", 0)])], TABLE_B)
+    assert decode(program.bits, TABLE_B).encoding is TABLE_B
+    assert program.instructions[0][1].encoding is TABLE_B
+    assert "__eq__" not in vars(EncodingTable) and "__hash__" not in vars(EncodingTable)
     with pytest.raises(ValueError):
         get_table("C")
 

@@ -112,7 +112,6 @@ def test_encoding_b_same_bits_different_meaning():
     a = enumerate_programs(12)
     b = enumerate_programs(12, TABLE_B)
     assert [p.bits for p in b] == [p.bits for p in a]
-    assert kraft_mass(12, TABLE_B) == kraft_mass(12)
     assert a[1].instructions == (("HALT",),)
     assert b[1].instructions == (("DVT",),)
     assert a[2].instructions == (("DVT",),)
@@ -126,7 +125,7 @@ def test_grammar_counts_match_enumeration(table):
         programs = enumerate_programs(max_len, table)
         assert sum(counts[: max_len + 1]) == len(programs)
         enumerated = sum((Fraction(1, 2**p.length) for p in programs), Fraction(0))
-        assert kraft_mass(max_len, table) == enumerated
+        assert kraft_mass(max_len) == enumerated
 
 
 def test_grammar_counts_at_the_size_limit():

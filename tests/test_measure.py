@@ -9,7 +9,7 @@ from udlab.cli import main
 from udlab.dovetailer import DovetailEngine
 from udlab.encoding import TABLE_A, decode, from_instructions, get_table
 from udlab.enumeration import enumerate_programs, kraft_mass
-from udlab.equivalence import DEFAULT_UNIVERSE, EquivClass, partition, refine
+from udlab.equivalence import DEFAULT_UNIVERSE, EquivClass, InputUniverse, partition, refine
 from udlab.machine import run_events, run_trace, step_count
 from udlab.measure import (
     EmptyClass,
@@ -83,7 +83,6 @@ def test_context_mismatch_rejected():
         lambda: class_masses(classes, ctx),
         lambda: decomposition_check(classes, ctx),
         lambda: relative_measure(child, parent, ctx),
-        lambda: divergence_report(1, 2, ctx),
         lambda: ctx.partition(2),
     ):
         with pytest.raises(ValueError):
@@ -216,21 +215,21 @@ def test_child_mass_bounded_by_parent():
 
 def test_level_mass_with_zero_budget_is_kraft():
     # Delta contributions only: every program weighs in exactly once.
-    [row] = divergence_report(1, 1, make_ctx(max_len=8, budget=0))
+    [row] = divergence_report(make_ctx(max_len=8, budget=0))
     assert row.level_mass == kraft_mass(8)
-    [row] = divergence_report(3, 3, make_ctx(max_len=10, k=3, budget=0))
+    row = divergence_report(make_ctx(max_len=10, k=3, budget=0))[2]
     assert row.level_mass == kraft_mass(10)
 
 
 def test_level_mass_lower_bound():
     ctx = make_ctx(max_len=10, k=4, budget=100)
     for k in range(1, 5):
-        assert divergence_report(k, k, ctx)[0].level_mass >= kraft_mass(10)
+        assert divergence_report(ctx)[k - 1].level_mass >= kraft_mass(10)
 
 
 def test_divergence_report_accumulates():
     ctx = make_ctx(max_len=10, k=4, budget=100)
-    rows = divergence_report(1, 4, ctx)
+    rows = divergence_report(ctx)
     assert [row.k for row in rows] == [1, 2, 3, 4]
     total = Fraction(0)
     for row in rows:
@@ -238,10 +237,24 @@ def test_divergence_report_accumulates():
         assert row.cumulative == total
         assert row.level_mass >= kraft_mass(10)
     assert rows[-1].cumulative >= 4 * kraft_mass(10)
-    with pytest.raises(ValueError):
-        divergence_report(2, 1, ctx)
-    with pytest.raises(ValueError):
-        divergence_report(0, 3, ctx)
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+@pytest.mark.parametrize("budget", [0, 200])
+def test_level_masses_agree_with_class_masses(variant, budget):
+    # The report sums by class id and builds no class; the classes of each
+    # level, measured one by one, must add up to the same mass.
+    universes = (DEFAULT_UNIVERSE, InputUniverse.from_tapes([(), (0, 2), (1, 2, 0)]))
+    for universe in universes:
+        ctx = MeasureContext(
+            max_len=12, k=4, budget=budget, universe=universe, encoding=get_table(variant)
+        )
+        rows = divergence_report(ctx)
+        assert [row.k for row in rows] == [1, 2, 3, 4]
+        for row in rows:
+            classes = ctx.partition(row.k)
+            assert row.class_count == len(classes)
+            assert row.level_mass == sum(class_masses(classes, ctx))
 
 
 def oracle_weight(programs, cls, ctx):

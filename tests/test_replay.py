@@ -14,7 +14,6 @@ from udlab.equivalence import DEFAULT_UNIVERSE, InputUniverse
 from udlab.machine import Configuration, run_trace, step_count
 from udlab.replay import (
     Recording,
-    SeverancePlan,
     document,
     hybrid_run,
     playback,
@@ -68,9 +67,9 @@ import os
 pid = os.fork()
 if pid == 0:
     from udlab.encoding import decode
-    from udlab.replay import SeverancePlan, record, sever_and_project
+    from udlab.replay import record, sever_and_project
     rec = record(decode("10001111"), (), 3000)
-    result = sever_and_project(rec, SeverancePlan.of(range(1, 3001)), (1, 2))
+    result = sever_and_project(rec, range(1, 3001), (1, 2))
     os._exit(0 if result.equivalent and result.trace == rec.trace else 1)
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
@@ -147,23 +146,23 @@ def test_hybrid_soundness_prefix_and_live_suffix():
 
 def test_sever_nothing_reproduces_recording():
     rec = record(ECHO, (1,), 2)
-    result = sever_and_project(rec, SeverancePlan.of(()), (1,))
+    result = sever_and_project(rec, (), (1,))
     assert result.trace == rec.trace
     assert result.equivalent
 
 
 def test_full_severance_state_identical_but_inequivalent():
     rec = record(ECHO, (1,), 2)
-    plan = SeverancePlan.of((1, 2))
+    severed = (1, 2)
     for tape in ((1,), (0,), (7, 7)):
-        result = sever_and_project(rec, plan, tape)
+        result = sever_and_project(rec, severed, tape)
         assert result.trace == rec.trace  # the film plays the same in any world
         assert not result.equivalent
 
 
 def test_full_severance_of_constant_program_stays_equivalent():
     rec = record(EMPTY, (), 2)
-    result = sever_and_project(rec, SeverancePlan.of((1, 2)), (1,))
+    result = sever_and_project(rec, (1, 2), (1,))
     assert result.trace == rec.trace
     assert result.equivalent
 
@@ -173,7 +172,7 @@ def test_severing_a_film_that_read_no_input_runs_no_step():
         rec = record(program, (1, 2), 40)
         before = step_count()
         for steps in ((), (1,), (3, 7, 40), range(1, 41)):
-            result = sever_and_project(rec, SeverancePlan.of(steps), (2, 0, 1))
+            result = sever_and_project(rec, steps, (2, 0, 1))
             assert (result.trace, result.equivalent) == (rec.trace, True)
         assert step_count() == before
 
@@ -193,7 +192,7 @@ def test_severing_a_loop_reader_on_a_long_tape_steps_linearly():
     assert rec.trace[-1].input_cursor > 300
     tape = tuple(2 + i % 2 for i in range(300))
     before = step_count()
-    result = sever_and_project(rec, SeverancePlan.of(range(1, k + 1, 3)), tape)
+    result = sever_and_project(rec, range(1, k + 1, 3), tape)
     assert not result.equivalent
     assert step_count() - before <= (2 * len(DEFAULT_UNIVERSE.tapes) + 2) * k
 
@@ -217,7 +216,7 @@ def test_severing_a_reader_that_dovetails_copies_no_emulation(monkeypatch):
     k = 2000
     rec = record(decode("01000010001111"), (1,), k)
     before = step_count()
-    result = sever_and_project(rec, SeverancePlan.of(range(1, k + 1)), (2,))
+    result = sever_and_project(rec, range(1, k + 1), (2,))
     assert result.trace == rec.trace and not result.equivalent
     assert clones == 0
     assert step_count() - before <= (len(DEFAULT_UNIVERSE.tapes) + 2) * k
@@ -227,23 +226,23 @@ def test_partial_severance_can_stay_equivalent_on_matching_world():
     # Severing step 1 pins r0 to the recorded read; on the recorded tape the
     # hybrid is indistinguishable, on others it is not.
     rec = record(ECHO, (1,), 2)
-    plan = SeverancePlan.of((1,))
-    result = sever_and_project(rec, plan, (1,))
+    severed = (1,)
+    result = sever_and_project(rec, severed, (1,))
     assert result.trace == rec.trace
     assert not result.equivalent
-    diverging = sever_and_project(rec, plan, (0,))
+    diverging = sever_and_project(rec, severed, (0,))
     assert diverging.trace == rec.trace  # step 2 continues from the imposed state
-    other = sever_and_project(rec, SeverancePlan.of((2,)), (0,))
+    other = sever_and_project(rec, (2,), (0,))
     assert other.trace[0].registers == (0, 0, 0, 0)
     assert other.trace[1] == rec.trace[1]
 
 
 def test_sever_verdict_uses_given_universe():
     rec = record(ECHO, (1,), 2)
-    plan = SeverancePlan.of((1, 2))
+    severed = (1, 2)
     constant_universe = InputUniverse.from_tapes([(1,)])
-    assert sever_and_project(rec, plan, (1,), constant_universe).equivalent
-    assert not sever_and_project(rec, plan, (1,), DEFAULT_UNIVERSE).equivalent
+    assert sever_and_project(rec, severed, (1,), constant_universe).equivalent
+    assert not sever_and_project(rec, severed, (1,), DEFAULT_UNIVERSE).equivalent
 
 
 # Programs that read input in a loop: a severed step can leave the filmed
@@ -280,13 +279,12 @@ def test_sever_matches_per_tape_oracle(variant):
     tape_blind, verdicts, past_end = set(), set(), set()
     for program, rec_tape, k, steps in short + looping:
         rec = record(program, rec_tape, k)
-        plan = SeverancePlan.of(steps)
         tape_blind.add(rec.trace[-1].input_cursor == 0)
         past_end.add(any(rec.trace[s - 1].input_cursor > len(rec_tape) for s in steps))
         for universe in universes:
             for tape in ((), (1,), (0, 1), (2, 1, 0, 0)):
-                result = sever_and_project(rec, plan, tape, universe)
-                expected = per_tape_sever(rec, plan.severed_steps, tape, universe)
+                result = sever_and_project(rec, steps, tape, universe)
+                expected = per_tape_sever(rec, steps, tape, universe)
                 assert (result.trace, result.equivalent) == expected, (program.bits, steps)
                 verdicts.add(result.equivalent)
     assert tape_blind == verdicts == past_end == {True, False}
@@ -342,7 +340,7 @@ def test_sever_builds_no_family_key(monkeypatch):
 
     monkeypatch.setattr(equivalence, "_ENCODER", Counting())
     for rec in (record(decode("10001111"), (), 200), record(ECHO, (1,), 2)):
-        result = sever_and_project(rec, SeverancePlan.of((1, 2)), (0,))
+        result = sever_and_project(rec, (1, 2), (0,))
         assert result.equivalent == (rec.program != ECHO)
     assert encodes == 0
 
@@ -350,28 +348,46 @@ def test_sever_builds_no_family_key(monkeypatch):
 def test_sever_validation():
     rec = record(ECHO, (1,), 2)
     with pytest.raises(ValueError):
-        sever_and_project(rec, SeverancePlan.of((3,)), (1,))
+        sever_and_project(rec, (3,), (1,))
     with pytest.raises(ValueError):
-        SeverancePlan.of((0,))
+        sever_and_project(rec, (0,), (1,))
+    # A film that read no input is checked too, before it is returned.  A
+    # float, a bool or a string is refused, not converted to a step.
+    for rec in (record(ECHO, (1,), 4), record(decode("10001111"), (), 4)):
+        for bad in (0, -3, 1.5, True, "2"):
+            with pytest.raises(ValueError, match="1-based"):
+                sever_and_project(rec, (2, bad), (1,))
+        with pytest.raises(ValueError, match=r"must lie in 1\.\.4"):
+            sever_and_project(rec, (1, rec.k + 1), (1,))
+
+
+def test_sever_takes_any_iterable_of_steps():
+    rec = record(from_instructions(LOOP_READERS[0]), (1, 2), 12)
+    expected = per_tape_sever(rec, {2, 3, 4}, (2, 0, 1), DEFAULT_UNIVERSE)
+    for steps in ([4, 2, 3], (2, 3, 4, 3), range(2, 5), frozenset({2, 3, 4})):
+        result = sever_and_project(rec, steps, (2, 0, 1))
+        assert (result.trace, result.equivalent) == expected, steps
+    assert expected[0] != rec.trace and not expected[1]
 
 
 def test_recording_serialization_round_trip():
     rec = record(ECHO, (1,), 3)
     data = recording_to_data(rec)
     assert list(data.keys()) == ["program_bits", "tape", "k", "trace"]
-    # The file holds the whole recording: nothing is lost in the round trip.
-    assert Recording._fields == ("program", "tape", "k", "trace")
+    # The file holds the whole recording: nothing is lost in the round trip,
+    # and k is the length of the trace.
+    assert Recording._fields == ("program", "tape", "trace")
     clone = recording_from_data(data)
     assert clone == rec
+    assert clone.k == len(clone.trace) == data["k"] == 3
     dvt = record(decode("10001111"), (1,), 40)
     cases = [(rec, ((), (1,), (2,), (1, 3))), (dvt, ((3,), (3, 17, 40)))]
     for original, plans in cases:
         rebuilt = recording_from_data(recording_to_data(original))
         for steps in plans:
-            plan = SeverancePlan.of(steps)
             for tape in ((), (0,), (1,)):
-                result = sever_and_project(rebuilt, plan, tape)
-                assert result == sever_and_project(original, plan, tape)
+                result = sever_and_project(rebuilt, steps, tape)
+                assert result == sever_and_project(original, steps, tape)
 
 
 def _as_file(rec):
