@@ -14,7 +14,6 @@ writes it once, to stdout or --out.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -82,13 +81,16 @@ class _CommandParser(_Parser):
         return super().parse_known_args(args, namespace)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser for argv.  When argv names a command, that command's
+    subparser is the only one built; otherwise (--help, no command or an
+    unknown one) all are, since the usage error lists the commands built."""
     # --help shows the docstring up to its last paragraph, which is about the code.
     parser = _Parser(prog="udlab", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(
         dest="command", metavar="|".join(_COMMANDS), parser_class=_CommandParser
     )
-    for name in _COMMANDS:
+    for name in [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS:
         sub.add_parser(name)
     return parser
 
@@ -166,6 +168,8 @@ def _json_doc(payload: dict) -> str:
 
 
 def _csv_doc(config: dict, header: list[str], rows: list[list]) -> str:
+    import csv  # loaded only by the runs that write CSV
+
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, separators=(",", ":")) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -519,7 +523,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if args.command is None:

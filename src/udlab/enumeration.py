@@ -8,13 +8,20 @@ programs are generated straight from the code grammar
              | WHILE r Block(WEND) | EXEC Block(END)
 
 so the work is proportional to the output rather than to the 2**n candidate
-strings of each length.  Every generated string still goes through the
-strict decoder, which remains the single source of truth for what a string
-means.  Streams cache per encoding variant and extend lazily, so the n-th
-program is available without choosing a length bound up front.
+strings of each length.  The grammar builds each program's bits and
+instructions together, sharing the instruction tuples and nested EXEC
+programs of common sub-blocks, so no generated string is parsed again.
+The strict decoder stays the route for bits from outside (a --program, a
+recording) and is the enumeration's test oracle: the tests check every
+generated program against decode, and the decode census in tests/census.py
+against the generated strings.  Streams cache per encoding variant and
+extend lazily, so the n-th program is available without choosing a length
+bound up front.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .encoding import (
     DEC,
@@ -33,13 +40,13 @@ from .encoding import (
     EncodingTable,
     Program,
     TABLE_A,
-    decode,
 )
 
-# A Program holds its bits, instruction tuples and nested EXEC programs, about
-# 600 B each.  Generation is proportional to its output, so an oversized
-# request would not hang but exhaust memory.  MAX_LEN is the longest bound
-# this limit admits (454,169 programs, a few hundred MB); a longer one, from
+# A Program holds its bits and instruction tuples, sharing sub-blocks' tuples
+# and nested EXEC programs with other programs: enumeration up to 30 bits
+# holds about 160 MB, some 350 B a program.  Generation is proportional to its
+# output, so an oversized request would not hang but exhaust memory.  MAX_LEN
+# is the longest bound this limit admits (454,169 programs); a longer one, from
 # 32 bits (1,484,319 programs) on, is refused before anything is generated.
 MAX_PROGRAMS = 2**20
 MAX_LEN = 31
@@ -85,31 +92,51 @@ class ProgramStream:
         self.table = table
         self._programs: list[Program] = []
         self._generated_to = 0  # every length <= this has been generated
-        self._blocks: dict[tuple[int, str], list[str]] = {}
+        # (bits, instructions) of every n-bit instruction and Block(t) string
+        self._instrs: dict[int, list[tuple[str, tuple]]] = {}
+        self._blocks: dict[tuple[int, str], list[tuple[str, tuple]]] = {}
 
-    def _instructions(self, n: int) -> list[str]:
-        """Every single instruction of exactly n bits."""
+    def _instructions(self, n: int) -> list[tuple[str, tuple]]:
+        """Every single instruction of exactly n bits, with its parsed tuple;
+        an EXEC's embedded program is built once and shared, memoised."""
+        found = self._instrs.get(n)
+        if found is not None:
+            return found
         code = self.table.code_by_name
         if n == OPCODE_BITS:
-            return [code[HALT], code[DVT]]
-        if n == OPCODE_BITS + REGISTER_BITS:
-            return [code[op] + r for op in _OPERAND_OPS for r in _REGISTER_OPERANDS]
-        loops = [
-            code[WHILE] + r + body
-            for r in _REGISTER_OPERANDS
-            for body in self._block(n - OPCODE_BITS - REGISTER_BITS, WEND)
-        ]
-        return loops + [code[EXEC] + body for body in self._block(n - OPCODE_BITS, END)]
+            found = [(code[HALT], (HALT,)), (code[DVT], (DVT,))]
+        elif n == OPCODE_BITS + REGISTER_BITS:
+            found = [
+                (code[op] + r, (op, reg))
+                for op in _OPERAND_OPS
+                for reg, r in enumerate(_REGISTER_OPERANDS)
+            ]
+        else:
+            found = [
+                (code[WHILE] + r + bits, (WHILE, reg, body))
+                for reg, r in enumerate(_REGISTER_OPERANDS)
+                for bits, body in self._block(n - OPCODE_BITS - REGISTER_BITS, WEND)
+            ]
+            found += [
+                (code[EXEC] + bits, (EXEC, Program(bits, body, self.table)))
+                for bits, body in self._block(n - OPCODE_BITS, END)
+            ]
+        self._instrs[n] = found
+        return found
 
-    def _block(self, n: int, terminator: str) -> list[str]:
-        """Every n-bit string of Block(terminator), memoised."""
+    def _block(self, n: int, terminator: str) -> list[tuple[str, tuple]]:
+        """Every n-bit string of Block(terminator) with its instructions, memoised."""
         found = self._blocks.get((n, terminator))
         if found is None:
-            found = [self.table.code_by_name[terminator]] if n == OPCODE_BITS else []
+            found = [(self.table.code_by_name[terminator], ())] if n == OPCODE_BITS else []
             for head in range(OPCODE_BITS, n - OPCODE_BITS + 1):
                 tails = self._block(n - head, terminator)
                 if tails:
-                    found.extend(h + t for h in self._instructions(head) for t in tails)
+                    found.extend(
+                        (h + t, (instr,) + rest)
+                        for h, instr in self._instructions(head)
+                        for t, rest in tails
+                    )
             self._blocks[(n, terminator)] = found
         return found
 
@@ -122,8 +149,10 @@ class ProgramStream:
                 f"programs, more than the {MAX_PROGRAMS} that enumeration holds in memory"
             )
         for length in range(max(self._generated_to + 1, MIN_PROGRAM_BITS), max_len + 1):
-            for bits in sorted(self._block(length, END)):
-                self._programs.append(decode(bits, self.table))
+            self._programs.extend(
+                Program(bits, instructions, self.table)
+                for bits, instructions in sorted(self._block(length, END), key=itemgetter(0))
+            )
         self._generated_to = max_len
 
     def up_to_length(self, max_len: int) -> list[Program]:

@@ -84,6 +84,8 @@ def _trace_json(states: tuple) -> str:
     head = len(states) - 1
     while head and states[head - 1] is last:
         head -= 1
+    if head == len(states) - 1:  # no padding run: the trace is encoded whole
+        return _ENCODER.encode(states)
     parts = [_ENCODER.encode(states[:head])[1:-1]] if head else []
     parts += [_ENCODER.encode(last)] * (len(states) - head)
     return "[" + ",".join(parts) + "]"
@@ -108,11 +110,19 @@ def trace_family(program: Program, universe: InputUniverse, k: int) -> tuple[tup
     """The program's k-step traces, one per tape in universe order.  A tape
     that agrees, zero-padded, with a traced tape on the cells that run read
     gets that run's trace object; any other tape is traced.  Runs are looked
-    up by (final cursor, cells read), one lookup per distinct cursor."""
-    runs: dict[tuple[int, Tape], tuple] = {}
-    cursors: set[int] = set()  # final cursors of the runs traced so far
-    traces = []
-    for tape in universe.tapes:
+    up by (final cursor, cells read), one lookup per distinct cursor.  The
+    first tape is traced first: when its run read nothing, that run is the
+    run on every tape, and no tape is looked up."""
+    tapes = universe.tapes
+    first = tapes[0]
+    trace = run_trace(program, first, k)
+    cursor = trace[-1].input_cursor
+    if cursor == 0:
+        return (trace,) * len(tapes)
+    runs: dict[tuple[int, Tape], tuple] = {(cursor, read_cells(first, cursor)): trace}
+    cursors = {cursor}  # final cursors of the runs traced so far
+    traces = [trace]
+    for tape in tapes[1:]:
         for cursor in cursors:
             trace = runs.get((cursor, read_cells(tape, cursor)))
             if trace is not None:
@@ -160,6 +170,14 @@ class EquivClass(NamedTuple):
         return key_digest(self.key_parts)
 
 
+def _halting_step(trace: tuple, top: int) -> int:
+    """The step at which the trace halts, or top if it does not."""
+    for j, state in enumerate(trace, 1):
+        if state.halted:
+            return j
+    return top
+
+
 class ClassIndex:
     """Class ids of codes at every level 1..top over one universe.
 
@@ -183,14 +201,21 @@ class ClassIndex:
     def ids(self, program: Program) -> tuple[int, ...]:
         """The program's class id at each level 1..top, from one trace."""
         traces = trace_family(program, self.universe, self.top)
-        settled = max(  # the step by which every tape has halted, or top
-            next((j for j, state in enumerate(trace, 1) if state.halted), self.top)
-            for trace in {id(trace): trace for trace in traces}.values()
-        )
+        if traces.count(traces[0]) == len(traces):  # one trace on every tape
+            steps = traces[0]  # each step interns as its one state
+            settled = _halting_step(steps, self.top)
+        else:
+            steps = (
+                step[0] if step.count(step[0]) == len(step) else step for step in zip(*traces)
+            )
+            settled = max(  # the step by which every tape has halted, or top
+                _halting_step(trace, self.top)
+                for trace in {id(trace): trace for trace in traces}.values()
+            )
         ids: list[int] = []
         previous = None
-        for step in islice(zip(*traces), settled):
-            pair = (previous, step[0] if step.count(step[0]) == len(step) else step)
+        for step in islice(steps, settled):
+            pair = (previous, step)
             previous = self._ids.get(pair)
             if previous is None:
                 previous = self._ids[pair] = len(self._creators)

@@ -283,9 +283,10 @@ def test_help_exits_zero(capsys):
         assert code == 0 and "--severed" in out and "--max-len" in out
 
 
-def _parser_with_copied_options():
+def _parser_with_copied_options(argv):
     """The parser as it was built when every subcommand copied all of
-    _OPTIONS from one parent at start-up: the oracle for the lazy one."""
+    _OPTIONS from one parent at start-up, whatever argv names: the oracle
+    for the lazy one, which builds only the subparser argv names."""
     common = cli._Parser(add_help=False)
     for dest, (flags, kind, choices, text) in _OPTIONS.items():
         common.add_argument(*flags, dest=dest, type=kind, choices=choices, help=text)
@@ -305,6 +306,7 @@ PARSER_CASES = [
     ["sever", "--encoding", "C"],
     ["schedule", "--tick", "5", "--bogus"],
     ["kraft", "-L", "8", "--format", "json"],
+    ["-L", "8", "kraft"],
 ]
 
 
@@ -314,7 +316,7 @@ def test_options_declared_on_parse_match_options_copied_at_start_up(capsys, monk
     monkeypatch.setattr(cli, "_build_parser", _parser_with_copied_options)
     copied = [run_cli(capsys, *argv) for argv in PARSER_CASES]
     assert lazy == copied
-    assert [code for code, _, _ in lazy] == [0] * 15 + [1] * 5 + [0]
+    assert [code for code, _, _ in lazy] == [0] * 15 + [1] * 5 + [0, 1]
 
 
 def test_universe_entries_must_be_lists(tmp_path, capsys):

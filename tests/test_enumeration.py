@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from census import scan_length
-from udlab.encoding import TABLE_A, TABLE_B
+from udlab.encoding import MIN_PROGRAM_BITS, TABLE_A, TABLE_B, decode
 from udlab import enumeration
 from udlab.enumeration import (
     MAX_LEN,
@@ -166,3 +166,42 @@ def test_pure_scan_is_decode_census():
     assert scan_length(4, TABLE_A) == ["1111"]
     assert scan_length(5, TABLE_A) == []
     assert scan_length(8, TABLE_A) == ["00001111", "10001111"]
+
+
+def _exec_operands(instructions):
+    """Every embedded EXEC program, inside loop bodies and other EXECs too."""
+    for instr in instructions:
+        if instr[0] == "EXEC":
+            yield instr[1]
+            yield from _exec_operands(instr[1].instructions)
+        elif instr[0] == "WHILE":
+            yield from _exec_operands(instr[2])
+
+
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B])
+def test_generated_programs_are_what_decode_makes_of_their_bits(table):
+    # The grammar builds each Program without parsing its bits; decode is
+    # the oracle, down to the nested EXEC programs and the encoding object.
+    nested = 0
+    for program in enumerate_programs(18, table):
+        assert program == decode(program.bits, table), program.bits
+        assert program.encoding is table
+        for operand in _exec_operands(program.instructions):
+            assert operand == decode(operand.bits, table), (program.bits, operand.bits)
+            assert operand.encoding is table
+            nested += 1
+    assert nested > 0
+
+
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B])
+def test_nth_on_both_sides_of_each_length_boundary(table):
+    # A fresh stream extends one length at a time: the last program of each
+    # length and the first of the next must be the ones decode gives.
+    bits = [p.bits for p in enumerate_programs(20, table)]
+    stream = ProgramStream(table)
+    total = 0
+    for count in block_counts(18)[MIN_PROGRAM_BITS:]:
+        if count:
+            total += count
+            for n in (total, total + 1):
+                assert stream.nth(n) == decode(bits[n - 1], table), n

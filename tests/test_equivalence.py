@@ -162,6 +162,23 @@ def test_family_key_equals_full_stepping_oracle(table, universe, k):
         assert family_key(program, universe, k) == expected, program.bits
 
 
+@pytest.mark.parametrize("universe", [DEFAULT_UNIVERSE, UNIVERSE_012], ids=["default", "012"])
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_key_parts_join_to_json_dumps_of_the_family(table, universe):
+    # Key parts encode a trailing padding run once and a trace with none in
+    # one call, and ClassIndex keys lower levels from a longer trace; the
+    # joined key must still be json.dumps of each tape's first k states.
+    tails = set()
+    for program in enumerate_programs(14, table):
+        top = trace_family(program, universe, 300)
+        for k in (1, 3, 300):
+            for traces in (trace_family(program, universe, k), top):
+                expected = json.dumps([list(trace[:k]) for trace in traces], separators=(",", ":"))
+                assert joined_key(equivalence._key_parts(traces, k)) == expected, program.bits
+                tails.update(k > 1 and trace[k - 2] is trace[k - 1] for trace in traces)
+    assert tails == {True, False}  # traces with and without a padding run
+
+
 # Programs whose halting step depends on the tape, an EXEC host of one, and
 # a tape-blind program and an input-reading one whose first steps agree.
 COUNTDOWN = [("IN", 0), ("WHILE", 0, [("DEC", 0)])]

@@ -92,3 +92,11 @@ def test_masses_on_the_default_universe_load_no_digest_replay_or_dataclasses(loa
 def test_partition_and_recording_commands_load_no_measure(loaded, command):
     assert {"udlab.measure", "fractions"}.isdisjoint(loaded[command])
     assert ("udlab.replay" in loaded[command]) == (command != "partition")
+
+
+@pytest.mark.parametrize(
+    "command", ["enumerate", "partition", "record", "replay", "hybrid", "sever", "dovetail"]
+)
+def test_only_runs_that_write_csv_load_csv(loaded, command):
+    # dovetail writes CSV by default; the others write JSON.
+    assert ("csv" in loaded[command]) == (command == "dovetail")
