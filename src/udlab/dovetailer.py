@@ -38,8 +38,15 @@ from __future__ import annotations
 from math import isqrt
 
 from .encoding import EncodingTable, TABLE_A
-from .enumeration import program_stream
+from .enumeration import MAX_LEN, block_counts, program_stream
 from .machine import Configuration, EmulationRef, emulate
+
+# dovetail_summary(ticks) reads the first max(i, d - 2) programs, for the
+# last tick's pair (i, d - i).  MAX_TICKS is the last tick whose programs
+# enumeration holds, the N = 454,169 up to MAX_LEN bits: the tick that runs
+# program N on diagonal N + 2.  A host run of T steps reads at most T ticks.
+_HELD = sum(block_counts(MAX_LEN))
+MAX_TICKS = _HELD * (_HELD + 3) // 2
 
 
 def schedule_pair(tick: int) -> tuple[int, int]:

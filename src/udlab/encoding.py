@@ -193,34 +193,3 @@ def decode(bits: str, table: EncodingTable = TABLE_A) -> Program:
         raise TrailingBits(f"{len(bits) - pos} bits left after the top-level END")
     return Program(bits, instructions, table)
 
-
-def encode_instructions(instructions, table: EncodingTable = TABLE_A) -> str:
-    """Inverse of decode: emit the exact bits for an instruction list.  An
-    EXEC operand may be a Program or an instruction list of its own."""
-    code = table.code_by_name
-    parts: list[str] = []
-
-    def emit(seq: tuple) -> None:
-        for instr in seq:
-            op = instr[0]
-            parts.append(code[op])
-            if op in (INC, DEC, OUT, IN):
-                parts.append(format(instr[1], "02b"))
-            elif op == WHILE:
-                parts.append(format(instr[1], "02b"))
-                emit(instr[2])
-                parts.append(code[WEND])
-            elif op == EXEC:
-                sub = instr[1]
-                emit(sub.instructions if isinstance(sub, Program) else sub)
-                parts.append(code[END])
-
-    emit(instructions)
-    parts.append(code[END])
-    return "".join(parts)
-
-
-def from_instructions(instructions, table: EncodingTable = TABLE_A) -> Program:
-    """Build a Program from an instruction list, as encode_instructions reads
-    it; the bits are re-decoded, so all invariants hold by construction."""
-    return decode(encode_instructions(instructions, table), table)

@@ -197,6 +197,6 @@ def kraft_mass(max_len: int) -> Fraction:
         raise ValueError(f"max_len must be >= {MIN_PROGRAM_BITS}")
     if max_len > MAX_KRAFT_LEN:
         raise ValueError(f"max_len {max_len} is above {MAX_KRAFT_LEN}, the longest bound counted")
-    return sum(
-        (Fraction(count, 2**n) for n, count in enumerate(block_counts(max_len))), Fraction(0)
-    )
+    # Summed in units of 2**-max_len, so one Fraction reduces the total once.
+    total = sum(count << (max_len - n) for n, count in enumerate(block_counts(max_len)))
+    return Fraction(total, 2**max_len)

@@ -8,9 +8,15 @@ advanced to at least k emulated steps whose k-step trace family matches the
 class.  Class mass is the exact sum of contributing weights, taken for a
 whole level in one pass that adds each program's weight to every class in
 its reach set; one class index, tracing each code once, serves every level
-up to the context's k.  All arithmetic is Fraction-exact, and the recursive
-regrouping of the mass over any partition is checked as an identity with
-zero residual, never a tolerance.
+up to the context's k.  Weights are summed as integers in units of 2**-L and
+divided by 2**L once, when a mass or residual is returned.
+
+The recursive regrouping of a class's mass over the classes whose members
+send it weight is checked as an identity with zero residual, never a
+tolerance.  Its two sides come from the same reach sets, so a wrong reach
+set moves both alike and leaves the residual at zero.  The check catches a
+broken cover (refused) or a lost own-class weight (a nonzero residual); the
+golden digests and the u_weight oracle tests pin reach.
 
 "Eventually emulates" is semidecidable, so the budget T truncates it; every
 result carries its full context (length bound L, level k, budget T, universe,
@@ -22,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .dovetailer import MAX_TICKS
 from .encoding import EncodingTable, Program, decode
 from .enumeration import enumerate_programs
 from .equivalence import ClassIndex, EquivClass, InputUniverse
@@ -49,6 +56,11 @@ class MeasureContext:
             raise ValueError("max_len must be >= 4")
         if budget < 0:
             raise ValueError("budget must be >= 0")
+        if budget > MAX_TICKS:
+            raise ValueError(
+                f"budget (-T) {budget} is above {MAX_TICKS}, the most dovetail ticks "
+                "whose programs enumeration holds"
+            )
         self.max_len = max_len
         self.k = k
         self.budget = budget
@@ -105,12 +117,12 @@ class MeasureContext:
 
 def _class_weights(
     classes: list[EquivClass], ctx: MeasureContext
-) -> tuple[list[Fraction], dict[tuple[int, int], Fraction]]:
-    """One pass over the programs: each given class's mass, and the nonzero
-    weight the members of class s send to class t, keyed (s, t).  A program
-    reaches its own class and each class whose id (its first member's) is in
-    its reach set.  Weights are summed as integers 2**(L - length), divided by
-    2**L at the end.
+) -> tuple[list[int], dict[tuple[int | None, int], int]]:
+    """One pass over the programs, in units of 2**-L: each given class's
+    total weight, and the nonzero weight the programs of class s send to class
+    t, keyed (s, t), with s None for programs in none of the classes.  A
+    program reaches its own class and each class whose id (its first
+    member's) is in its reach set.
     """
     if not classes:
         return [], {}
@@ -138,37 +150,37 @@ def _class_weights(
         for target in reached:
             totals[target] += weight
             sent[own, target] = sent.get((own, target), 0) + weight
-    scale = 2**ctx.max_len
-    numerators = {pair: Fraction(w, scale) for pair, w in sent.items() if pair[0] is not None}
-    return [Fraction(total, scale) for total in totals], numerators
+    return totals, sent
 
 
 def class_masses(classes: list[EquivClass], ctx: MeasureContext) -> list[Fraction]:
     """Exact masses of the given classes (one level <= ctx.k), in order, from one
     pass over the programs: each sums 2**-length over the programs reaching it."""
-    return _class_weights(classes, ctx)[0]
+    scale = 2**ctx.max_len
+    return [Fraction(total, scale) for total in _class_weights(classes, ctx)[0]]
 
 
 def decomposition_check(classes: list[EquivClass], ctx: MeasureContext) -> list[Fraction]:
     """Residuals of the recursive mass regrouping, one per class.
 
-    For each class i the regrouped form sums, over classes j, the class-j
-    mass times the weight from class-j members reaching class i, divided by
-    the full mass reaching class j.  With exact rationals the residual
-    against the direct mass is identically zero; anything else is a bug.
+    Class i's mass regroups by source class: the weight of i's own members,
+    plus the weight that members of every other class j send to i.  Both
+    sides are summed from the same reach sets, so the residual against the
+    direct mass is zero for any reach sets once the classes cover the
+    programs.  It is nonzero when the pass loses a member's own-class weight;
+    a broken cover is refused before regrouping.  A wrong reach set cannot
+    show here: the golden digests and the u_weight oracle tests catch it.
     """
-    mass, numerators = _class_weights(classes, ctx)
+    totals, sent = _class_weights(classes, ctx)
     covered = {p.bits for c in classes for p in c.members}
     if covered != {p.bits for p in ctx.programs()}:
         raise ValueError("partition does not cover the enumerated programs at max_len")
-    regrouped = [Fraction(0)] * len(classes)
-    for (source, target), numerator in numerators.items():
-        # The divisor is the full reaching-weight of the source class,
-        # summed over every enumerated program, not just its members:
-        # that sum is the source class mass itself.
-        denominator = mass[source]
-        regrouped[target] += mass[source] * numerator / denominator
-    return [r - m for r, m in zip(regrouped, mass)]
+    regrouped = [sum(2 ** (ctx.max_len - p.length) for p in cls.members) for cls in classes]
+    for (source, target), weight in sent.items():
+        if source != target:
+            regrouped[target] += weight
+    scale = 2**ctx.max_len
+    return [Fraction(r - total, scale) for r, total in zip(regrouped, totals)]
 
 
 class LevelRow(NamedTuple):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from udlab import cli, equivalence
+from udlab import cli, dovetailer, equivalence
 from udlab.cli import _COMMANDS, _OPTIONS, main
 from udlab.enumeration import MAX_KRAFT_LEN
 from udlab.machine import step_count
@@ -404,9 +404,12 @@ def test_deep_level_commands_match_golden_digests(tmp_path, capsys, monkeypatch,
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DEEP_DIGESTS[argv]
 
 
-# sha256 of the JSON form of each table command, of the dovetail table, and
-# of the enumerate and partition tables under both encodings.
+# sha256 of the JSON form of each table command, of the dovetail table, of
+# the enumerate and partition tables under both encodings, and of two Kraft
+# masses.
 GOLDEN_TABLE_DIGESTS = {
+    "kraft -L 60 --format csv": "000dc6d4af8d12d15f3e72f4f63e1ac56260229645e5c869472e1a435026a28c",
+    "kraft -L 300 --format json": "e11bdb5043edcddb005f2a5edbae06d7119ac7abe08574ca45e4c38d6e661418",
     "measure -L 12 -k 2 -T 200 --format json": "b95e7d6d15b6073018d0273d22b6a68d367209ca3b27eb4678ccdabe8730b0b0",
     "decompose -L 12 -k 2 -T 200 --format json": "d197aefa9cb25f1caef824b195e8b924bb17553ce698db73cacb6872b4cf811e",
     "levels -L 12 -k 4 -T 200 --format json": "975f17c491f206435c9e59e0369ff1190f62161972f608d95dc0564840ee05d8",
@@ -570,6 +573,21 @@ def test_kraft_refuses_a_bound_above_its_limit(capsys):
         code, out, err = run_cli(capsys, "kraft", "-L", str(bound))
         assert code == 2 and out == ""
         assert err == f"error: max_len {bound} is above {MAX_KRAFT_LEN}, the longest bound counted\n"
+
+
+@pytest.mark.parametrize("command", ["measure", "levels", "decompose"])
+def test_mass_commands_refuse_a_budget_above_the_dovetail_limit(capsys, command):
+    # A DVT host's T steps read T ticks of the dovetail stream, whose
+    # programs past 454,169 enumeration does not hold.  Such a budget was
+    # refused only once a host had stepped, naming a length bound of 32.
+    budget = dovetailer.MAX_TICKS + 1
+    before = step_count()
+    for bound in (budget, 10**12):
+        code, out, err = run_cli(capsys, command, "-L", "8", "-k", "1", "-T", str(bound))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: budget (-T) {bound} is above {dovetailer.MAX_TICKS},"), err
+        assert "max_len 32" not in err
+    assert step_count() == before
 
 
 def test_oversized_enumeration_exits_2_under_memory_cap():

@@ -1,12 +1,13 @@
 import pytest
 
+from builders import from_instructions
 from oracles import dovetail_run
 from stepping import MaxSteps, trace_events
 from udlab import dovetailer
 from udlab.cli import main
-from udlab.dovetailer import DovetailEngine, dovetail_summary, schedule_pair
-from udlab.encoding import DVT, EXEC, HALT, TABLE_A, TABLE_B, from_instructions
-from udlab.enumeration import enumerate_programs
+from udlab.dovetailer import MAX_TICKS, DovetailEngine, dovetail_summary, schedule_pair
+from udlab.encoding import DVT, EXEC, HALT, TABLE_A, TABLE_B, Program
+from udlab.enumeration import MAX_LEN, block_counts, enumerate_programs
 from udlab.machine import run_trace, step_events
 
 
@@ -108,6 +109,25 @@ def test_dvt_instruction_agrees_with_runner():
     for ticks in (1, 7, 25):
         program = from_instructions([(DVT,)], TABLE_A)
         assert trace_events(run_trace(program, (), ticks)) == dovetail_run(ticks)
+
+
+def test_max_ticks_is_the_last_summary_within_the_enumeration(monkeypatch):
+    # A stand-in stream records the furthest program the summary reads, so
+    # no program up to 31 bits is generated.
+    furthest = 0
+
+    class Stream:
+        def nth(self, n):
+            nonlocal furthest
+            furthest = max(furthest, n)
+            return Program("1111", (), TABLE_A)
+
+    monkeypatch.setattr(dovetailer, "program_stream", lambda table: Stream())
+    held = sum(block_counts(MAX_LEN))
+    for ticks, programs in ((MAX_TICKS, held), (MAX_TICKS + 1, held + 1)):
+        furthest = 0
+        dovetail_summary(ticks)
+        assert furthest == programs, ticks
 
 
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])

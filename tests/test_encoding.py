@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from builders import encode_instructions, from_instructions
 from udlab.encoding import (
     DecodeError,
     EncodingTable,
@@ -12,8 +13,6 @@ from udlab.encoding import (
     UnbalancedLoop,
     UnknownOpcode,
     decode,
-    encode_instructions,
-    from_instructions,
     get_table,
 )
 from udlab.enumeration import enumerate_programs

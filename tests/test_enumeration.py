@@ -82,6 +82,17 @@ def test_kraft_monotone_and_bounded():
         previous = mass
 
 
+def test_kraft_mass_equals_the_per_length_fraction_sum():
+    # kraft_mass sums the counts as integers in units of 2**-L and reduces
+    # one Fraction; a Fraction per length, summed, is the same value.
+    counts = block_counts(300)
+    per_length = Fraction(0)
+    for n, count in enumerate(counts):
+        per_length += Fraction(count, 2**n)
+        if n >= 4:
+            assert kraft_mass(n) == per_length, n
+
+
 def test_count_growth_monotone():
     previous = 0
     for max_len in range(4, 17):

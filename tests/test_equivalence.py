@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from builders import from_instructions
 from oracles import counterfactually_equivalent, family_key, joined_key
 from stepping import full_trace
-from udlab.encoding import TABLE_A, TABLE_B, decode, from_instructions
+from udlab.encoding import TABLE_A, TABLE_B, decode
 from udlab.enumeration import enumerate_programs
 from udlab import equivalence
 from udlab.equivalence import (

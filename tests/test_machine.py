@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from builders import from_instructions
 from oracles import dovetail_run
 from stepping import MaxSteps, full_events, trace_events
-from udlab.encoding import DVT, TABLE_A, TABLE_B, decode, from_instructions
+from udlab.encoding import DVT, TABLE_A, TABLE_B, decode
 from udlab.enumeration import enumerate_programs
 from udlab.equivalence import DEFAULT_UNIVERSE
 from udlab.machine import (

@@ -5,10 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from builders import from_instructions
 from stepping import full_trace, per_tape_sever
 
 from udlab import dovetailer, equivalence
-from udlab.encoding import decode, from_instructions, get_table
+from udlab.encoding import decode, get_table
 from udlab.enumeration import enumerate_programs
 from udlab.equivalence import DEFAULT_UNIVERSE, InputUniverse
 from udlab.machine import Configuration, run_trace, step_count
