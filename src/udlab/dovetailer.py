@@ -75,7 +75,7 @@ class DovetailEngine:
         index, step_index = schedule_pair(len(self.events) + 1)
         child = self.children.get(index)
         if child is None:
-            child = self.children[index] = Configuration.fresh(self._stream.nth(index))
+            child = self.children[index] = Configuration(self._stream.nth(index))
         ref = emulate(child)
         assert ref.step_index == step_index
         self.events.append(ref)
@@ -105,6 +105,10 @@ def dovetail_summary(ticks: int, table: EncodingTable = TABLE_A) -> dict[str, in
     appearance; see the module docstring for why this is closed form."""
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
+    if ticks > MAX_TICKS:
+        raise ValueError(
+            f"ticks {ticks} is above {MAX_TICKS}, the last tick whose programs enumeration holds"
+        )
     if ticks == 0:
         return {}
     # The last tick runs step s of program i on diagonal d = i + s.  By then

@@ -6,6 +6,8 @@ bits wide, register operands 2 bits wide (registers r0..r3).  Loop bodies are
 structured blocks (WHILE ... WEND), which is what makes the code prefix-free:
 decoding is a single deterministic left-to-right pass that either consumes the
 whole string or fails, so no valid program can be a proper prefix of another.
+A Program holds the flat code the machine steps: decode, like the grammar in
+enumeration, lays each loop out once through loop(), with relative jumps.
 
 Opcode table, encoding "A" (the default):
 
@@ -108,12 +110,12 @@ def get_table(variant_id: str) -> EncodingTable:
 
 
 class Program(NamedTuple):
-    """A decoded program: its exact bits plus the structured instruction list.
+    """A decoded program: its exact bits plus the flat code the machine steps.
 
     Instructions are plain tuples: ("HALT",), ("DVT",), ("INC", r), ("DEC", r),
-    ("OUT", r), ("IN", r), ("WHILE", r, body) with body a tuple of
-    instructions, and ("EXEC", Program) with a fully decoded embedded program.
-    The terminating END is implicit.
+    ("OUT", r), ("IN", r), ("EXEC", Program) with a fully decoded embedded
+    program, and a loop as loop() lays it out.  The terminating END is
+    implicit: stepping past the last instruction halts.
     """
 
     bits: str
@@ -127,10 +129,19 @@ class Program(NamedTuple):
     @property
     def contains_meta(self) -> bool:
         """Whether any instruction, loop bodies included, is an EXEC or a DVT."""
-        return _has_meta(self.instructions)
+        return any(instr[0] in (EXEC, DVT) for instr in self.instructions)
 
     def __repr__(self) -> str:
         return f"Program({self.bits!r}, encoding={self.encoding.variant_id!r})"
+
+
+def loop(register: int, body: tuple) -> tuple:
+    """A loop's flat code: ("WHILE", r, n), the body, then ("WEND", r, -n).
+    With n = len(body) + 1, WHILE jumps just past the WEND and WEND back to
+    the body's first instruction, so the code reads the same at any offset
+    and one loop's tuples are shared by every program that contains it."""
+    n = len(body) + 1
+    return ((WHILE, register, n),) + body + ((WEND, register, -n),)
 
 
 def _take(bits: str, pos: int, n: int) -> tuple[str, int]:
@@ -163,21 +174,11 @@ def _parse_until(bits: str, pos: int, table: EncodingTable, terminator: str) -> 
         elif name == WHILE:
             reg_bits, pos = _take(bits, pos, REGISTER_BITS)
             body, pos = _parse_until(bits, pos, table, WEND)
-            items.append((WHILE, int(reg_bits, 2), body))
+            items += loop(int(reg_bits, 2), body)
         else:  # EXEC: an embedded self-delimiting program follows
             start = pos
             sub_instrs, pos = _parse_until(bits, pos, table, END)
             items.append((EXEC, Program(bits[start:pos], sub_instrs, table)))
-
-
-def _has_meta(instructions: tuple) -> bool:
-    for instr in instructions:
-        op = instr[0]
-        if op in (EXEC, DVT):
-            return True
-        if op == WHILE and _has_meta(instr[2]):
-            return True
-    return False
 
 
 def decode(bits: str, table: EncodingTable = TABLE_A) -> Program:

@@ -8,9 +8,9 @@ programs are generated straight from the code grammar
              | WHILE r Block(WEND) | EXEC Block(END)
 
 so the work is proportional to the output rather than to the 2**n candidate
-strings of each length.  The grammar builds each program's bits and
-instructions together, sharing the instruction tuples and nested EXEC
-programs of common sub-blocks, so no generated string is parsed again.
+strings of each length.  The grammar builds each program's bits and flat
+code together, laying loops out through encoding.loop and sharing the code
+and nested EXEC programs of common sub-blocks, so nothing is parsed again.
 The strict decoder stays the route for bits from outside (a --program, a
 recording) and is the enumeration's test oracle: the tests check every
 generated program against decode, and the decode census in tests/census.py
@@ -40,9 +40,10 @@ from .encoding import (
     EncodingTable,
     Program,
     TABLE_A,
+    loop,
 )
 
-# A Program holds its bits and instruction tuples, sharing sub-blocks' tuples
+# A Program holds its bits and flat code, sharing sub-blocks' tuples
 # and nested EXEC programs with other programs: enumeration up to 30 bits
 # holds about 160 MB, some 350 B a program.  Generation is proportional to its
 # output, so an oversized request would not hang but exhaust memory.  MAX_LEN
@@ -92,40 +93,40 @@ class ProgramStream:
         self.table = table
         self._programs: list[Program] = []
         self._generated_to = 0  # every length <= this has been generated
-        # (bits, instructions) of every n-bit instruction and Block(t) string
+        # (bits, flat code) of every n-bit instruction and Block(t) string
         self._instrs: dict[int, list[tuple[str, tuple]]] = {}
         self._blocks: dict[tuple[int, str], list[tuple[str, tuple]]] = {}
 
     def _instructions(self, n: int) -> list[tuple[str, tuple]]:
-        """Every single instruction of exactly n bits, with its parsed tuple;
-        an EXEC's embedded program is built once and shared, memoised."""
+        """Every single instruction of exactly n bits with its flat code, a
+        whole loop's for WHILE; an EXEC's program is built once, memoised."""
         found = self._instrs.get(n)
         if found is not None:
             return found
         code = self.table.code_by_name
         if n == OPCODE_BITS:
-            found = [(code[HALT], (HALT,)), (code[DVT], (DVT,))]
+            found = [(code[HALT], ((HALT,),)), (code[DVT], ((DVT,),))]
         elif n == OPCODE_BITS + REGISTER_BITS:
             found = [
-                (code[op] + r, (op, reg))
+                (code[op] + r, ((op, reg),))
                 for op in _OPERAND_OPS
                 for reg, r in enumerate(_REGISTER_OPERANDS)
             ]
         else:
             found = [
-                (code[WHILE] + r + bits, (WHILE, reg, body))
+                (code[WHILE] + r + bits, loop(reg, body))
                 for reg, r in enumerate(_REGISTER_OPERANDS)
                 for bits, body in self._block(n - OPCODE_BITS - REGISTER_BITS, WEND)
             ]
             found += [
-                (code[EXEC] + bits, (EXEC, Program(bits, body, self.table)))
+                (code[EXEC] + bits, ((EXEC, Program(bits, body, self.table)),))
                 for bits, body in self._block(n - OPCODE_BITS, END)
             ]
         self._instrs[n] = found
         return found
 
     def _block(self, n: int, terminator: str) -> list[tuple[str, tuple]]:
-        """Every n-bit string of Block(terminator) with its instructions, memoised."""
+        """Every n-bit string of Block(terminator) with its flat code, memoised."""
         found = self._blocks.get((n, terminator))
         if found is None:
             found = [(self.table.code_by_name[terminator], ())] if n == OPCODE_BITS else []
@@ -133,8 +134,8 @@ class ProgramStream:
                 tails = self._block(n - head, terminator)
                 if tails:
                     found.extend(
-                        (h + t, (instr,) + rest)
-                        for h, instr in self._instructions(head)
+                        (h + t, seq + rest)
+                        for h, seq in self._instructions(head)
                         for t, rest in tails
                     )
             self._blocks[(n, terminator)] = found

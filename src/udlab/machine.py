@@ -6,9 +6,9 @@ one instruction (or one emulated tick when the machine is inside EXEC or DVT)
 and is a total function: DEC saturates at zero, IN past the end of the tape
 reads 0, and a halted configuration is a fixed point.
 
-A configuration steps a program counter through its program laid out flat;
-reaching the end of that code is the top-level END, so a program halts in
-the step that gets there.
+A configuration steps a program counter through its program's flat code, in
+which a loop's WHILE and WEND jump by relative offsets; the end of that code
+is the top-level END, so a program halts in the step that gets there.
 
 Two meta-instructions make emulation observable by construction:
 
@@ -65,35 +65,20 @@ class EmulationRef(NamedTuple):
     state: SemanticState
 
 
-def _lay_out(instructions: tuple, code: list) -> list:
-    """Append `instructions` to `code` flat.  A loop becomes ("WHILE", r,
-    index past its WEND), its body, and ("WEND", r, index of its first body
-    instruction); every other instruction is kept as it is."""
-    for instr in instructions:
-        if instr[0] == WHILE:
-            start = len(code)
-            code.append(instr)
-            _lay_out(instr[2], code)
-            code.append((WEND, instr[1], start + 1))
-            code[start] = (WHILE, instr[1], len(code))
-        else:
-            code.append(instr)
-    return code
-
-
 class Configuration:
-    """Full mutable machine state: the program, its code laid out flat, and
-    the program counter into that code.  An emulated child is a
-    configuration too, and `steps` counts the steps it has been run."""
+    """Full mutable machine state: the program, the code it steps, and the
+    program counter into that code.  An emulated child is a configuration
+    too, and `steps` counts the steps it has been run."""
 
     __slots__ = (
         "program", "code", "pc", "registers", "input_cursor", "outputs", "halted", "context",
         "steps",
     )
 
-    def __init__(self, program: Program, code: tuple) -> None:
+    def __init__(self, program: Program) -> None:
         self.program = program
-        self.code = code
+        # The empty program's first step observes END, which halts as HALT does.
+        self.code = program.instructions or ((HALT,),)
         self.pc = 0
         self.registers = [0, 0, 0, 0]
         self.input_cursor = 0
@@ -102,13 +87,8 @@ class Configuration:
         self.context = None  # None | emulated child | ticks the host's DVT has run
         self.steps = 0
 
-    @classmethod
-    def fresh(cls, program: Program) -> "Configuration":
-        # The empty program's first step observes END, which halts as HALT does.
-        return cls(program, tuple(_lay_out(program.instructions, [])) or ((HALT,),))
-
     def clone(self) -> "Configuration":
-        other = Configuration(self.program, self.code)
+        other = Configuration(self.program)
         other.pc = self.pc
         other.registers = list(self.registers)
         other.input_cursor = self.input_cursor
@@ -189,15 +169,15 @@ def step(config: Configuration, tape: Tape) -> EmulationRef | None:
         config.input_cursor = cursor + 1
     elif op == WHILE:  # enter the body, or jump past the WEND
         if not registers[instr[1]]:
-            pc = instr[2]
+            pc += instr[2]
     elif op == WEND:  # loop back while the register is nonzero, else leave
         if registers[instr[1]]:
-            pc = instr[2]
+            pc += instr[2]
     elif op == HALT:
         config.halted = True
         return None
     else:  # EXEC a fresh child, or DVT: absorbing, one stream tick per host step
-        config.context = Configuration.fresh(instr[1]) if op == EXEC else 0
+        config.context = Configuration(instr[1]) if op == EXEC else 0
         return _tick(config)
     config.pc = pc
     config.halted = pc == len(code)  # the top-level END halts in this step
@@ -228,7 +208,7 @@ def run_trace(program: Program, tape: Tape, k: int) -> tuple[SemanticState, ...]
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    config = Configuration.fresh(program)
+    config = Configuration(program)
     states = []
     for _ in range(k):
         direct = step(config, tape)
@@ -270,7 +250,7 @@ def run_events(program: Program, steps: int, tape: Tape = ()) -> dict[str, int]:
         raise ValueError("steps must be >= 0")
     if not program.contains_meta:
         return {}
-    config = Configuration.fresh(program)
+    config = Configuration(program)
     summary: dict[str, int] = {}
     for done in range(1, steps + 1):
         if config.halted:

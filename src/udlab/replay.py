@@ -84,7 +84,7 @@ def hybrid_run(rec: Recording, actual_tape: Tape) -> HybridResult:
 
 def _filmed_frames(rec: Recording, severed: set[int]) -> dict[int, Configuration]:
     """The configurations after each severed step of the filmed run."""
-    config = Configuration.fresh(rec.program)
+    config = Configuration(rec.program)
     frames = {}
     for i in range(1, max(severed, default=0) + 1):
         step(config, rec.tape)
@@ -96,7 +96,7 @@ def _filmed_frames(rec: Recording, severed: set[int]) -> dict[int, Configuration
 def _severed_states(
     rec: Recording, frames: dict[int, Configuration], tape: Tape
 ) -> tuple[SemanticState, ...]:
-    config = Configuration.fresh(rec.program)
+    config = Configuration(rec.program)
     states = []
     for i in range(1, rec.k + 1):
         if i in frames:

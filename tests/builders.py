@@ -2,15 +2,18 @@
 
 The package reads programs from bits alone (decode) or generates them from
 the grammar; these builders let a test write a program as instructions and
-get the Program that decode makes of its bits.
+get the Program that decode makes of its bits.  A test may write a loop
+nested, as ("WHILE", r, body), or read a Program's flat code back, where
+("WHILE", r, n) opens the loop and ("WEND", r, -n) closes it.
 """
 
 from udlab.encoding import DEC, END, EXEC, IN, INC, OUT, TABLE_A, WEND, WHILE, Program, decode
 
 
 def encode_instructions(instructions, table=TABLE_A) -> str:
-    """Inverse of decode: emit the exact bits for an instruction list.  An
-    EXEC operand may be a Program or an instruction list of its own."""
+    """Inverse of decode: emit the exact bits for an instruction list, flat
+    or with nested loop bodies.  An EXEC operand may be a Program, written as
+    its bits, or an instruction list of its own."""
     code = table.code_by_name
     parts: list[str] = []
 
@@ -22,12 +25,16 @@ def encode_instructions(instructions, table=TABLE_A) -> str:
                 parts.append(format(instr[1], "02b"))
             elif op == WHILE:
                 parts.append(format(instr[1], "02b"))
-                emit(instr[2])
-                parts.append(code[WEND])
+                if not isinstance(instr[2], int):  # a nested body; flat code has its WEND
+                    emit(instr[2])
+                    parts.append(code[WEND])
             elif op == EXEC:
                 sub = instr[1]
-                emit(sub.instructions if isinstance(sub, Program) else sub)
-                parts.append(code[END])
+                if isinstance(sub, Program):
+                    parts.append(sub.bits)
+                else:
+                    emit(sub)
+                    parts.append(code[END])
 
     emit(instructions)
     parts.append(code[END])

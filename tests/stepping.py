@@ -12,7 +12,7 @@ from udlab.machine import Configuration, step, step_events
 
 def full_trace(program, tape, k):
     """The k semantic states of a run, each one stepped."""
-    config = Configuration.fresh(program)
+    config = Configuration(program)
     states = []
     for _ in range(k):
         direct = step(config, tape)
@@ -37,7 +37,7 @@ class MaxSteps(dict):
 def full_events(program, checkpoints, tape=()):
     """checkpoint T -> the run_events summary of the first T host steps,
     every step (and every dovetailer tick) executed, from one run."""
-    config = Configuration.fresh(program)
+    config = Configuration(program)
     summary = MaxSteps()
     found = {}
     for done in range(max(checkpoints) + 1):
@@ -54,11 +54,11 @@ def per_tape_sever(rec, severed, actual_tape, universe):
     re-derived by stepping a fresh configuration i times on the recorded tape."""
 
     def severed_trace(tape):
-        live = Configuration.fresh(rec.program)
+        live = Configuration(rec.program)
         states = []
         for i in range(1, rec.k + 1):
             if i in severed:
-                live = Configuration.fresh(rec.program)
+                live = Configuration(rec.program)
                 for _ in range(i):
                     step(live, rec.tape)
                 states.append(rec.trace[i - 1])

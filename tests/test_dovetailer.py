@@ -7,7 +7,7 @@ from udlab import dovetailer
 from udlab.cli import main
 from udlab.dovetailer import MAX_TICKS, DovetailEngine, dovetail_summary, schedule_pair
 from udlab.encoding import DVT, EXEC, HALT, TABLE_A, TABLE_B, Program
-from udlab.enumeration import MAX_LEN, block_counts, enumerate_programs
+from udlab.enumeration import MAX_LEN, block_counts, enumerate_programs, program_stream
 from udlab.machine import run_trace, step_events
 
 
@@ -124,10 +124,23 @@ def test_max_ticks_is_the_last_summary_within_the_enumeration(monkeypatch):
 
     monkeypatch.setattr(dovetailer, "program_stream", lambda table: Stream())
     held = sum(block_counts(MAX_LEN))
-    for ticks, programs in ((MAX_TICKS, held), (MAX_TICKS + 1, held + 1)):
-        furthest = 0
-        dovetail_summary(ticks)
-        assert furthest == programs, ticks
+    dovetail_summary(MAX_TICKS)
+    assert furthest == held
+    # One tick more would read one program more, so the summary refuses it.
+    i, s = schedule_pair(MAX_TICKS + 1)
+    assert max(i, i + s - 2) == held + 1
+
+
+def test_summary_past_max_ticks_is_refused_before_the_stream_grows():
+    # One tick past the cap, the summary would generate every program up to
+    # 31 bits (about 1.8 s and 190 MB) and then fail on a length bound of 32
+    # that no caller gave, so the tick count is refused first.
+    stream = program_stream(TABLE_A)
+    held = len(stream._programs)
+    for ticks in (MAX_TICKS + 1, 10**12):
+        with pytest.raises(ValueError, match=f"ticks {ticks} is above {MAX_TICKS}"):
+            dovetail_summary(ticks)
+    assert len(stream._programs) == held
 
 
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])

@@ -96,6 +96,43 @@ def test_nested_structures_round_trip():
     assert program.contains_meta
 
 
+def test_nested_loops_decode_to_relative_jumps():
+    # A loop is laid out as ("WHILE", r, n), its body, ("WEND", r, -n), with
+    # n = len(body) + 1: WHILE jumps just past its WEND, WEND back to the
+    # body's first instruction.  An EXEC in a body is one instruction.
+    program = from_instructions(
+        [
+            ("IN", 2),
+            ("WHILE", 2, (("DEC", 2), ("WHILE", 0, ()), ("EXEC", (("INC", 1),)), ("OUT", 2))),
+            ("HALT",),
+        ]
+    )
+    assert decode(program.bits).instructions == (
+        ("IN", 2),
+        ("WHILE", 2, 6),
+        ("DEC", 2),
+        ("WHILE", 0, 1),
+        ("WEND", 0, -1),
+        ("EXEC", decode("0001011111")),
+        ("OUT", 2),
+        ("WEND", 2, -6),
+        ("HALT",),
+    )
+
+
+def test_dvt_inside_a_loop_body_is_meta():
+    assert from_instructions([("INC", 0), ("WHILE", 0, (("DEC", 0), ("DVT",)))]).contains_meta
+    assert not from_instructions([("INC", 0), ("WHILE", 0, (("DEC", 0),))]).contains_meta
+
+
+def test_encode_reads_flat_code_and_writes_an_exec_program_as_its_bits():
+    child = decode("0001011111")  # INC r1
+    flat = (("INC", 0), ("WHILE", 0, 3), ("DEC", 0), ("EXEC", child), ("WEND", 0, -3))
+    bits = encode_instructions(flat)
+    assert bits == "000100" + "010100" + "001000" + "0111" + child.bits + "0110" + "1111"
+    assert decode(bits).instructions == flat
+
+
 def test_round_trip_on_every_enumerated_program():
     for program in enumerate_programs(14):
         assert encode_instructions(program.instructions, TABLE_A) == program.bits

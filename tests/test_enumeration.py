@@ -185,8 +185,6 @@ def _exec_operands(instructions):
         if instr[0] == "EXEC":
             yield instr[1]
             yield from _exec_operands(instr[1].instructions)
-        elif instr[0] == "WHILE":
-            yield from _exec_operands(instr[2])
 
 
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B])

@@ -29,7 +29,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fresh_state_after(program, tape, steps):
-    config = Configuration.fresh(program)
+    config = Configuration(program)
     event = None
     for _ in range(steps):
         event = step(config, tape)
@@ -40,6 +40,15 @@ def test_empty_program_halts_on_first_step():
     config, _ = fresh_state_after(EMPTY, (), 1)
     assert config.halted
     assert config.registers == [0, 0, 0, 0]
+
+
+def test_configuration_steps_the_programs_own_code():
+    # The code is laid out once, when the program is built; a run only
+    # points at it.  The empty program steps one HALT for its END.
+    program = from_instructions([("INC", 0), ("WHILE", 0, (("DEC", 0),))])
+    assert Configuration(program).code is program.instructions
+    assert Configuration(program).clone().code is program.instructions
+    assert Configuration(EMPTY).code == (("HALT",),)
 
 
 def test_single_inc_halts_in_one_step():
