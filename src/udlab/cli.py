@@ -19,7 +19,7 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .dovetailer import schedule_pair, stream_tick
+from .dovetailer import DovetailEngine, schedule_pair
 from .encoding import DecodeError, EncodingTable, decode, get_table
 from .enumeration import enumerate_programs, kraft_mass
 from .equivalence import DEFAULT_UNIVERSE, InputUniverse, partition, refine
@@ -266,10 +266,12 @@ def _cmd_schedule(run: _Run) -> str:
 
 
 def _tick_rows(ticks: int, table: EncodingTable) -> list[list]:
+    # A private engine: the shared stream would keep every tick's event alive.
+    engine = DovetailEngine(table)
     rows = []
     for tick in range(1, ticks + 1):
         index, _ = schedule_pair(tick)
-        event = stream_tick(tick, table)
+        event = engine.tick()
         state = event.state
         rows.append(
             [
@@ -334,7 +336,7 @@ def _cmd_measure(run: _Run) -> str:
     classes = ctx.partition(run.k)
     rows = [
         _context_columns(run, run.k) + [c.index, c.key_digest, len(c.members), fraction_str(mass)]
-        for c, mass in zip(classes, class_masses(classes, ctx))
+        for c, mass in zip(classes, class_masses(ctx, run.k))
     ]
     header = _CONTEXT_HEADER + ["class_index", "key_digest", "member_count", "mass"]
     return _table_doc(run, "classes", header, rows)
@@ -345,7 +347,7 @@ def _cmd_decompose(run: _Run) -> str:
 
     ctx = run.context()
     classes = ctx.partition(run.k)
-    residuals = decomposition_check(classes, ctx)
+    residuals = decomposition_check(ctx, run.k)
     rows = [
         _context_columns(run, run.k) + [c.index, fraction_str(r), r == 0]
         for c, r in zip(classes, residuals)
@@ -364,10 +366,10 @@ def _relmeasure_rows(run: _Run, table: EncodingTable) -> list[list]:
     ctx = run.context(k=run.k + 1, table=table)
     parents, children = ctx.partition(run.k), ctx.partition(run.k + 1)
     mapping = refine(parents, children)
-    parent_masses = class_masses(parents, ctx)
+    parent_masses = class_masses(ctx, run.k)
     parent_digests = [parent.key_digest for parent in parents]
     rows = []
-    for child, child_mass in zip(children, class_masses(children, ctx)):
+    for child, child_mass in zip(children, class_masses(ctx, run.k + 1)):
         parent = mapping[child.index]
         ratio = child_mass / parent_masses[parent]
         rows.append(

@@ -5,9 +5,11 @@ d covers ticks (d-1)(d-2)/2 + 1 .. d(d-1)/2 and runs step d-i of program i
 for i ascending.  Every pair is reached at a predictable tick, which makes
 fairness a testable closed form rather than a promise.
 
-One engine per encoding lazily fills the list of tick events that the CLI's
-rows and every DVT host read through stream_tick, so those event streams
-agree by construction and share objects; each child is a machine
+One shared engine per encoding lazily fills the list of tick events that
+every DVT host reads through stream_tick, so the hosts' event streams agree
+by construction and share objects.  The CLI's dovetail rows tick an engine
+of their own and keep no event, so a long listing holds only the few shared
+events that its nested dovetailers read.  Each child is a machine
 configuration stepped through emulate(), as an EXEC child is.  A tick
 returns one event, and whatever the child emulated in turn is nested in that
 event's state.
@@ -64,21 +66,23 @@ def schedule_pair(tick: int) -> tuple[int, int]:
 
 
 class DovetailEngine:
-    """One encoding's stream: a tick steps one child and appends its event."""
+    """One encoding's schedule: a tick steps one child and returns its event.
+    The engine counts its ticks; only the shared stream keeps its events."""
 
     def __init__(self, table: EncodingTable) -> None:
         self.events: list[EmulationRef] = []
         self.children: dict[int, Configuration] = {}
+        self.ticks = 0
         self._stream = program_stream(table)
 
     def tick(self) -> EmulationRef:
-        index, step_index = schedule_pair(len(self.events) + 1)
+        self.ticks += 1
+        index, step_index = schedule_pair(self.ticks)
         child = self.children.get(index)
         if child is None:
             child = self.children[index] = Configuration(self._stream.nth(index))
         ref = emulate(child)
         assert ref.step_index == step_index
-        self.events.append(ref)
         return ref
 
 
@@ -95,7 +99,7 @@ def stream_tick(tick: int, table: EncodingTable) -> EmulationRef:
     if engine is None:
         engine = _ENGINES[table.variant_id] = DovetailEngine(table)
     while len(engine.events) < tick:
-        engine.tick()
+        engine.events.append(engine.tick())
     return engine.events[tick - 1]
 
 

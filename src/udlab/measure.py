@@ -11,12 +11,15 @@ its reach set; one class index, tracing each code once, serves every level
 up to the context's k.  Weights are summed as integers in units of 2**-L and
 divided by 2**L once, when a mass or residual is returned.
 
-The recursive regrouping of a class's mass over the classes whose members
-send it weight is checked as an identity with zero residual, never a
-tolerance.  Its two sides come from the same reach sets, so a wrong reach
-set moves both alike and leaves the residual at zero.  The check catches a
-broken cover (refused) or a lost own-class weight (a nonzero residual); the
-golden digests and the u_weight oracle tests pin reach.
+A class is measured by the context that made it: the mass functions take a
+context and a level and answer for every class of that level's partition,
+in index order, so no class from elsewhere is ever measured.  The recursive
+regrouping of a class's mass over the classes whose members send it weight
+is checked as an identity with zero residual, never a tolerance.  Its two
+sides come from the same reach sets, so a wrong reach set moves both alike
+and leaves the residual at zero.  The check catches a lost own-class weight
+(a nonzero residual); the golden digests and the u_weight oracle tests pin
+reach.
 
 "Eventually emulates" is semidecidable, so the budget T truncates it; every
 result carries its full context (length bound L, level k, budget T, universe,
@@ -39,15 +42,15 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-class EmptyClass(ValueError):
-    """A class with no members has zero mass and cannot be a divisor."""
-
-
 class MeasureContext:
     """Truncation parameters every measure result is relative to; k is the
-    top level, and every level 1..k is measured from the same traces."""
+    top level, and every level 1..k is measured from the same traces over
+    the programs enumerated once, up to max_len."""
 
-    __slots__ = ("max_len", "k", "budget", "universe", "encoding", "_events", "_ids", "_index")
+    __slots__ = (
+        "max_len", "k", "budget", "universe", "encoding", "programs",
+        "_events", "_ids", "_index", "_partitions",
+    )
 
     def __init__(
         self, max_len: int, k: int, budget: int, universe: InputUniverse, encoding: EncodingTable
@@ -69,9 +72,8 @@ class MeasureContext:
         self._events: dict[str, dict[str, int]] = {}
         self._ids: dict[str, tuple[int, ...]] = {}
         self._index = ClassIndex(universe, k)  # checks k >= 1
-
-    def programs(self) -> list[Program]:
-        return enumerate_programs(self.max_len, self.encoding)
+        self._partitions: dict[int, list[EquivClass]] = {}
+        self.programs: list[Program] = enumerate_programs(max_len, encoding)
 
     def events_summary(self, program: Program) -> dict[str, int]:
         summary = self._events.get(program.bits)
@@ -96,86 +98,62 @@ class MeasureContext:
         }
 
     def partition(self, level: int) -> list[EquivClass]:
-        """The level's partition of the programs, from the class index."""
-        self._check_level(level)
-        return self._index.partition(self.programs(), level, self.class_ids)
-
-    def _check_level(self, level: int) -> None:
-        if not 1 <= level <= self.k:
-            raise ValueError(f"level {level} is outside the context's levels 1..{self.k}")
-
-    def _check_class(self, cls: EquivClass) -> None:
-        self._check_level(cls.k)
-        if cls.universe_id != self.universe.universe_id:
-            raise ValueError(
-                f"class universe {cls.universe_id!r} differs from context universe "
-                f"{self.universe.universe_id!r}"
-            )
-        if any(p.encoding != self.encoding for p in cls.members):
-            raise ValueError(f"class {cls.index} is under another encoding than {self.encoding!r}")
+        """The level's partition of the programs, from the class index; built
+        once per level, so every later call returns the same list."""
+        classes = self._partitions.get(level)
+        if classes is None:
+            if not 1 <= level <= self.k:
+                raise ValueError(f"level {level} is outside the context's levels 1..{self.k}")
+            classes = self._index.partition(self.programs, level, self.class_ids)
+            self._partitions[level] = classes
+        return classes
 
 
-def _class_weights(
-    classes: list[EquivClass], ctx: MeasureContext
-) -> tuple[list[int], dict[tuple[int | None, int], int]]:
-    """One pass over the programs, in units of 2**-L: each given class's
-    total weight, and the nonzero weight the programs of class s send to class
-    t, keyed (s, t), with s None for programs in none of the classes.  A
-    program reaches its own class and each class whose id (its first
-    member's) is in its reach set.
+def _class_weights(ctx: MeasureContext, level: int) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """One pass over the programs, in units of 2**-L: the total weight of
+    each class of the level's partition, and the nonzero weight the programs
+    of class s send to class t, keyed (s, t).  A program reaches its own
+    class and each class whose id is in its reach set; both are found by id.
     """
-    if not classes:
-        return [], {}
-    level = classes[0].k
-    for cls in classes:
-        ctx._check_class(cls)
-        if cls.k != level:
-            raise ValueError("classes must all be at one level")
-        if not cls.members:
-            raise EmptyClass(f"class {cls.index} has no members")
-    index_of_id = {ctx.class_ids(cls.members[0])[level - 1]: i for i, cls in enumerate(classes)}
-    index_of_bits = {p.bits: i for i, cls in enumerate(classes) for p in cls.members}
-    parts = {cls.key_parts for cls in classes}  # equal tuples, equal keys
-    members = sum(len(cls.members) for cls in classes)
-    if len(parts) < len(classes) or len(index_of_id) < len(classes) or len(index_of_bits) < members:
-        raise ValueError("classes must have distinct keys and disjoint members")
+    classes = ctx.partition(level)
+    index_of_id = {ctx.class_ids(cls.members[0])[level - 1]: cls.index for cls in classes}
     totals = [0] * len(classes)
-    sent: dict[tuple[int | None, int], int] = {}
-    for p in ctx.programs():
+    sent: dict[tuple[int, int], int] = {}
+    for p in ctx.programs:
         weight = 2 ** (ctx.max_len - p.length)
+        own = index_of_id[ctx.class_ids(p)[level - 1]]
         reached = {index_of_id[i] for i in ctx.reached_ids(p, level) if i in index_of_id}
-        own = index_of_bits.get(p.bits)
-        if own is not None:
-            reached.add(own)
+        reached.add(own)
         for target in reached:
             totals[target] += weight
             sent[own, target] = sent.get((own, target), 0) + weight
     return totals, sent
 
 
-def class_masses(classes: list[EquivClass], ctx: MeasureContext) -> list[Fraction]:
-    """Exact masses of the given classes (one level <= ctx.k), in order, from one
-    pass over the programs: each sums 2**-length over the programs reaching it."""
+def class_masses(ctx: MeasureContext, level: int) -> list[Fraction]:
+    """Exact masses of the classes of ctx.partition(level), in index order,
+    from one pass over the programs: each sums 2**-length over the programs
+    reaching it."""
     scale = 2**ctx.max_len
-    return [Fraction(total, scale) for total in _class_weights(classes, ctx)[0]]
+    return [Fraction(total, scale) for total in _class_weights(ctx, level)[0]]
 
 
-def decomposition_check(classes: list[EquivClass], ctx: MeasureContext) -> list[Fraction]:
-    """Residuals of the recursive mass regrouping, one per class.
+def decomposition_check(ctx: MeasureContext, level: int) -> list[Fraction]:
+    """Residuals of the recursive mass regrouping, one per class of
+    ctx.partition(level), in index order.
 
     Class i's mass regroups by source class: the weight of i's own members,
     plus the weight that members of every other class j send to i.  Both
-    sides are summed from the same reach sets, so the residual against the
-    direct mass is zero for any reach sets once the classes cover the
-    programs.  It is nonzero when the pass loses a member's own-class weight;
-    a broken cover is refused before regrouping.  A wrong reach set cannot
-    show here: the golden digests and the u_weight oracle tests catch it.
+    sides are summed from the same reach sets over the context's partition,
+    which covers its programs, so the residual against the direct mass is
+    zero for any reach sets.  It is nonzero when the pass loses a member's
+    own-class weight.  A wrong reach set cannot show here: the golden
+    digests and the u_weight oracle tests catch it.
     """
-    totals, sent = _class_weights(classes, ctx)
-    covered = {p.bits for c in classes for p in c.members}
-    if covered != {p.bits for p in ctx.programs()}:
-        raise ValueError("partition does not cover the enumerated programs at max_len")
-    regrouped = [sum(2 ** (ctx.max_len - p.length) for p in cls.members) for cls in classes]
+    totals, sent = _class_weights(ctx, level)
+    regrouped = [
+        sum(2 ** (ctx.max_len - p.length) for p in cls.members) for cls in ctx.partition(level)
+    ]
     for (source, target), weight in sent.items():
         if source != target:
             regrouped[target] += weight
@@ -202,11 +180,11 @@ def divergence_report(ctx: MeasureContext) -> list[LevelRow]:
     for k in range(1, ctx.k + 1):
         # Grouped by class id alone: no class is built and no key encoded.
         # Each program adds its weight once per class of the level it reaches.
-        own = {p.bits: ctx.class_ids(p)[k - 1] for p in ctx.programs()}
+        own = {p.bits: ctx.class_ids(p)[k - 1] for p in ctx.programs}
         ids = set(own.values())
         total = sum(
             2 ** (ctx.max_len - p.length) * len(ids & ctx.reached_ids(p, k) | {own[p.bits]})
-            for p in ctx.programs()
+            for p in ctx.programs
         )
         mass = Fraction(total, 2**ctx.max_len)
         cumulative += mass

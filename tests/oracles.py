@@ -38,7 +38,15 @@ def u_weight(program, cls, ctx):
     the class index, matches the class; that code's membership is judged on
     demand, even when it is longer than the length bound.
     """
-    ctx._check_class(cls)
+    # The package measures only the classes a context makes; a class handed
+    # in from elsewhere is checked here, or it would be measured under the
+    # wrong level, universe or encoding.
+    if cls.k > ctx.k:
+        raise ValueError(f"class level {cls.k} is above the context's levels 1..{ctx.k}")
+    if cls.universe_id != ctx.universe.universe_id:
+        raise ValueError(f"class universe {cls.universe_id!r} is not the context's")
+    if any(p.encoding != ctx.encoding for p in cls.members):
+        raise ValueError(f"class {cls.index} is under another encoding than {ctx.encoding!r}")
     if program.bits in cls.member_bits:
         return 1
     key = joined_key(cls.key_parts)
@@ -51,10 +59,13 @@ def u_weight(program, cls, ctx):
 
 
 def relative_measure(child, parent, ctx):
-    """mass(child at k+1) / mass(parent at k), each class measured alone."""
+    """mass(child at k+1) / mass(parent at k), each read from its level's
+    masses at the class's index in the context's partition."""
     if child.k != parent.k + 1:
         raise ValueError(f"child must be one level below parent (got {child.k} vs {parent.k})")
-    return class_masses([child], ctx)[0] / class_masses([parent], ctx)[0]
+    for cls in (child, parent):
+        assert ctx.partition(cls.k)[cls.index] == cls, (cls.k, cls.index)
+    return class_masses(ctx, child.k)[child.index] / class_masses(ctx, parent.k)[parent.index]
 
 
 def dovetail_run(ticks, table=TABLE_A):

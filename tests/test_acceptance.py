@@ -78,11 +78,10 @@ def test_criterion_2_partition_laws():
 
 
 def test_criterion_3_decomposition_identity():
-    # The residual is zero for any reach sets: it catches a broken cover or
-    # a lost own-class weight, and the golden digests pin reach.
-    with criterion(3, "decomposition residuals zero: cover and own-class weight", 120.0):
+    # The residual is zero for any reach sets: it catches a lost own-class
+    # weight, and the golden digests pin reach.
+    with criterion(3, "decomposition residuals zero: own-class weight", 120.0):
         for max_len in (8, 10, 12):
-            programs = enumerate_programs(max_len)
             for budget in (0, 1, 100):
                 ctx = MeasureContext(
                     max_len=max_len,
@@ -92,9 +91,8 @@ def test_criterion_3_decomposition_identity():
                     encoding=TABLE_A,
                 )
                 for k in (1, 2, 3):
-                    classes = partition(programs, DEFAULT_UNIVERSE, k)
-                    residuals = decomposition_check(classes, ctx)
-                    assert residuals == [Fraction(0)] * len(classes), (max_len, k, budget)
+                    residuals = decomposition_check(ctx, k)
+                    assert residuals == [Fraction(0)] * len(ctx.partition(k)), (max_len, k, budget)
 
 
 def test_criterion_4_delta_remark():
@@ -135,8 +133,8 @@ def test_criterion_5_budget_monotonicity_and_child_bound():
         ctx = MeasureContext(
             max_len=10, k=2, budget=100, universe=DEFAULT_UNIVERSE, encoding=TABLE_A
         )
-        parent_masses = class_masses(parents, ctx)
-        for child, mass in zip(children, class_masses(children, ctx)):
+        parent_masses = class_masses(ctx, 1)
+        for child, mass in zip(children, class_masses(ctx, 2)):
             assert mass <= parent_masses[mapping[child.index]]
 
 

@@ -417,6 +417,7 @@ GOLDEN_TABLE_DIGESTS = {
     "invariance -L 12 -k 1 -T 200 --format json": "e45b2a289556206c0efe91460bf1104ff129e39888f8c7502ac5495ec1278706",
     "dovetail --ticks 30": "123c62454f7158553909c302a64271ca2e61e8ae299f2be600712e9de0068ce5",
     "dovetail --ticks 30 --format json": "eed915ba1e8c22c7dab8fcf09a34357dfd286c017d994a30b30a43ec615e72ae",
+    "dovetail --ticks 2000 --format csv": "8313c613d74146b08909087ec80f31cf638433d6bb7cea47e29659bb0e70ebe5",
     "enumerate -L 14": "5c69528d2770b4688bd7876c31f036eaaf28be033f850ffcf4212ad1c5149c9b",
     "enumerate -L 14 --encoding B --format csv": "70a1d594d7f4ebb0c9034a3a6b621e54f04eac51d5e922c979c542e11cfcdd48",
     "partition -L 12 -k 3": "58e9771940d1548b9add560b7f3d0e1a57f8dadebd4625fb3da33cd2b69da8df",

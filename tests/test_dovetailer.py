@@ -195,6 +195,16 @@ def test_partition_ticks_one_stream_not_one_engine_per_host(monkeypatch, capsys)
     assert 0 < ticks <= 500
 
 
+def test_dovetail_rows_keep_only_the_events_nested_dovetailers_read(monkeypatch, capsys):
+    # The rows tick an engine of their own; the shared stream holds only the
+    # ticks that the dovetailer programs among the children read, not one
+    # event per row for the rest of the process.
+    monkeypatch.setattr(dovetailer, "_ENGINES", {})
+    assert main(["dovetail", "--ticks", "20000"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20002
+    assert len(dovetailer._ENGINES["A"].events) == 198
+
+
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
 def test_dvt_hosts_carry_the_same_event_objects(table):
     first = run_trace(from_instructions([(DVT,)], table), (), 50)

@@ -11,9 +11,8 @@ from udlab.dovetailer import DovetailEngine
 from udlab.encoding import TABLE_A, decode, get_table
 from udlab.enumeration import enumerate_programs, kraft_mass
 from udlab.equivalence import DEFAULT_UNIVERSE, EquivClass, InputUniverse, partition, refine
-from udlab.machine import run_events, run_trace, step_count
+from udlab.machine import run_events, run_trace
 from udlab.measure import (
-    EmptyClass,
     MeasureContext,
     _class_weights,
     class_masses,
@@ -69,9 +68,9 @@ def test_measure_class_values():
     classes = classes_at(8, 1)
     halted = class_containing(classes, "1111")
     dvt_class = class_containing(classes, "10001111")
-    assert class_masses([halted], make_ctx(budget=0))[0] == Fraction(17, 256)
-    assert class_masses([halted], make_ctx(budget=1))[0] == Fraction(9, 128)
-    assert class_masses([dvt_class], make_ctx(budget=0))[0] == Fraction(1, 256)
+    assert class_masses(make_ctx(budget=0), 1)[halted.index] == Fraction(17, 256)
+    assert class_masses(make_ctx(budget=1), 1)[halted.index] == Fraction(9, 128)
+    assert class_masses(make_ctx(budget=0), 1)[dvt_class.index] == Fraction(1, 256)
 
 
 def test_context_mismatch_rejected():
@@ -81,8 +80,8 @@ def test_context_mismatch_rejected():
     child = class_containing(classes, "1111")
     parent = class_containing(parents, "1111")
     for above in (
-        lambda: class_masses(classes, ctx),
-        lambda: decomposition_check(classes, ctx),
+        lambda: class_masses(ctx, 2),
+        lambda: decomposition_check(ctx, 2),
         lambda: relative_measure(child, parent, ctx),
         lambda: ctx.partition(2),
     ):
@@ -92,24 +91,21 @@ def test_context_mismatch_rejected():
 
 
 def test_class_under_another_encoding_rejected():
-    # Classes partitioned under A, measured in a B context: unchecked, the
-    # B context gives class 1 the mass 1/128 instead of 1/256 and reports
-    # zero decomposition residuals.
-    parents = partition(enumerate_programs(10, TABLE_A), DEFAULT_UNIVERSE, 1)
+    # The mass functions measure only the classes their context makes; the
+    # u_weight oracle takes a class from anywhere, so it checks the class's
+    # encoding, universe and level against its context.
     classes = partition(enumerate_programs(10, TABLE_A), DEFAULT_UNIVERSE, 2)
     ctx = MeasureContext(
         max_len=10, k=2, budget=100, universe=DEFAULT_UNIVERSE, encoding=get_table("B")
     )
-    child = class_containing(classes, "1111")
-    parent = class_containing(parents, "1111")
-    for mismatched in (
-        lambda: class_masses(classes, ctx),
-        lambda: u_weight(classes[0].members[0], classes[0], ctx),
-        lambda: decomposition_check(classes, ctx),
-        lambda: relative_measure(child, parent, ctx),
-    ):
-        with pytest.raises(ValueError, match="encoding"):
-            mismatched()
+    with pytest.raises(ValueError, match="encoding"):
+        u_weight(classes[0].members[0], classes[0], ctx)
+    other = InputUniverse.from_tapes([(), (1,)])
+    foreign = partition(enumerate_programs(10, TABLE_A), other, 2)[0]
+    with pytest.raises(ValueError, match="universe"):
+        u_weight(foreign.members[0], foreign, make_ctx(max_len=10, k=2))
+    with pytest.raises(ValueError, match="level"):
+        u_weight(classes[0].members[0], classes[0], make_ctx(max_len=10, k=1))
 
 
 @pytest.mark.parametrize("max_len", [8, 10])
@@ -118,24 +114,16 @@ def test_class_under_another_encoding_rejected():
 def test_decomposition_residuals_zero(max_len, k, budget):
     classes = classes_at(max_len, k)
     ctx = make_ctx(max_len=max_len, k=k, budget=budget)
-    residuals = decomposition_check(classes, ctx)
+    residuals = decomposition_check(ctx, k)
     assert residuals == [Fraction(0)] * len(classes)
 
 
 def test_decomposition_single_class_degenerate():
     # All always-halted programs at length <= 4 form one class; both sides
     # equal the total class mass.
-    classes = classes_at(4, 1)
-    residuals = decomposition_check(classes, make_ctx(max_len=4))
+    assert len(classes_at(4, 1)) == 1
+    residuals = decomposition_check(make_ctx(max_len=4), 1)
     assert residuals == [Fraction(0)]
-
-
-def test_decomposition_validates_cover():
-    classes = classes_at(8, 1)
-    with pytest.raises(ValueError):
-        decomposition_check(classes[:1], make_ctx())
-    with pytest.raises(ValueError):
-        decomposition_check([], make_ctx())
 
 
 def test_relative_measure_example():
@@ -145,8 +133,8 @@ def test_relative_measure_example():
     child = class_containing(children, "1111")
     assert child.member_bits == parent.member_bits
     ctx = make_ctx(k=2, budget=1)
-    assert class_masses([parent], ctx)[0] == Fraction(18, 256)
-    assert class_masses([child], ctx)[0] == Fraction(17, 256)
+    assert class_masses(ctx, 1)[parent.index] == Fraction(18, 256)
+    assert class_masses(ctx, 2)[child.index] == Fraction(17, 256)
     assert relative_measure(child, parent, ctx) == Fraction(17, 18)
 
 
@@ -192,7 +180,7 @@ def test_u_weight_monotone_in_budget():
 def test_measure_monotone_in_budget_and_length():
     classes = classes_at(8, 1)
     halted = class_containing(classes, "1111")
-    masses = [class_masses([halted], make_ctx(budget=b))[0] for b in (0, 1, 10, 100)]
+    masses = [class_masses(make_ctx(budget=b), 1)[halted.index] for b in (0, 1, 10, 100)]
     assert masses == sorted(masses)
 
     # Length growth: the same class key gains members and emulators at L=10.
@@ -200,8 +188,8 @@ def test_measure_monotone_in_budget_and_length():
     halted_10 = class_containing(classes_10, "1111")
     assert joined_key(halted_10.key_parts) == joined_key(halted.key_parts)
     for budget in (0, 1, 10):
-        wider = class_masses([halted_10], make_ctx(max_len=10, budget=budget))[0]
-        assert wider >= class_masses([halted], make_ctx(budget=budget))[0]
+        wider = class_masses(make_ctx(max_len=10, budget=budget), 1)[halted_10.index]
+        assert wider >= class_masses(make_ctx(budget=budget), 1)[halted.index]
 
 
 def test_child_mass_bounded_by_parent():
@@ -209,8 +197,8 @@ def test_child_mass_bounded_by_parent():
     children = classes_at(10, 2)
     mapping = refine(parents, children)
     ctx = make_ctx(max_len=10, k=2, budget=100)
-    parent_masses = class_masses(parents, ctx)
-    for child, mass in zip(children, class_masses(children, ctx)):
+    parent_masses = class_masses(ctx, 1)
+    for child, mass in zip(children, class_masses(ctx, 2)):
         assert mass <= parent_masses[mapping[child.index]]
 
 
@@ -255,7 +243,7 @@ def test_level_masses_agree_with_class_masses(variant, budget):
         for row in rows:
             classes = ctx.partition(row.k)
             assert row.class_count == len(classes)
-            assert row.level_mass == sum(class_masses(classes, ctx))
+            assert row.level_mass == sum(class_masses(ctx, row.k))
 
 
 def oracle_weight(programs, cls, ctx):
@@ -278,23 +266,24 @@ def test_measure_class_agrees_with_u_weight_oracle(variant):
         classes = partition(programs, DEFAULT_UNIVERSE, k)
         for budget, ctx in contexts.items():
             oracle_ctx = table_ctx(variant, k, budget)
+            masses = class_masses(ctx, k)
             for cls in classes:
                 expected = oracle_weight(programs, cls, oracle_ctx)
-                assert class_masses([cls], ctx)[0] == expected, (k, budget, cls.index)
+                assert masses[cls.index] == expected, (k, budget, cls.index)
 
 
 def test_decomposition_numerators_agree_with_u_weight_oracle():
     programs = enumerate_programs(12, get_table("B"))
     classes = partition(programs, DEFAULT_UNIVERSE, 2)
     ctx, oracle_ctx = table_ctx("B", 2, 200), table_ctx("B", 2, 200)
-    totals, sent = _class_weights(classes, ctx)
+    totals, sent = _class_weights(ctx, 2)
     # Weights are integers in units of 2**-12.
-    assert totals == [mass * 2**12 for mass in class_masses(classes, ctx)]
+    assert totals == [mass * 2**12 for mass in class_masses(ctx, 2)]
     for target in classes:
         for source in classes:
             expected = oracle_weight(source.members, target, oracle_ctx) * 2**12
             assert sent.get((source.index, target.index), 0) == expected
-    assert decomposition_check(classes, ctx) == [Fraction(0)] * len(classes)
+    assert decomposition_check(ctx, 2) == [Fraction(0)] * len(classes)
 
 
 def test_decomposition_residual_cannot_see_a_wrong_reach_set(monkeypatch):
@@ -303,8 +292,7 @@ def test_decomposition_residual_cannot_see_a_wrong_reach_set(monkeypatch):
     # Reach is pinned by the golden digests and the u_weight oracle tests.
     def masses_and_residuals():
         ctx = make_ctx(max_len=14, k=2, budget=500)
-        classes = ctx.partition(2)
-        return class_masses(classes, ctx), decomposition_check(classes, ctx)
+        return class_masses(ctx, 2), decomposition_check(ctx, 2)
 
     masses, residuals = masses_and_residuals()
     monkeypatch.setattr(MeasureContext, "reached_ids", lambda self, program, level: set())
@@ -316,22 +304,30 @@ def test_decomposition_residual_cannot_see_a_wrong_reach_set(monkeypatch):
 
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_class_masses_equal_per_class_masses(variant):
+    # A context at its own level and one at the top level 3 make the same
+    # partition and give its classes the same masses.
     programs = enumerate_programs(12, get_table(variant))
+    top = table_ctx(variant, 3, 200)
     for k in (1, 3):
         classes = partition(programs, DEFAULT_UNIVERSE, k)
         ctx = table_ctx(variant, k, 200)
-        assert ctx.partition(k) == classes == table_ctx(variant, 3, 200).partition(k)
-        masses = class_masses(classes, ctx)
-        assert masses == [class_masses([cls], ctx)[0] for cls in classes]
-        assert class_masses(classes[::-1], ctx) == masses[::-1]
-        assert class_masses([], ctx) == []
+        assert ctx.partition(k) == classes == top.partition(k)
+        assert class_masses(ctx, k) == class_masses(top, k)
 
 
-def test_no_classes_take_no_pass_over_the_programs():
-    ctx = make_ctx(max_len=12, k=2, budget=1000)
-    steps = step_count()
-    assert class_masses([], ctx) == []
-    assert step_count() == steps and not ctx._events and not ctx._ids
+def test_a_level_is_partitioned_and_keyed_once(monkeypatch):
+    # The handler's partition and the mass pass share one list, so the pass
+    # encodes no key of its own.
+    ctx = make_ctx(max_len=12, k=2, budget=200)
+    classes = ctx.partition(2)
+    assert ctx.partition(2) is classes
+
+    def unexpected(*args):
+        raise AssertionError("a key was encoded again")
+
+    monkeypatch.setattr(equivalence, "_key_parts", unexpected)
+    assert len(class_masses(ctx, 2)) == len(classes)
+    assert len(decomposition_check(ctx, 2)) == len(classes)
 
 
 def test_class_built_from_its_members_alone_gets_their_bits():
@@ -340,20 +336,7 @@ def test_class_built_from_its_members_alone_gets_their_bits():
     assert rebuilt.member_bits == {"1111", "00001111"} == halted.member_bits
     ctx = make_ctx()
     assert u_weight(decode("1111"), rebuilt, ctx) == 1
-    assert class_masses([rebuilt], ctx) == [Fraction(17, 256)]
-
-
-def test_class_masses_reject_overlapping_classes():
-    first, second = classes_at(8, 1)[:2]
-    same_key = EquivClass(
-        second.k, second.index, second.members, first.key_parts, second.universe_id
-    )
-    same_members = EquivClass(
-        second.k, second.index, first.members, second.key_parts, second.universe_id
-    )
-    for pair in ([first, first], [first, same_key], [first, same_members]):
-        with pytest.raises(ValueError):
-            class_masses(pair, make_ctx())
+    assert u_weight(decode("10001111"), rebuilt, make_ctx(budget=1)) == 1
 
 
 @pytest.mark.parametrize("max_len", [12, 14])
@@ -467,16 +450,3 @@ def test_context_validation():
         MeasureContext(max_len=8, k=0, budget=0, universe=DEFAULT_UNIVERSE, encoding=TABLE_A)
     with pytest.raises(ValueError):
         MeasureContext(max_len=8, k=1, budget=-1, universe=DEFAULT_UNIVERSE, encoding=TABLE_A)
-
-
-def test_empty_class_guard():
-    classes = classes_at(8, 1)
-    hollow = classes[0].__class__(
-        k=1,
-        index=99,
-        members=(),
-        key_parts=classes[0].key_parts,
-        universe_id="default",
-    )
-    with pytest.raises(EmptyClass):
-        decomposition_check([hollow], make_ctx())
