@@ -8,12 +8,15 @@ every level it reports from one measure context per encoding.  Exit codes:
 0 success, 1 usage error, 2 validation or precondition failure.
 
 Each handler returns the text of the document its command writes, and main
-writes it once, to stdout or --out.
+writes it once, to stdout or --out.  Run as a process, main then freezes
+the garbage collector, so that shut-down does not collect what the exit
+frees anyway.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import sys
@@ -525,7 +528,22 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    """Run one command and return its exit code.
+
+    Called bare, as the `udlab` script and `python -m udlab.cli` call it,
+    main is the whole process, and it freezes the garbage collector before
+    it returns: shut-down then skips collecting what the exit frees anyway,
+    after it has run the atexit handlers and flushed stdout and stderr.  A
+    caller that passes argv keeps its collector as it found it.
+    """
+    if argv is not None:
+        return _main(argv)
+    code = _main(sys.argv[1:])
+    gc.freeze()
+    return code
+
+
+def _main(argv: list[str]) -> int:
     parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)

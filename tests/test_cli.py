@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+import gc
 import os
 import resource
 import shlex
@@ -591,17 +592,27 @@ def test_mass_commands_refuse_a_budget_above_the_dovetail_limit(capsys, command)
     assert step_count() == before
 
 
-def test_oversized_enumeration_exits_2_under_memory_cap():
-    cap = 2 * 1024**3
+def _child(argv, cap=None, **options):
+    """Run `python -m udlab.cli ARGV` in a fresh process over this checkout,
+    under an address-space cap of `cap` bytes if one is given.  `options`
+    go to subprocess.run; output is captured as bytes by default.  The
+    child's stdout is block-buffered whatever PYTHONUNBUFFERED says here, so
+    output that the process never flushes is lost, as it would be in a
+    shell."""
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-m", "udlab.cli", "enumerate", "-L", "40"],
-        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "udlab.cli", *argv], env=env, capture_output=True,
+        preexec_fn=None if cap is None else limit_memory, **{"timeout": 60, **options},
     )
+
+
+def test_oversized_enumeration_exits_2_under_memory_cap():
+    done = _child(["enumerate", "-L", "40"], cap=2 * 1024**3, text=True)
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: max_len 40 covers")
@@ -612,16 +623,9 @@ def test_recording_an_output_loop_fits_under_a_250_mb_cap():
     # about 50 MB.  Rendered through json.dumps(indent=2), which builds a
     # chunk list before joining it, the run peaked near 350 MB and exited 2
     # under this cap; the state writer keeps it near 130 MB.
-    cap = 250 * 1024**2
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-m", "udlab.cli", "record", "--program", "00010001010000110001101111",
-         "-k", "4000"],
-        env=env, capture_output=True, timeout=120, preexec_fn=limit_memory,
+    done = _child(
+        ["record", "--program", "00010001010000110001101111", "-k", "4000"],
+        cap=250 * 1024**2, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == (
@@ -633,21 +637,67 @@ def test_out_of_memory_exits_2_with_a_message():
     # A recording of a program that outputs in a loop writes its whole output
     # log into every state, so filming it for 8000 steps needs far more than
     # 100 MB (about 480 MB uncapped).
-    cap = 100 * 1024**2
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-m", "udlab.cli", "record", "--program", "00010001010000110001101111",
-         "-k", "8000"],
-        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    done = _child(
+        ["record", "--program", "00010001010000110001101111", "-k", "8000"],
+        cap=100 * 1024**2, text=True,
     )
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: out of memory; lower -L, -k or -T\n"
     assert "Traceback" not in done.stderr
+
+
+# Each case runs in a fresh `python -m udlab.cli` child, whose main freezes
+# the collector before the interpreter shuts down, and through main(argv) in
+# this process; "{out}" stands for each side's own --out file.  The kraft
+# document stays in the child's stdout buffer until shut-down flushes it, so
+# an exit that skips the flush (os._exit) loses it.
+ENTRY_CASES = {
+    "record_349_kb_through_a_pipe": (["record", "--program", "10001111", "-k", "1000"], 0),
+    "kraft_6_bytes_left_in_the_buffer": (["kraft", "-L", "8"], 0),
+    "partition_out_file": (["partition", "-L", "12", "-k", "2", "--out", "{out}"], 0),
+    "usage_error": (["kraft", "--max-len", "eight"], 1),
+    "validation_error": (["kraft", "--max-len", "3"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, expected", ENTRY_CASES.values(), ids=ENTRY_CASES)
+def test_process_entry_writes_what_main_writes(tmp_path, capsys, argv, expected):
+    child_out, own_out = tmp_path / "child.out", tmp_path / "own.out"
+    done = _child([arg.format(out=child_out) for arg in argv])
+    code, out, err = run_cli(capsys, *(arg.format(out=own_out) for arg in argv))
+    assert code == expected
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+    if "--out" in argv:
+        assert child_out.read_bytes() == own_out.read_bytes() != b""
+    elif code == 0:
+        assert done.stdout
+
+
+def test_main_with_argv_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, expected in ENTRY_CASES.values():
+                argv = [arg.format(out=tmp_path / "out") for arg in argv]
+                assert run_cli(capsys, *argv)[0] == expected
+                assert gc.isenabled() is enabled
+                assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_main_without_argv_freezes_the_collector(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["udlab", "kraft", "-L", "8"])
+    frozen = gc.get_freeze_count()
+    try:
+        assert main() == 0
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == "9/128\n"
 
 
 def test_readme_command_examples_run(tmp_path, capsys, monkeypatch):
