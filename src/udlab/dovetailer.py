@@ -6,16 +6,21 @@ for i ascending.  Every pair is reached at a predictable tick, which makes
 fairness a testable closed form rather than a promise.
 
 One shared engine per encoding lazily fills the list of tick events that
-every DVT host reads through stream_tick, so the hosts' event streams agree
-by construction and share objects.  The CLI's dovetail rows tick an engine
-of their own and keep no event, so a long listing holds only the few shared
-events that its nested dovetailers read.  Each child is a machine
+every DVT host reads, so the hosts' event streams agree by construction and
+share objects.  A stepped host reads one tick a step through stream_tick; a
+traced host whose DVT has fired is stepped to the stream's tick 2 and reads
+the rest of its run as a slice of the list (stream_ticks), and a trace
+family that has settled on the stream is keyed from it (see equivalence).
+The CLI's dovetail rows tick an engine of their own and keep no event, so a
+long listing holds only the few shared events that its nested dovetailers
+read.  Each child is a machine
 configuration stepped through emulate(), as an EXEC child is.  A tick
 returns one event, and whatever the child emulated in turn is nested in that
 event's state.
 Children run on empty tapes with zeroed registers and keep ticking after they
-halt (a halted child's step is a no-op whose state keeps repeating); that way
-long-lived hosts eventually witness arbitrarily many steps of every program.
+halt; that way long-lived hosts eventually witness arbitrarily many steps of
+every program.  A halted child's step is a no-op, so it is not run: every
+later event of that child holds the one state it halted into.
 
 Every DVT host emulates this one canonical stream, so the hosts share it:
 what a host reaches after its DVT fires is dovetail_summary at the number of
@@ -41,7 +46,7 @@ from math import isqrt
 
 from .encoding import EncodingTable, TABLE_A
 from .enumeration import MAX_LEN, block_counts, program_stream
-from .machine import Configuration, EmulationRef, emulate
+from .machine import Configuration, EmulationRef, SemanticState, emulate
 
 # dovetail_summary(ticks) reads the first max(i, d - 2) programs, for the
 # last tick's pair (i, d - i).  MAX_TICKS is the last tick whose programs
@@ -72,6 +77,7 @@ class DovetailEngine:
     def __init__(self, table: EncodingTable) -> None:
         self.events: list[EmulationRef] = []
         self.children: dict[int, Configuration] = {}
+        self.halted: dict[int, SemanticState] = {}  # index -> the state a halted child keeps
         self.ticks = 0
         self._stream = program_stream(table)
 
@@ -81,8 +87,12 @@ class DovetailEngine:
         child = self.children.get(index)
         if child is None:
             child = self.children[index] = Configuration(self._stream.nth(index))
+        elif child.halted:  # a no-op step: the child's state stays the one it halted into
+            return EmulationRef(child.program.bits, step_index, self.halted[index])
         ref = emulate(child)
         assert ref.step_index == step_index
+        if child.halted:  # the halting step's own state can carry an event; later ones do not
+            self.halted[index] = child.semantic_state(None)
         return ref
 
 
@@ -101,6 +111,15 @@ def stream_tick(tick: int, table: EncodingTable) -> EmulationRef:
     while len(engine.events) < tick:
         engine.events.append(engine.tick())
     return engine.events[tick - 1]
+
+
+def stream_ticks(first: int, last: int, table: EncodingTable) -> list[EmulationRef]:
+    """The events of ticks first..last of the one stream under `table`,
+    ticked that far by one stream_tick call; empty when last < first."""
+    if last < first:
+        return []
+    stream_tick(last, table)
+    return _ENGINES[table.variant_id].events[first - 1 : last]
 
 
 def dovetail_summary(ticks: int, table: EncodingTable = TABLE_A) -> dict[str, int]:

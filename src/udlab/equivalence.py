@@ -23,16 +23,33 @@ of the joined keys.  Class indices come from sorting the part tuples, so the
 result is independent of input order.  A class is a plain NamedTuple of
 (k, index, members, key parts, universe id) that caches nothing: its digest
 is hashed on each access, and each command takes it once per class.
+
+A family settles, and ClassIndex stops tracing and interning it, at the
+level where its last run settles.  A run settles at the first step where it
+halts or where its event chain shows ('1111', 2): step 2 of the program
+1111, which the shared dovetail stream runs at its tick 2.  1111 halts at
+its first step, so no EXEC shows that event; a run shows it only in the step
+after a DVT fires, directly or inside EXEC children, has made it a
+dovetailer.  Halting and dovetailing are both absorbing: a halted run
+repeats its halted state, and a dovetailing one keeps every level around
+its dovetailer frozen but for its step index while the dovetailer reads the
+stream's next tick.  So a settled family's states at its settle level fix
+all its later ones, and its later levels keep that level's id.  No other
+family can share that id at a later level: to share it, a family must have
+the same states up to the settle level, so it shows the same halts and
+events and has settled there too.  A family that has not settled cannot
+share a settled id, because it cannot show the event.  These ids serve one
+encoding, whose stream the dovetailers read.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import islice
 from typing import NamedTuple
 
-from .encoding import Program
-from .machine import Tape, run_trace
+from .encoding import EncodingTable, Program
+from .dovetailer import stream_ticks
+from .machine import SemanticState, Tape, run_trace, settled_tail, step_events
 
 
 def _canonical_tapes(tapes) -> tuple[Tape, ...]:
@@ -77,27 +94,56 @@ DEFAULT_UNIVERSE = InputUniverse(
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def _trace_json(states: tuple) -> str:
-    """The JSON of one trace, with its trailing run of one repeated state
-    object (the padding after a halt) encoded once and repeated."""
-    last = states[-1]
-    head = len(states) - 1
-    while head and states[head - 1] is last:
-        head -= 1
-    if head == len(states) - 1:  # no padding run: the trace is encoded whole
-        return _ENCODER.encode(states)
-    parts = [_ENCODER.encode(states[:head])[1:-1]] if head else []
-    parts += [_ENCODER.encode(last)] * (len(states) - head)
-    return "[" + ",".join(parts) + "]"
+# A value the tail writer fills in; its JSON, "\u0000", is no state field's.
+_MARK = "\0"
+_MARK_JSON = _ENCODER.encode(_MARK)
 
 
-def _key_parts(traces: tuple, k: int) -> tuple[str, ...]:
+def _tail_json(state: SemanticState, count: int, table: EncodingTable, ticks: list[str]) -> str:
+    """The JSON of settled_tail(state, count, table), its states joined by
+    commas.  A halted run's padding state is encoded once.  A dovetailing
+    run's tail states differ from its settle state, whose innermost event is
+    the stream's tick 2, only in each EXEC level's step index, one more a
+    step, and in the innermost event, the stream's next tick.  So that state
+    is encoded once with a mark in each of those places, and each tail state
+    fills the marks in.  `ticks` holds each tick's JSON, encoded once."""
+    if state.halted:
+        return ",".join([_ENCODER.encode(settled_tail(state, 1, table)[0])] * count)
+    levels = step_events(state.event)[1:]  # the EXEC levels' events, innermost first
+    event = _MARK
+    for ref in levels:
+        event = ref._replace(step_index=_MARK, state=ref.state._replace(event=event))
+    head, *after = _ENCODER.encode(state._replace(event=event)).split(_MARK_JSON)
+    starts = [ref.step_index for ref in reversed(levels)]  # in JSON order, outermost first
+    if len(ticks) < count + 2:
+        ticks += map(_ENCODER.encode, stream_ticks(len(ticks) + 1, count + 2, table))
+    states = []
+    for n, tick in enumerate(ticks[2 : count + 2], 1):  # ticks 3..count + 2
+        parts = [head]
+        for start, piece in zip(starts, after):
+            parts += (str(start + n), piece)
+        parts += (tick, after[-1])
+        states.append("".join(parts))
+    return ",".join(states)
+
+
+def _trace_json(trace: tuple, k: int, table: EncodingTable, ticks: list[str]) -> str:
+    """The JSON of a trace's first k states; a settled trace shorter than k
+    goes on as settled_tail says (_tail_json)."""
+    if len(trace) >= k:
+        return _ENCODER.encode(trace[:k])
+    tail = _tail_json(trace[-1], k - len(trace), table, ticks)
+    return _ENCODER.encode(trace)[:-1] + "," + tail + "]"
+
+
+def _key_parts(traces: tuple, k: int, table: EncodingTable, ticks: list[str]) -> tuple[str, ...]:
     """Each trace's JSON over its first k states, in tape order, encoding
-    each distinct trace object once and sharing its string."""
+    each distinct trace object once and sharing its string.  `ticks` caches
+    the JSON of the stream's ticks under `table` (_tail_json)."""
     encoded: dict[int, str] = {}
     for trace in traces:
         if id(trace) not in encoded:
-            encoded[id(trace)] = _trace_json(trace[:k])
+            encoded[id(trace)] = _trace_json(trace, k, table, ticks)
     return tuple(encoded[id(trace)] for trace in traces)
 
 
@@ -106,16 +152,20 @@ def read_cells(tape: Tape, cursor: int) -> Tape:
     return tape[:cursor] + (0,) * (cursor - len(tape))
 
 
-def trace_family(program: Program, universe: InputUniverse, k: int) -> tuple[tuple, ...]:
-    """The program's k-step traces, one per tape in universe order.  A tape
-    that agrees, zero-padded, with a traced tape on the cells that run read
-    gets that run's trace object; any other tape is traced.  Runs are looked
-    up by (final cursor, cells read), one lookup per distinct cursor.  The
-    first tape is traced first: when its run read nothing, that run is the
-    run on every tape, and no tape is looked up."""
+def trace_family(
+    program: Program, universe: InputUniverse, k: int, settle: bool = False
+) -> tuple[tuple, ...]:
+    """The program's k-step traces, one per tape in universe order; with
+    settle, each stops where its run settles (run_trace).  A tape that
+    agrees, zero-padded, with a traced tape on the cells that run read gets
+    that run's trace object; any other tape is traced.  Runs are looked up by
+    (final cursor, cells read), one lookup per distinct cursor; a settled
+    run reads no more input.  The first tape is traced first: when its run
+    read nothing, that run is the run on every tape, and no tape is looked
+    up."""
     tapes = universe.tapes
     first = tapes[0]
-    trace = run_trace(program, first, k)
+    trace = run_trace(program, first, k, settle)
     cursor = trace[-1].input_cursor
     if cursor == 0:
         return (trace,) * len(tapes)
@@ -128,7 +178,7 @@ def trace_family(program: Program, universe: InputUniverse, k: int) -> tuple[tup
             if trace is not None:
                 break
         else:
-            trace = run_trace(program, tape, k)
+            trace = run_trace(program, tape, k, settle)
             cursor = trace[-1].input_cursor
             cursors.add(cursor)
             runs[cursor, read_cells(tape, cursor)] = trace
@@ -170,24 +220,24 @@ class EquivClass(NamedTuple):
         return key_digest(self.key_parts)
 
 
-def _halting_step(trace: tuple, top: int) -> int:
-    """The step at which the trace halts, or top if it does not."""
-    for j, state in enumerate(trace, 1):
-        if state.halted:
-            return j
-    return top
+def level_id(ids: tuple[int, ...], level: int) -> int:
+    """The class id at `level` from ClassIndex.ids: every level past the
+    settle level keeps its id."""
+    return ids[level - 1] if level <= len(ids) else ids[-1]
 
 
 class ClassIndex:
-    """Class ids of codes at every level 1..top over one universe.
+    """Class ids of codes at every level 1..top over one universe, for the
+    programs of one encoding.
 
     A code's level-j id interns (level j-1 id, step-j states across the
     tapes), so two codes share a level-j id exactly when their j-step
     families are equal.  A step whose states are equal on every tape interns
     as that one state, compared by value, so a tape-blind family and an
-    input-reading one with equal prefixes share ids.  Halting is absorbing:
-    once every tape has halted, later levels follow from the prefix and keep
-    the id of the level where the last tape halted.
+    input-reading one with equal prefixes share ids.  Each code is traced
+    and interned only up to its family's settle level; later levels keep
+    that id (level_id).  The settled creator of an id keeps only its traces
+    to there, and a key past them is written from settled_tail.
     """
 
     def __init__(self, universe: InputUniverse, top: int) -> None:
@@ -195,33 +245,43 @@ class ClassIndex:
             raise ValueError("k must be >= 1")
         self.universe = universe
         self.top = top
+        self.table: EncodingTable | None = None  # the encoding of the first code
         self._ids: dict[tuple, int] = {}
-        self._creators: list[tuple] = []  # id -> traces of the code that created it
+        self._creators: list[tuple] = []  # id -> settled traces of the code that created it
+        self._ticks: list[str] = []  # the JSON of each stream tick a key has written
 
     def ids(self, program: Program) -> tuple[int, ...]:
-        """The program's class id at each level 1..top, from one trace."""
-        traces = trace_family(program, self.universe, self.top)
+        """The program's class ids at levels 1..settle, from one settled
+        trace per distinct run; level_id reads any level 1..top."""
+        if self.table is None:
+            self.table = program.encoding
+        elif program.encoding is not self.table:
+            # Dovetailing families settle on the stream of one encoding.
+            raise ValueError(f"a class index serves one encoding, not {program!r}")
+        traces = trace_family(program, self.universe, self.top, settle=True)
         if traces.count(traces[0]) == len(traces):  # one trace on every tape
             steps = traces[0]  # each step interns as its one state
-            settled = _halting_step(steps, self.top)
         else:
+            settled = max(map(len, traces))  # the family's settle level
+            runs = {id(trace): trace for trace in traces}
+            for key, trace in runs.items():  # each distinct run's states to there
+                if len(trace) < settled:
+                    tail = settled_tail(trace[-1], settled - len(trace), self.table)
+                    runs[key] = trace + tuple(tail)
             steps = (
-                step[0] if step.count(step[0]) == len(step) else step for step in zip(*traces)
-            )
-            settled = max(  # the step by which every tape has halted, or top
-                _halting_step(trace, self.top)
-                for trace in {id(trace): trace for trace in traces}.values()
+                step[0] if step.count(step[0]) == len(step) else step
+                for step in zip(*(runs[id(trace)] for trace in traces))
             )
         ids: list[int] = []
         previous = None
-        for step in islice(steps, settled):
+        for step in steps:
             pair = (previous, step)
             previous = self._ids.get(pair)
             if previous is None:
                 previous = self._ids[pair] = len(self._creators)
                 self._creators.append(traces)
             ids.append(previous)
-        return tuple(ids) + (previous,) * (self.top - settled)
+        return tuple(ids)
 
     def partition(self, programs, level: int, ids_of=None) -> list[EquivClass]:
         """Group programs by their level id (ids_of defaults to ids); each
@@ -229,9 +289,10 @@ class ClassIndex:
         ids_of = ids_of or self.ids
         groups: dict[int, list[Program]] = {}
         for program in programs:
-            groups.setdefault(ids_of(program)[level - 1], []).append(program)
+            groups.setdefault(level_id(ids_of(program), level), []).append(program)
         keyed = sorted(
-            (_key_parts(self._creators[cid], level), members) for cid, members in groups.items()
+            (_key_parts(self._creators[cid], level, self.table, self._ticks), members)
+            for cid, members in groups.items()
         )
         classes = []
         for index, (parts, members) in enumerate(keyed):

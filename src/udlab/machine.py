@@ -18,8 +18,15 @@ Two meta-instructions make emulation observable by construction:
 * DVT is absorbing: every subsequent host step performs one tick of the
   canonical dovetailing schedule over the full program enumeration.  All DVT
   hosts emulate that one stream: a host's context is the number of ticks it
-  has run, each step reads the stream's next tick, and run_events reads what
-  a host reaches after its DVT from the stream's closed-form summary.
+  has run, and step() reads the stream's next tick.
+
+Once a DVT has fired, directly or inside EXEC children, every level around
+the dovetailer is frozen but for its step index, so the run is not stepped
+to its end.  run_events reads what it reaches from the stream's closed-form
+summary.  run_trace steps once more, to the first step that shows the
+stream's tick 2, step 2 of the program 1111, which no EXEC can show, and
+reads the rest of its states off the shared stream's events (settled_tail);
+equivalence rests on that event to let a dovetailing family settle.
 
 An emulated child is a configuration that counts its steps, and both
 advance each child they emulate through emulate().  A step advances each
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .encoding import DEC, EXEC, HALT, IN, INC, OUT, WEND, WHILE, Program
+from .encoding import DEC, EXEC, HALT, IN, INC, OUT, WEND, WHILE, EncodingTable, Program
 
 Tape = tuple[int, ...]
 
@@ -109,7 +116,9 @@ _STEPS_EXECUTED = 0
 
 
 def step_count() -> int:
-    """Total machine steps executed so far in this process (all levels)."""
+    """Total machine steps executed so far in this process (all levels).
+    Only step() counts: the states run_trace pads after a halt or reads off
+    the dovetail stream are not steps."""
     return _STEPS_EXECUTED
 
 
@@ -196,14 +205,20 @@ def step_events(direct: EmulationRef | None) -> list[EmulationRef]:
     return chain
 
 
-def run_trace(program: Program, tape: Tape, k: int) -> tuple[SemanticState, ...]:
+def run_trace(
+    program: Program, tape: Tape, k: int, settle: bool = False
+) -> tuple[SemanticState, ...]:
     """Semantic states after steps 1..k.  Each state's event chain holds what
     its step emulated (step_events), so the states are the run's one record.
 
-    Halting is absorbing, so the run stops stepping once the program halts:
-    every entry after the halting step is one shared padding state, the
-    halted configuration with no event, and is not re-stepped.  The halting
-    step's own entry stays as stepped, since it can carry that step's event.
+    Halting and dovetailing are absorbing, so the run stops stepping where it
+    settles: at its halting step, or at the step after the one that fires a
+    DVT, directly or inside EXEC children, which shows the stream's tick 2.
+    settled_tail gives every later entry: after a halt, one shared padding
+    state, the halted configuration with no event (the halting step's own
+    entry stays as stepped, since it can carry that step's event); after a
+    dovetailer, states read off the shared stream.  With settle, the states
+    stop at the settle step.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -214,9 +229,36 @@ def run_trace(program: Program, tape: Tape, k: int) -> tuple[SemanticState, ...]
         direct = step(config, tape)
         states.append(config.semantic_state(direct))
         if config.halted:
-            states.extend([config.semantic_state(None)] * (k - len(states)))
             break
+        if config.context is not None and _dovetailing(config):
+            if len(states) < k:  # the next step reads the stream's tick 2
+                states.append(config.semantic_state(step(config, tape)))
+            break
+    if not settle and len(states) < k:
+        states += settled_tail(states[-1], k - len(states), program.encoding)
     return tuple(states)
+
+
+def settled_tail(
+    state: SemanticState, count: int, table: EncodingTable
+) -> list[SemanticState]:
+    """The `count` states after the last state of a run traced with settle.
+    A halted run repeats its padding state.  In a dovetailing run, whose
+    innermost event is the stream's tick 2, each EXEC level around the
+    dovetailer is frozen but for its step index, which rises by one a step,
+    and the innermost event is the stream's next tick."""
+    if state.halted:
+        return [state._replace(event=None)] * count
+    levels = step_events(state.event)[1:]  # the EXEC levels' events, innermost first
+    registers, cursor, outputs = state.registers, state.input_cursor, state.outputs
+    tail = []
+    for n, event in enumerate(dovetailer.stream_ticks(3, count + 2, table), 1):
+        for ref in levels:
+            held = ref.state
+            inner = SemanticState(held.registers, held.input_cursor, held.outputs, False, event)
+            event = EmulationRef(ref.code_bits, ref.step_index + n, inner)
+        tail.append(SemanticState(registers, cursor, outputs, False, event))
+    return tail
 
 
 def _raise_to(summary: dict[str, int], code_bits: str, step_index: int) -> None:

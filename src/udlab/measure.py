@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .dovetailer import MAX_TICKS
 from .encoding import EncodingTable, Program, decode
 from .enumeration import enumerate_programs
-from .equivalence import ClassIndex, EquivClass, InputUniverse
+from .equivalence import ClassIndex, EquivClass, InputUniverse, level_id
 from .machine import run_events
 
 
@@ -82,7 +82,8 @@ class MeasureContext:
         return summary
 
     def class_ids(self, program: Program) -> tuple[int, ...]:
-        """The program's class id at each level 1..k."""
+        """The program's class ids to its settle level, which level_id reads
+        at any level 1..k."""
         ids = self._ids.get(program.bits)
         if ids is None:
             ids = self._ids[program.bits] = self._index.ids(program)
@@ -92,7 +93,7 @@ class MeasureContext:
         """Level ids of the codes the program emulates to >= level steps."""
         # Code bits are decoded only when their ids are not cached yet.
         return {
-            (self._ids.get(bits) or self.class_ids(decode(bits, self.encoding)))[level - 1]
+            level_id(self._ids.get(bits) or self.class_ids(decode(bits, self.encoding)), level)
             for bits, max_step in self.events_summary(program).items()
             if max_step >= level
         }
@@ -116,12 +117,12 @@ def _class_weights(ctx: MeasureContext, level: int) -> tuple[list[int], dict[tup
     class and each class whose id is in its reach set; both are found by id.
     """
     classes = ctx.partition(level)
-    index_of_id = {ctx.class_ids(cls.members[0])[level - 1]: cls.index for cls in classes}
+    index_of_id = {level_id(ctx.class_ids(cls.members[0]), level): cls.index for cls in classes}
     totals = [0] * len(classes)
     sent: dict[tuple[int, int], int] = {}
     for p in ctx.programs:
         weight = 2 ** (ctx.max_len - p.length)
-        own = index_of_id[ctx.class_ids(p)[level - 1]]
+        own = index_of_id[level_id(ctx.class_ids(p), level)]
         reached = {index_of_id[i] for i in ctx.reached_ids(p, level) if i in index_of_id}
         reached.add(own)
         for target in reached:
@@ -180,7 +181,7 @@ def divergence_report(ctx: MeasureContext) -> list[LevelRow]:
     for k in range(1, ctx.k + 1):
         # Grouped by class id alone: no class is built and no key encoded.
         # Each program adds its weight once per class of the level it reaches.
-        own = {p.bits: ctx.class_ids(p)[k - 1] for p in ctx.programs}
+        own = {p.bits: level_id(ctx.class_ids(p), k) for p in ctx.programs}
         ids = set(own.values())
         total = sum(
             2 ** (ctx.max_len - p.length) * len(ids & ctx.reached_ids(p, k) | {own[p.bits]})

@@ -45,3 +45,20 @@ def from_instructions(instructions, table=TABLE_A) -> Program:
     """Build a Program from an instruction list, as encode_instructions reads
     it; the bits are re-decoded, so all invariants hold by construction."""
     return decode(encode_instructions(instructions, table), table)
+
+
+# Hosts whose DVT fires below the top level or late: inside an EXEC, inside
+# an EXEC of an EXEC, inside a loop body, and after an IN, where the tape
+# decides when the DVT fires or whether the run halts first.  The last two
+# are the plain dovetailer and an EXEC of 1111, whose first step shows the
+# same event as the dovetailer's first tick.
+DOVETAILING_HOSTS = (
+    [("EXEC", [("DVT",)])],
+    [("INC", 1), ("EXEC", [("INC", 0), ("EXEC", [("OUT", 0), ("DVT",)])])],
+    [("INC", 0), ("WHILE", 0, [("OUT", 0), ("DVT",)])],
+    [("IN", 0), ("OUT", 0), ("DVT",)],
+    [("IN", 0), ("WHILE", 0, [("DEC", 0), ("INC", 1)]), ("EXEC", [("DVT",)])],
+    [("IN", 0), ("WHILE", 0, [("EXEC", [("IN", 1), ("DVT",)])])],
+    [("DVT",)],
+    [("EXEC", []), ("INC", 0)],
+)

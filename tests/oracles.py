@@ -4,7 +4,8 @@ The paper's definitions are tests on one pair at a time: whether two
 programs agree on every tape, whether a program reaches one class, and what
 a DVT host sees tick by tick.  The package answers them for a whole level at
 once (ClassIndex, class_masses, stream_tick); these helpers answer them one
-pair at a time, so the tests can check the one route against the definition.
+pair at a time, or one level at a time, so the tests can check the one
+route against the definition.
 """
 
 from udlab.dovetailer import stream_tick
@@ -21,7 +22,26 @@ def joined_key(parts):
 
 def family_key(program, universe, k):
     """The program's k-step trace family over the universe, as JSON."""
-    return joined_key(_key_parts(trace_family(program, universe, k), k))
+    return joined_key(_key_parts(trace_family(program, universe, k), k, program.encoding, []))
+
+
+def every_level_ids(programs, universe, top):
+    """Program bits -> class id at each level 1..top, interned at every
+    level from the program's full traces: the route ClassIndex took before
+    families settled.  A level-j id interns (level j-1 id, step-j states,
+    or the one state when the tapes agree), so two programs share it
+    exactly when their j-step families are equal."""
+    interned = {}
+    ids = {}
+    for program in programs:
+        previous = None
+        levels = []
+        for step in zip(*trace_family(program, universe, top)):
+            step = step[0] if step.count(step[0]) == len(step) else step
+            previous = interned.setdefault((previous, step), len(interned))
+            levels.append(previous)
+        ids[program.bits] = tuple(levels)
+    return ids
 
 
 def counterfactually_equivalent(p, q, universe, k):

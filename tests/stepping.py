@@ -1,13 +1,16 @@
 """Full-stepping oracles for the machine's shortcuts.
 
 Each helper is the plain loop the shortcut replaces: every one of the k or T
-steps goes through step(), halted or not, on every tape, and a DVT host reads
-every tick of the shared dovetail stream.  They are slow on purpose; tests
+steps goes through step(), halted or not, on every tape, a DVT host reads
+every tick of the shared dovetail stream, and a dovetailer steps each child
+at each of its ticks.  They are slow on purpose; tests
 compare the tracer, the trace-family keys, run_events and sever_and_project
 against them.
 """
 
-from udlab.machine import Configuration, step, step_events
+from udlab.dovetailer import schedule_pair
+from udlab.enumeration import program_stream
+from udlab.machine import Configuration, emulate, step, step_events
 
 
 def full_trace(program, tape, k):
@@ -18,6 +21,20 @@ def full_trace(program, tape, k):
         direct = step(config, tape)
         states.append(config.semantic_state(direct))
     return tuple(states)
+
+
+def full_ticks(ticks, table):
+    """The events of the schedule's first `ticks` ticks, each child stepped
+    through emulate() at each of its ticks, halted or not."""
+    stream = program_stream(table)
+    children = {}
+    events = []
+    for tick in range(1, ticks + 1):
+        index, _ = schedule_pair(tick)
+        if index not in children:
+            children[index] = Configuration(stream.nth(index))
+        events.append(emulate(children[index]))
+    return events
 
 
 def trace_events(states):

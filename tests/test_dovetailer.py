@@ -2,7 +2,7 @@ import pytest
 
 from builders import from_instructions
 from oracles import dovetail_run
-from stepping import MaxSteps, trace_events
+from stepping import MaxSteps, full_ticks, trace_events
 from udlab import dovetailer
 from udlab.cli import main
 from udlab.dovetailer import MAX_TICKS, DovetailEngine, dovetail_summary, schedule_pair
@@ -157,6 +157,22 @@ def test_dovetail_summary_matches_the_ticked_stream(table):
             assert list(dovetail_summary(tick, table).items()) == list(folded.items()), tick
     with pytest.raises(ValueError):
         dovetail_summary(-1, table)
+
+
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_engine_ticks_equal_stepping_every_child(table):
+    # The engine does not step a halted child: its later events hold the
+    # one state it halted into, which must equal what each no-op step gives.
+    engine = DovetailEngine(table)
+    ticked = [engine.tick() for _ in range(3000)]
+    assert ticked == full_ticks(3000, table)
+    halted = {}  # code bits -> its states from the halting step on
+    for ref in ticked:
+        if ref.state.halted:
+            halted.setdefault(ref.code_bits, []).append(ref.state)
+    for code_bits, states in halted.items():
+        assert all(state is states[1] for state in states[2:]), code_bits
+    assert sum(len(states) > 2 for states in halted.values()) > 30
 
 
 def test_nested_dovetailers_emit_inner_events():

@@ -1,14 +1,14 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builders import from_instructions
-from oracles import counterfactually_equivalent, family_key, joined_key
+from builders import DOVETAILING_HOSTS, from_instructions
+from oracles import counterfactually_equivalent, every_level_ids, family_key, joined_key
 from stepping import full_trace
 from udlab.encoding import TABLE_A, TABLE_B, decode
 from udlab.enumeration import enumerate_programs
@@ -19,11 +19,12 @@ from udlab.equivalence import (
     EquivClass,
     InputUniverse,
     RefinementViolation,
+    level_id,
     partition,
     refine,
     trace_family,
 )
-from udlab.machine import run_trace
+from udlab.machine import run_trace, settled_tail, step_events
 
 A_PROG = from_instructions([("IN", 0), ("IN", 1), ("OUT", 0)])
 B_PROG = from_instructions([("IN", 0), ("IN", 1), ("OUT", 1)])
@@ -166,18 +167,20 @@ def test_family_key_equals_full_stepping_oracle(table, universe, k):
 @pytest.mark.parametrize("universe", [DEFAULT_UNIVERSE, UNIVERSE_012], ids=["default", "012"])
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
 def test_key_parts_join_to_json_dumps_of_the_family(table, universe):
-    # Key parts encode a trailing padding run once and a trace with none in
-    # one call, and ClassIndex keys lower levels from a longer trace; the
+    # ClassIndex keys lower levels from a longer trace, and levels past a
+    # settled trace from its halted padding state or the dovetail stream; the
     # joined key must still be json.dumps of each tape's first k states.
-    tails = set()
+    tails, ticks = set(), []
     for program in enumerate_programs(14, table):
         top = trace_family(program, universe, 300)
+        settled = trace_family(program, universe, 300, settle=True)
         for k in (1, 3, 300):
-            for traces in (trace_family(program, universe, k), top):
-                expected = json.dumps([list(trace[:k]) for trace in traces], separators=(",", ":"))
-                assert joined_key(equivalence._key_parts(traces, k)) == expected, program.bits
-                tails.update(k > 1 and trace[k - 2] is trace[k - 1] for trace in traces)
-    assert tails == {True, False}  # traces with and without a padding run
+            for traces in (trace_family(program, universe, k), top, settled):
+                expected = json.dumps([list(trace[:k]) for trace in top], separators=(",", ":"))
+                parts = equivalence._key_parts(traces, k, table, ticks)
+                assert joined_key(parts) == expected, program.bits
+        tails.update(trace[-1].halted for trace in settled if len(trace) < 300)
+    assert tails == {True, False}  # settled traces that halted and that dovetail
 
 
 # Programs whose halting step depends on the tape, an EXEC host of one, and
@@ -202,22 +205,25 @@ READ_TO_ZERO = [("IN", 0), ("WHILE", 0, [("IN", 0)])]
 @pytest.mark.parametrize("universe", UNIVERSES, ids=UNIVERSE_IDS)
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
 def test_trace_family_shares_runs_exactly_by_read_cells(monkeypatch, table, universe, k):
-    # Each tape's traces equal its own run, and two tapes hold one trace
-    # object exactly when they agree, zero-padded, on the cells it read.
+    # Each tape's traces equal its own run, full or settled, and two tapes
+    # hold one trace object exactly when they agree, zero-padded, on the
+    # cells it read.
     traced = 0
 
-    def counted_run_trace(program, tape, k):
+    def counted_run_trace(program, tape, k, settle=False):
         nonlocal traced
         traced += 1
-        return run_trace(program, tape, k)
+        return run_trace(program, tape, k, settle)
 
     monkeypatch.setattr(equivalence, "run_trace", counted_run_trace)
     programs = enumerate_programs(14, table)
-    programs += [from_instructions(i, table) for i in (*HAND_BUILT, READ_TO_ZERO)]
-    for program in programs:
+    hand_built = (*HAND_BUILT, READ_TO_ZERO, *DOVETAILING_HOSTS)
+    programs += [from_instructions(instructions, table) for instructions in hand_built]
+    for program, settle in product(programs, (False, True)):
         traced = 0
-        traces = trace_family(program, universe, k)
-        assert traces == tuple(run_trace(program, tape, k) for tape in universe.tapes), program.bits
+        traces = trace_family(program, universe, k, settle)
+        runs = tuple(run_trace(program, tape, k, settle) for tape in universe.tapes)
+        assert traces == runs, program.bits
         assert traced == len({id(trace) for trace in traces}), program.bits
         for (s, s_trace), (t, t_trace) in combinations(zip(universe.tapes, traces), 2):
             read = s_trace[-1].input_cursor
@@ -248,10 +254,10 @@ def test_class_is_its_five_fields():
 @pytest.mark.parametrize("universe", UNIVERSES, ids=UNIVERSE_IDS)
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
 def test_class_index_partitions_equal_family_key_grouping(table, universe, top):
-    # One trace per program to the top level; every lower level must group,
-    # index and key exactly as fresh per-level family keys do.
+    # One settled trace per run; every level must group, index and key
+    # exactly as fresh per-level family keys do, past the settle level too.
     programs = enumerate_programs(12, table)
-    programs += [from_instructions(instructions, table) for instructions in HAND_BUILT]
+    programs += [from_instructions(i, table) for i in (*HAND_BUILT, *DOVETAILING_HOSTS)]
     index = ClassIndex(universe, top)
     ids = {p.bits: index.ids(p) for p in programs}
     for level in range(1, top + 1):
@@ -262,6 +268,61 @@ def test_class_index_partitions_equal_family_key_grouping(table, universe, top):
         classes = index.partition(programs, level, lambda p: ids[p.bits])
         assert [(c.index, joined_key(c.key_parts), c.member_bits) for c in classes] == expected, level
         assert all(c.k == level and c.universe_id == universe.universe_id for c in classes)
+
+
+@pytest.mark.parametrize("top", [2, 7, 200])
+@pytest.mark.parametrize("universe", [DEFAULT_UNIVERSE, UNIVERSE_012], ids=["default", "012"])
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_settled_ids_equal_every_level_interning(table, universe, top):
+    # Id for id: a level's settled id and the oracle's every-level id must
+    # name the same family, so each determines the other across all
+    # programs and levels.  The oracle's ids are interned at their level
+    # alone, while a settled id serves every level from its settle level on.
+    programs = enumerate_programs(16, table)
+    programs += [from_instructions(i, table) for i in (*HAND_BUILT, *DOVETAILING_HOSTS)]
+    index = ClassIndex(universe, top)
+    oracle = every_level_ids(programs, universe, top)
+    to_oracle, to_settled = {}, {}
+    for program in programs:
+        ids = index.ids(program)
+        assert 1 <= len(ids) <= top, program.bits
+        for level, expected in enumerate(oracle[program.bits], 1):
+            settled = (level, level_id(ids, level))
+            assert to_oracle.setdefault(settled, expected) == expected, (program.bits, level)
+            assert to_settled.setdefault(expected, settled) == settled, (program.bits, level)
+    assert len(index._creators) < len(to_settled)  # settling skips levels
+
+
+def _settle_step(trace):
+    """The first step that halts or shows ('1111', 2), or len(trace)."""
+    for step, state in enumerate(trace, 1):
+        shown = {(e.code_bits, e.step_index) for e in step_events(state.event)}
+        if state.halted or ("1111", 2) in shown:
+            return step
+    return len(trace)
+
+
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_settled_traces_stop_where_the_run_halts_or_shows_tick_2(table):
+    # The settled trace is the full trace's prefix to its settle step, read
+    # off the full trace's events; settled_tail gives the rest.
+    programs = enumerate_programs(14, table)
+    programs += [from_instructions(i, table) for i in (*HAND_BUILT, *DOVETAILING_HOSTS)]
+    dovetailed = 0
+    for program, tape in product(programs, UNIVERSE_012.tapes):
+        full = run_trace(program, tape, 300)
+        settled = run_trace(program, tape, 300, settle=True)
+        assert len(settled) == _settle_step(full), (program.bits, tape)
+        assert settled + tuple(settled_tail(settled[-1], 300 - len(settled), table)) == full
+        dovetailed += not full[-1].halted and len(settled) < 300
+    assert dovetailed > len(programs)
+
+
+def test_class_index_serves_one_encoding():
+    index = ClassIndex(DEFAULT_UNIVERSE, 5)
+    index.ids(decode("10001111", TABLE_A))
+    with pytest.raises(ValueError, match="one encoding"):
+        index.ids(decode("00001111", TABLE_B))
 
 
 def test_trace_family_shape():

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from builders import from_instructions
+from builders import DOVETAILING_HOSTS, from_instructions
 from oracles import dovetail_run
-from stepping import MaxSteps, full_events, trace_events
+from stepping import MaxSteps, full_events, full_trace, trace_events
 from udlab.encoding import DVT, TABLE_A, TABLE_B, decode
 from udlab.enumeration import enumerate_programs
 from udlab.equivalence import DEFAULT_UNIVERSE
@@ -204,6 +204,34 @@ def test_emulated_step_indices_consecutive_per_instance():
         by_code.setdefault(state.event.code_bits, []).append(state.event.step_index)
     for indices in by_code.values():
         assert indices == list(range(1, len(indices) + 1))
+
+
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_dovetailing_tail_equals_full_stepping(table):
+    # A host whose DVT fires inside EXECs, in a loop body or after an IN
+    # reads its tail off the stream; every step of the oracle goes through
+    # step(), every tick of its dovetailer too.
+    hosts = (*DOVETAILING_HOSTS, *(instructions for instructions, _ in DVT_HOSTS.values()))
+    for instructions in hosts:
+        program = from_instructions(instructions, table)
+        for tape in ((), (0,), (1,), (2, 1), (3, 0, 1)):
+            full = full_trace(program, tape, 300)
+            assert run_trace(program, tape, 300) == full, (program.bits, tape)
+
+
+def test_dovetailing_tail_is_not_stepped():
+    # The run is stepped up to the step after the one that fires the DVT,
+    # whose tick 2 runs the halted 1111 and so steps no child; the rest of
+    # its 300 states read a stream already ticked that far, and no step is
+    # counted for them.  The DVT host steps its DVT (1) and that next step
+    # (1).  The EXEC host steps INC (1), OUT in its child (2: host and
+    # child), the child's DVT (2) and the next step (2).
+    dovetail_run(300)
+    for instructions, steps in (([(DVT,)], 2), ([("INC", 2), ("EXEC", [("OUT", 2), (DVT,)])], 7)):
+        before = step_count()
+        trace = run_trace(from_instructions(instructions), (), 300)
+        assert step_count() - before == steps
+        assert len(trace) == 300 and trace[-1].event is not None
 
 
 def test_run_trace_validates_arguments():

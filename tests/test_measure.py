@@ -393,6 +393,18 @@ def test_mass_commands_trace_each_code_once(monkeypatch, capsys):
         assert calls <= most, (command, calls, most)
 
 
+def test_context_caches_ids_to_the_settle_level():
+    # A program's cached view holds its ids up to where its family settles:
+    # the halting step, the step after its DVT fires, or k for a run that
+    # does neither; every later level reads the last id.
+    ctx = make_ctx(max_len=12, k=300, budget=200)
+    runs_on = from_instructions([("INC", 0), ("WHILE", 0, [("INC", 0)])])
+    for program, settled in ((decode("10001111"), 2), (decode("1111"), 1), (runs_on, 300)):
+        ids = ctx.class_ids(program)
+        assert len(ids) == settled, program.bits
+        assert ctx.class_ids(program) is ids
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_relmeasure_ratios_equal_relative_measure(capsys, k):
     def ratios(argv):
