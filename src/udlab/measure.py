@@ -7,19 +7,25 @@ tape within a host-step budget, it raises emulation events showing some code
 advanced to at least k emulated steps whose k-step trace family matches the
 class.  Class mass is the exact sum of contributing weights, taken for a
 whole level in one pass that adds each program's weight to every class in
-its reach set; one class index, tracing each code once, serves every level
-up to the context's k.  Weights are summed as integers in units of 2**-L and
-divided by 2**L once, when a mass or residual is returned.
+its reach set; one class index, tracing each program once, serves every
+level up to the context's k.  Weights are summed as integers in units of
+2**-L and divided by 2**L once, when a mass or residual is returned.
 
 A class is measured by the context that made it: the mass functions take a
 context and a level and answer for every class of that level's partition,
 in index order, so no class from elsewhere is ever measured.  The recursive
 regrouping of a class's mass over the classes whose members send it weight
-is checked as an identity with zero residual, never a tolerance.  Its two
-sides come from the same reach sets, so a wrong reach set moves both alike
-and leaves the residual at zero.  The check catches a lost own-class weight
-(a nonzero residual); the golden digests and the u_weight oracle tests pin
-reach.
+is an identity with zero residual, never a tolerance.  Its two sides come
+from the same reach sets, so it catches a lost own-class weight but no
+wrong reach set; the golden digests and the u_weight oracle tests pin reach.
+
+A reach set holds only the context's programs: a code longer than L is
+never decoded or traced, and no class is lost.  Outside the dovetail stream
+a host reaches only the codes it EXECs, proper substrings of itself, so at
+most L bits long.  The stream's summary lists codes in enumeration order,
+length first, and its max steps never increase along it (d - j, then
+d - 1 - j).  So a program of at most L bits in the class of a longer code x
+comes before x with a max step at least x's, and x adds no class it lacks.
 
 "Eventually emulates" is semidecidable, so the budget T truncates it; every
 result carries its full context (length bound L, level k, budget T, universe,
@@ -32,7 +38,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .dovetailer import MAX_TICKS
-from .encoding import EncodingTable, Program, decode
+from .encoding import EncodingTable, Program
 from .enumeration import enumerate_programs
 from .equivalence import ClassIndex, EquivClass, InputUniverse, level_id
 from .machine import run_events
@@ -44,8 +50,8 @@ def fraction_str(value: Fraction) -> str:
 
 class MeasureContext:
     """Truncation parameters every measure result is relative to; k is the
-    top level, and every level 1..k is measured from the same traces over
-    the programs enumerated once, up to max_len."""
+    top level, and every level 1..k is measured from the class ids of its
+    programs up to max_len, enumerated and traced once when it is made."""
 
     __slots__ = (
         "max_len", "k", "budget", "universe", "encoding", "programs",
@@ -70,32 +76,26 @@ class MeasureContext:
         self.universe = universe
         self.encoding = encoding
         self._events: dict[str, dict[str, int]] = {}
-        self._ids: dict[str, tuple[int, ...]] = {}
         self._index = ClassIndex(universe, k)  # checks k >= 1
         self._partitions: dict[int, list[EquivClass]] = {}
         self.programs: list[Program] = enumerate_programs(max_len, encoding)
+        self._ids = {p.bits: self._index.ids(p) for p in self.programs}
 
-    def events_summary(self, program: Program) -> dict[str, int]:
+    def class_ids(self, program: Program) -> tuple[int, ...]:
+        """The class ids of one of the context's programs to its settle
+        level, which level_id reads at any level 1..k."""
+        return self._ids[program.bits]
+
+    def reached_ids(self, program: Program, level: int) -> set[int]:
+        """Level ids of the context's programs that the program emulates to
+        >= level steps under the budget; a longer code adds no class."""
         summary = self._events.get(program.bits)
         if summary is None:
             summary = self._events[program.bits] = run_events(program, self.budget)
-        return summary
-
-    def class_ids(self, program: Program) -> tuple[int, ...]:
-        """The program's class ids to its settle level, which level_id reads
-        at any level 1..k."""
-        ids = self._ids.get(program.bits)
-        if ids is None:
-            ids = self._ids[program.bits] = self._index.ids(program)
-        return ids
-
-    def reached_ids(self, program: Program, level: int) -> set[int]:
-        """Level ids of the codes the program emulates to >= level steps."""
-        # Code bits are decoded only when their ids are not cached yet.
         return {
-            level_id(self._ids.get(bits) or self.class_ids(decode(bits, self.encoding)), level)
-            for bits, max_step in self.events_summary(program).items()
-            if max_step >= level
+            ids[level - 1] if level <= len(ids) else ids[-1]
+            for bits, max_step in summary.items()
+            if max_step >= level and (ids := self._ids.get(bits)) is not None
         }
 
     def partition(self, level: int) -> list[EquivClass]:
@@ -123,7 +123,7 @@ def _class_weights(ctx: MeasureContext, level: int) -> tuple[list[int], dict[tup
     for p in ctx.programs:
         weight = 2 ** (ctx.max_len - p.length)
         own = index_of_id[level_id(ctx.class_ids(p), level)]
-        reached = {index_of_id[i] for i in ctx.reached_ids(p, level) if i in index_of_id}
+        reached = {index_of_id[i] for i in ctx.reached_ids(p, level)}
         reached.add(own)
         for target in reached:
             totals[target] += weight
@@ -144,12 +144,9 @@ def decomposition_check(ctx: MeasureContext, level: int) -> list[Fraction]:
     ctx.partition(level), in index order.
 
     Class i's mass regroups by source class: the weight of i's own members,
-    plus the weight that members of every other class j send to i.  Both
-    sides are summed from the same reach sets over the context's partition,
-    which covers its programs, so the residual against the direct mass is
-    zero for any reach sets.  It is nonzero when the pass loses a member's
-    own-class weight.  A wrong reach set cannot show here: the golden
-    digests and the u_weight oracle tests catch it.
+    plus the weight that members of every other class j send to i.  The
+    residual against the direct mass is zero for any reach sets (module
+    docstring); it is nonzero when the pass loses a member's own-class weight.
     """
     totals, sent = _class_weights(ctx, level)
     regrouped = [
@@ -184,7 +181,7 @@ def divergence_report(ctx: MeasureContext) -> list[LevelRow]:
         own = {p.bits: level_id(ctx.class_ids(p), k) for p in ctx.programs}
         ids = set(own.values())
         total = sum(
-            2 ** (ctx.max_len - p.length) * len(ids & ctx.reached_ids(p, k) | {own[p.bits]})
+            2 ** (ctx.max_len - p.length) * len(ctx.reached_ids(p, k) | {own[p.bits]})
             for p in ctx.programs
         )
         mass = Fraction(total, 2**ctx.max_len)

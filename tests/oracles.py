@@ -11,7 +11,7 @@ route against the definition.
 from udlab.dovetailer import stream_tick
 from udlab.encoding import TABLE_A, decode
 from udlab.equivalence import _key_parts, trace_family
-from udlab.machine import run_trace, step_events
+from udlab.machine import run_events, run_trace, step_events
 from udlab.measure import class_masses
 
 
@@ -70,7 +70,7 @@ def u_weight(program, cls, ctx):
     if program.bits in cls.member_bits:
         return 1
     key = joined_key(cls.key_parts)
-    for code_bits, max_step in ctx.events_summary(program).items():
+    for code_bits, max_step in run_events(program, ctx.budget).items():
         if max_step >= cls.k:
             code = decode(code_bits, ctx.encoding)
             if family_key(code, ctx.universe, cls.k) == key:

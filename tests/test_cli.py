@@ -366,18 +366,31 @@ def test_config_file_missing_or_invalid_exits_2(tmp_path, capsys):
 
 
 # sha256 of the default CSV output of each mass command.  A changed byte here
-# needs a versioned output format change, not a new digest.
+# needs a versioned output format change, not a new digest.  At T=50000 and
+# T=100000 the stream runs codes past L=10 and L=12.  u012.json is the
+# universe of the deep digests below.
 GOLDEN_MASS_DIGESTS = {
     "measure -L 12 -k 2 -T 200": "0e782069ab51e7264545d8567e2447c3178d624343cb0e1edeb8a9a9e62c20cd",
     "decompose -L 12 -k 2 -T 200": "ac1475a00ce3f132222852658cf316ef7d126c1ebfaad43da5fd64f7ff12958e",
     "levels -L 12 -k 4 -T 200": "09b0dc0dc67858e8f3a93cfbabca9993b054053465dd06e33b1684781de3cd0b",
     "relmeasure -L 12 -k 1 -T 200": "f38f9d15f025f8eeb5efb8708b6ff66c90798a15d81761fd7f507b16e5f61de9",
     "invariance -L 12 -k 1 -T 200": "2305c42f165b75e8ce491dfd39b8471c2bff6af300d90187d5436ee0496cece0",
+    "measure -L 10 -k 2 -T 50000 --universe u012.json": (
+        "56d1bae274387a352d6af5815043a33c0c4bd2e16dc39eabdd062e7a03321675"
+    ),
+    "levels -L 10 -k 40 -T 100000 --encoding B": (
+        "52c0c287418c555ab2e7134de632f273c12b21245b71f12d42259daf437e9e31"
+    ),
+    "levels -L 12 -k 12 -T 100000 --universe u012.json": (
+        "9d70577dd15cc7a9e6fecd0e50d873ad39a4726ede83ee41cb0c67170629e788"
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_MASS_DIGESTS))
-def test_mass_commands_match_golden_digests(capsys, argv):
+def test_mass_commands_match_golden_digests(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u012.json").write_text(json.dumps([[], [0], [1], [2], [2, 0], [1, 2], [0, 2, 1]]))
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_MASS_DIGESTS[argv]

@@ -10,8 +10,15 @@ from udlab.cli import main
 from udlab.dovetailer import DovetailEngine
 from udlab.encoding import TABLE_A, decode, get_table
 from udlab.enumeration import enumerate_programs, kraft_mass
-from udlab.equivalence import DEFAULT_UNIVERSE, EquivClass, InputUniverse, partition, refine
-from udlab.machine import run_events, run_trace
+from udlab.equivalence import (
+    DEFAULT_UNIVERSE,
+    ClassIndex,
+    EquivClass,
+    InputUniverse,
+    partition,
+    refine,
+)
+from udlab.machine import run_trace
 from udlab.measure import (
     MeasureContext,
     _class_weights,
@@ -250,22 +257,36 @@ def oracle_weight(programs, cls, ctx):
     return sum((Fraction(1, 2**p.length) for p in programs if u_weight(p, cls, ctx)), Fraction(0))
 
 
-def table_ctx(variant, k, budget):
+def table_ctx(variant, k, budget, max_len=12, universe=DEFAULT_UNIVERSE):
     return MeasureContext(
-        max_len=12, k=k, budget=budget, universe=DEFAULT_UNIVERSE, encoding=get_table(variant)
+        max_len=max_len, k=k, budget=budget, universe=universe, encoding=get_table(variant)
     )
 
 
-@pytest.mark.parametrize("variant", ["A", "B"])
-def test_measure_class_agrees_with_u_weight_oracle(variant):
+THREE_SYMBOLS = InputUniverse.from_tapes([(), (0, 2), (1, 2, 0)])
+
+
+def oracle_cases():
+    # At T=5000 and T=50000 the stream runs codes of up to 16 bits, past
+    # L=8 and L=10; the oracle keys every one of them.
+    yield from (pytest.param(v, 12, (0, 10, 200), DEFAULT_UNIVERSE, id=v) for v in "AB")
+    for variant in "AB":
+        for max_len in (8, 10):
+            for name, universe in (("default", DEFAULT_UNIVERSE), ("012", THREE_SYMBOLS)):
+                case = (variant, max_len, (5000, 50000), universe)
+                yield pytest.param(*case, id=f"{variant}-L{max_len}-{name}")
+
+
+@pytest.mark.parametrize("variant, max_len, budgets, universe", oracle_cases())
+def test_measure_class_agrees_with_u_weight_oracle(variant, max_len, budgets, universe):
     # One context at the top level 3 measures levels 1..3; the oracle's
     # context is at the class's own level.
-    programs = enumerate_programs(12, get_table(variant))
-    contexts = {budget: table_ctx(variant, 3, budget) for budget in (0, 10, 200)}
+    programs = enumerate_programs(max_len, get_table(variant))
+    contexts = {budget: table_ctx(variant, 3, budget, max_len, universe) for budget in budgets}
     for k in (1, 2, 3):
-        classes = partition(programs, DEFAULT_UNIVERSE, k)
+        classes = partition(programs, universe, k)
         for budget, ctx in contexts.items():
-            oracle_ctx = table_ctx(variant, k, budget)
+            oracle_ctx = table_ctx(variant, k, budget, max_len, universe)
             masses = class_masses(ctx, k)
             for cls in classes:
                 expected = oracle_weight(programs, cls, oracle_ctx)
@@ -365,8 +386,9 @@ def test_mass_commands_look_up_each_reach_set_once_per_level(monkeypatch, capsys
 
 
 def test_mass_commands_trace_each_code_once(monkeypatch, capsys):
-    # One trace per (program or emulated code, tape) serves every level: no
-    # factor for the number of levels, nor a second trace for k+1.
+    # One trace per (program, tape) serves every level: no factor for the
+    # number of levels, no second trace for k+1, and no trace of an emulated
+    # code longer than L, which the stream passes at T=50000.
     calls = 0
 
     def counted(*args):
@@ -376,33 +398,31 @@ def test_mass_commands_trace_each_code_once(monkeypatch, capsys):
 
     monkeypatch.setattr(equivalence, "run_trace", counted)
     tapes = len(DEFAULT_UNIVERSE.tapes)
-
-    def bound(variant):
-        programs = enumerate_programs(12, get_table(variant))
-        codes = {p.bits for p in programs}
-        for p in programs:
-            codes.update(run_events(p, 200))
-        return len(codes) * tapes
-
-    runs = (("levels", "8", bound("A")), ("relmeasure", "2", bound("A")),
-            ("invariance", "2", bound("A") + bound("B")))
-    for command, k, most in runs:
+    a, b = (len(enumerate_programs(12, get_table(variant))) * tapes for variant in "AB")
+    runs = (("levels", "8", "200", a), ("relmeasure", "2", "200", a),
+            ("invariance", "2", "200", a + b), ("measure", "2", "50000", a))
+    for command, k, budget, most in runs:
         calls = 0
-        assert main([command, "-L", "12", "-k", k, "-T", "200"]) == 0
+        assert main([command, "-L", "12", "-k", k, "-T", budget]) == 0
         assert capsys.readouterr().out
         assert calls <= most, (command, calls, most)
 
 
 def test_context_caches_ids_to_the_settle_level():
-    # A program's cached view holds its ids up to where its family settles:
-    # the halting step, the step after its DVT fires, or k for a run that
-    # does neither; every later level reads the last id.
+    # A program's ids run to where its family settles: the halting step, the
+    # step after its DVT fires, or k for a run that does neither; every
+    # later level reads the last id.  A context holds the ids of its own
+    # programs alone, so a longer one is asked of a class index.
     ctx = make_ctx(max_len=12, k=300, budget=200)
-    runs_on = from_instructions([("INC", 0), ("WHILE", 0, [("INC", 0)])])
-    for program, settled in ((decode("10001111"), 2), (decode("1111"), 1), (runs_on, 300)):
+    for program, settled in ((decode("10001111"), 2), (decode("1111"), 1)):
         ids = ctx.class_ids(program)
         assert len(ids) == settled, program.bits
         assert ctx.class_ids(program) is ids
+    runs_on = from_instructions([("INC", 0), ("WHILE", 0, [("INC", 0)])])
+    assert runs_on.length == 26
+    assert len(ClassIndex(DEFAULT_UNIVERSE, 300).ids(runs_on)) == 300
+    with pytest.raises(KeyError):
+        ctx.class_ids(runs_on)
 
 
 @pytest.mark.parametrize("k", [1, 2])
