@@ -22,12 +22,12 @@ halt; that way long-lived hosts eventually witness arbitrarily many steps of
 every program.  A halted child's step is a no-op, so it is not run: every
 later event of that child holds the one state it halted into.
 
-Every DVT host emulates this one canonical stream, so the hosts share it:
-what a host reaches after its DVT fires is dovetail_summary at the number of
-ticks it runs, computed from the schedule's closed form and the lazily
-extended per-encoding program stream rather than by ticking the shared
-stream.  The closed form needs no record of what children emulate in turn,
-because no such nested event ever passes the top-level count of its code:
+Every DVT host emulates this one canonical stream, so a host's reach after
+its DVT fires is the number of ticks it runs.  Within n ticks the stream runs
+exactly the first reached_prefix(n, j) programs of the enumeration to j
+steps or more, a closed form in the schedule that reads no tick.  It needs
+no record of what children emulate in turn, because no such nested event
+ever passes the top-level count of its code:
 
 * a program that a child EXECs is strictly shorter than the child, so it
   comes earlier in the enumeration and the schedule has already given it
@@ -35,23 +35,20 @@ because no such nested event ever passes the top-level count of its code:
   index of any of its emulations;
 * a dovetailer running inside a child at tick t replays tick m < t of this
   same stream, whose events are already bounded at tick m.
-
-The same argument places every code's first appearance at its own first
-top-level tick, so the summary's order is the enumeration order.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-from .encoding import EncodingTable, TABLE_A
+from .encoding import EncodingTable
 from .enumeration import MAX_LEN, block_counts, program_stream
 from .machine import Configuration, EmulationRef, SemanticState, emulate
 
-# dovetail_summary(ticks) reads the first max(i, d - 2) programs, for the
-# last tick's pair (i, d - i).  MAX_TICKS is the last tick whose programs
-# enumeration holds, the N = 454,169 up to MAX_LEN bits: the tick that runs
-# program N on diagonal N + 2.  A host run of T steps reads at most T ticks.
+# MAX_TICKS is the last tick whose programs enumeration holds, the
+# N = 454,169 up to MAX_LEN bits: the tick that runs program N on diagonal
+# N + 2.  A host run of T steps reads at most T ticks, so a budget above it
+# is refused (measure), though nothing is enumerated to it.
 _HELD = sum(block_counts(MAX_LEN))
 MAX_TICKS = _HELD * (_HELD + 3) // 2
 
@@ -122,23 +119,14 @@ def stream_ticks(first: int, last: int, table: EncodingTable) -> list[EmulationR
     return _ENGINES[table.variant_id].events[first - 1 : last]
 
 
-def dovetail_summary(ticks: int, table: EncodingTable = TABLE_A) -> dict[str, int]:
-    """Code bits -> the highest emulated step index among all the events of
-    the first `ticks` ticks (nested ones included), in order of first
-    appearance; see the module docstring for why this is closed form."""
-    if ticks < 0:
-        raise ValueError("ticks must be >= 0")
-    if ticks > MAX_TICKS:
-        raise ValueError(
-            f"ticks {ticks} is above {MAX_TICKS}, the last tick whose programs enumeration holds"
-        )
+def reached_prefix(ticks: int, steps: int) -> int:
+    """How many programs, from the first in enumeration order, the stream's
+    first `ticks` ticks run to at least `steps` >= 1 steps; no later one is."""
     if ticks == 0:
-        return {}
+        return 0
     # The last tick runs step s of program i on diagonal d = i + s.  By then
-    # programs 1..i have run d - j steps each, programs i+1..d-2 d - 1 - j.
+    # programs 1..i have run d - j steps each, programs i+1..d-2 d - 1 - j,
+    # counts that never increase along the enumeration.
     i, s = schedule_pair(ticks)
     d = i + s
-    stream = program_stream(table)
-    return {
-        stream.nth(j).bits: d - j if j <= i else d - 1 - j for j in range(1, max(i, d - 2) + 1)
-    }
+    return max(min(i, d - steps), d - 1 - steps, 0)

@@ -22,9 +22,9 @@ Two meta-instructions make emulation observable by construction:
 
 Once a DVT has fired, directly or inside EXEC children, every level around
 the dovetailer is frozen but for its step index, so the run is not stepped
-to its end.  run_events reads what it reaches from the stream's closed-form
-summary.  run_trace steps once more, to the first step that shows the
-stream's tick 2, step 2 of the program 1111, which no EXEC can show, and
+to its end: run_events returns the ticks its dovetailer runs, whose reach is
+dovetailer.reached_prefix.  run_trace steps once more, to the first step
+that shows the stream's tick 2, step 2 of 1111, which no EXEC can show, and
 reads the rest of its states off the shared stream's events (settled_tail);
 equivalence rests on that event to let a dovetailing family settle.
 
@@ -277,21 +277,23 @@ def _dovetailing(config: Configuration) -> tuple[list[Configuration], int] | Non
     return None if context is None else (chain, context)
 
 
-def run_events(program: Program, steps: int, tape: Tape = ()) -> dict[str, int]:
-    """Run for up to `steps` host steps; map emulated code bits to the highest
-    emulated step index reached, in order of first appearance.  Programs
-    without EXEC/DVT never emulate, and a halted machine raises nothing, so
-    both cases stop early.
+def run_events(program: Program, steps: int, tape: Tape = ()) -> tuple[dict[str, int], int]:
+    """Run for up to `steps` host steps.  Return the summary, which maps the
+    code bits the host emulated to the highest emulated step index reached,
+    in order of first appearance, and the ticks its dovetailer runs, 0 when
+    no DVT fires.  Programs without EXEC/DVT never emulate, and a halted
+    machine raises nothing, so both cases stop early.
 
     Once a DVT fires, directly or inside EXEC children, the run is absorbing:
     each remaining host step is one tick of the canonical dovetail stream and
     one step of every emulation around it.  That rest of the run is not
-    stepped; it is read off the stream's shared closed-form summary.
+    stepped: the levels around the dovetailer are raised by the steps left,
+    and the stream's part is its tick count.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not program.contains_meta:
-        return {}
+        return {}, 0
     config = Configuration(program)
     summary: dict[str, int] = {}
     for done in range(1, steps + 1):
@@ -303,13 +305,10 @@ def run_events(program: Program, steps: int, tape: Tape = ()) -> dict[str, int]:
         if found is not None:
             chain, ticks = found
             remaining = steps - done
-            reached = dovetailer.dovetail_summary(ticks + remaining, program.encoding)
-            for code_bits, step_index in reached.items():
-                _raise_to(summary, code_bits, step_index)
             for child in chain:
                 _raise_to(summary, child.program.bits, child.steps + remaining)
-            break
-    return summary
+            return summary, ticks + remaining
+    return summary, 0
 
 
 # Bound last and read as attributes: dovetailer imports this module's names.

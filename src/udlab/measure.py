@@ -22,10 +22,10 @@ wrong reach set; the golden digests and the u_weight oracle tests pin reach.
 A reach set holds only the context's programs: a code longer than L is
 never decoded or traced, and no class is lost.  Outside the dovetail stream
 a host reaches only the codes it EXECs, proper substrings of itself, so at
-most L bits long.  The stream's summary lists codes in enumeration order,
-length first, and its max steps never increase along it (d - j, then
-d - 1 - j).  So a program of at most L bits in the class of a longer code x
-comes before x with a max step at least x's, and x adds no class it lacks.
+most L bits long.  A host whose dovetailer runs n ticks reaches, to level j,
+the first reached_prefix(n, j) programs of the enumeration, length first.
+A code x longer than L in that prefix comes after every program of at most
+L bits, so x's class, if the context holds it, has a member in the prefix.
 
 "Eventually emulates" is semidecidable, so the budget T truncates it; every
 result carries its full context (length bound L, level k, budget T, universe,
@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .dovetailer import MAX_TICKS
+from .dovetailer import MAX_TICKS, reached_prefix
 from .encoding import EncodingTable, Program
 from .enumeration import enumerate_programs
 from .equivalence import ClassIndex, EquivClass, InputUniverse, level_id
@@ -55,7 +55,7 @@ class MeasureContext:
 
     __slots__ = (
         "max_len", "k", "budget", "universe", "encoding", "programs",
-        "_events", "_ids", "_index", "_partitions",
+        "_events", "_ids", "_index", "_partitions", "_prefixes",
     )
 
     def __init__(
@@ -75,7 +75,8 @@ class MeasureContext:
         self.budget = budget
         self.universe = universe
         self.encoding = encoding
-        self._events: dict[str, dict[str, int]] = {}
+        self._events: dict[str, tuple[dict[str, int], int]] = {}
+        self._prefixes: dict[tuple[int, int], set[int] | tuple[()]] = {}  # the empty ones share ()
         self._index = ClassIndex(universe, k)  # checks k >= 1
         self._partitions: dict[int, list[EquivClass]] = {}
         self.programs: list[Program] = enumerate_programs(max_len, encoding)
@@ -88,15 +89,26 @@ class MeasureContext:
 
     def reached_ids(self, program: Program, level: int) -> set[int]:
         """Level ids of the context's programs that the program emulates to
-        >= level steps under the budget; a longer code adds no class."""
-        summary = self._events.get(program.bits)
-        if summary is None:
-            summary = self._events[program.bits] = run_events(program, self.budget)
-        return {
+        >= level steps under the budget: those in its own summary, and when it
+        dovetails those of the stream's prefix, one set per (ticks, level)
+        that every host shares.  A longer code adds no class."""
+        found = self._events.get(program.bits)
+        if found is None:
+            found = self._events[program.bits] = run_events(program, self.budget)
+        summary, ticks = found
+        reached = {
             ids[level - 1] if level <= len(ids) else ids[-1]
             for bits, max_step in summary.items()
             if max_step >= level and (ids := self._ids.get(bits)) is not None
         }
+        if ticks:
+            prefix = self._prefixes.get((ticks, level))
+            if prefix is None:
+                programs = self.programs[: reached_prefix(ticks, level)]
+                prefix = {level_id(self._ids[p.bits], level) for p in programs} or ()
+                self._prefixes[ticks, level] = prefix
+            reached.update(prefix)
+        return reached
 
     def partition(self, level: int) -> list[EquivClass]:
         """The level's partition of the programs, from the class index; built

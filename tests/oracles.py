@@ -3,12 +3,13 @@
 The paper's definitions are tests on one pair at a time: whether two
 programs agree on every tape, whether a program reaches one class, and what
 a DVT host sees tick by tick.  The package answers them for a whole level at
-once (ClassIndex, class_masses, stream_tick); these helpers answer them one
-pair at a time, or one level at a time, so the tests can check the one
-route against the definition.
+once (ClassIndex, class_masses, stream_tick, reached_prefix); these helpers
+answer them one pair at a time, or one level at a time, so the tests can
+check the one route against the definition.
 """
 
-from udlab.dovetailer import stream_tick
+from udlab import dovetailer
+from udlab.dovetailer import MAX_TICKS, schedule_pair, stream_tick
 from udlab.encoding import TABLE_A, decode
 from udlab.equivalence import _key_parts, trace_family
 from udlab.machine import run_events, run_trace, step_events
@@ -70,7 +71,7 @@ def u_weight(program, cls, ctx):
     if program.bits in cls.member_bits:
         return 1
     key = joined_key(cls.key_parts)
-    for code_bits, max_step in run_events(program, ctx.budget).items():
+    for code_bits, max_step in merged_events(program, ctx.budget).items():
         if max_step >= cls.k:
             code = decode(code_bits, ctx.encoding)
             if family_key(code, ctx.universe, cls.k) == key:
@@ -95,3 +96,39 @@ def dovetail_run(ticks, table=TABLE_A):
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
     return [event for t in range(1, ticks + 1) for event in step_events(stream_tick(t, table))]
+
+
+def dovetail_summary(ticks, table=TABLE_A):
+    """Code bits -> the highest emulated step index among all the events of
+    the first `ticks` ticks (nested ones included), in order of first
+    appearance; see udlab.dovetailer's docstring for why this is closed
+    form.  The same argument places every code's first appearance at its
+    own first top-level tick, so the order is the enumeration order."""
+    if ticks < 0:
+        raise ValueError("ticks must be >= 0")
+    if ticks > MAX_TICKS:
+        raise ValueError(
+            f"ticks {ticks} is above {MAX_TICKS}, the last tick whose programs enumeration holds"
+        )
+    if ticks == 0:
+        return {}
+    # The last tick runs step s of program i on diagonal d = i + s.  By then
+    # programs 1..i have run d - j steps each, programs i+1..d-2 d - 1 - j.
+    i, s = schedule_pair(ticks)
+    d = i + s
+    stream = dovetailer.program_stream(table)
+    return {
+        stream.nth(j).bits: d - j if j <= i else d - 1 - j for j in range(1, max(i, d - 2) + 1)
+    }
+
+
+def merged_events(program, steps, tape=()):
+    """The whole summary of a run_events run: its own summary with the
+    stream's summary at its dovetailer's ticks folded in, each code at its
+    highest step, in order of first appearance."""
+    summary, ticks = run_events(program, steps, tape)
+    if ticks:
+        for code_bits, step_index in dovetail_summary(ticks, program.encoding).items():
+            if step_index > summary.get(code_bits, 0):
+                summary[code_bits] = step_index
+    return summary

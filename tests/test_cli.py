@@ -367,8 +367,9 @@ def test_config_file_missing_or_invalid_exits_2(tmp_path, capsys):
 
 # sha256 of the default CSV output of each mass command.  A changed byte here
 # needs a versioned output format change, not a new digest.  At T=50000 and
-# T=100000 the stream runs codes past L=10 and L=12.  u012.json is the
-# universe of the deep digests below.
+# T=100000 the stream runs codes past L=10 and L=12.  At T=4950 hosts of
+# 14 bits run 4950 or 4949 ticks, whose prefixes of the enumeration agree
+# at levels 2 and 1.  u012.json is the universe of the deep digests below.
 GOLDEN_MASS_DIGESTS = {
     "measure -L 12 -k 2 -T 200": "0e782069ab51e7264545d8567e2447c3178d624343cb0e1edeb8a9a9e62c20cd",
     "decompose -L 12 -k 2 -T 200": "ac1475a00ce3f132222852658cf316ef7d126c1ebfaad43da5fd64f7ff12958e",
@@ -384,6 +385,7 @@ GOLDEN_MASS_DIGESTS = {
     "levels -L 12 -k 12 -T 100000 --universe u012.json": (
         "9d70577dd15cc7a9e6fecd0e50d873ad39a4726ede83ee41cb0c67170629e788"
     ),
+    "levels -L 14 -k 4 -T 4950": "8297f9cf4bafcf995988464894c095b646da16d188d653cd5757344f64faad21",
 }
 
 

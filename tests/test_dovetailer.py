@@ -1,11 +1,11 @@
 import pytest
 
 from builders import from_instructions
-from oracles import dovetail_run
+from oracles import dovetail_run, dovetail_summary
 from stepping import MaxSteps, full_ticks, trace_events
 from udlab import dovetailer
 from udlab.cli import main
-from udlab.dovetailer import MAX_TICKS, DovetailEngine, dovetail_summary, schedule_pair
+from udlab.dovetailer import MAX_TICKS, DovetailEngine, reached_prefix, schedule_pair
 from udlab.encoding import DVT, EXEC, HALT, TABLE_A, TABLE_B, Program
 from udlab.enumeration import MAX_LEN, block_counts, enumerate_programs, program_stream
 from udlab.machine import run_trace, step_events
@@ -157,6 +157,18 @@ def test_dovetail_summary_matches_the_ticked_stream(table):
             assert list(dovetail_summary(tick, table).items()) == list(folded.items()), tick
     with pytest.raises(ValueError):
         dovetail_summary(-1, table)
+
+
+def test_reached_prefix_is_the_summary_run_at_each_step():
+    # The summary's max steps never increase along it, so the codes run to
+    # at least `steps` steps are a leading run, whose length reached_prefix
+    # gives.  Ticks 0..5000 cross every diagonal boundary up to d = 100.
+    for ticks in (*range(5001), 20_000):
+        runs = list(dovetail_summary(ticks).values())
+        assert runs == sorted(runs, reverse=True), ticks
+        for steps in range(1, (runs[0] if runs else 0) + 2):
+            assert reached_prefix(ticks, steps) == sum(r >= steps for r in runs), (ticks, steps)
+    assert reached_prefix(MAX_TICKS, 1) == sum(block_counts(MAX_LEN))
 
 
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])

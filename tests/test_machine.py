@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from builders import DOVETAILING_HOSTS, from_instructions
-from oracles import dovetail_run
+from oracles import dovetail_run, merged_events
 from stepping import MaxSteps, full_events, full_trace, trace_events
 from udlab.encoding import DVT, TABLE_A, TABLE_B, decode
 from udlab.enumeration import enumerate_programs
@@ -240,11 +240,13 @@ def test_run_trace_validates_arguments():
 
 
 def test_run_events_summary():
-    assert run_events(from_instructions([("INC", 0)]), 50) == {}
-    summary = run_events(DVT_PROG, 3)
+    assert run_events(from_instructions([("INC", 0)]), 50) == ({}, 0)
+    # The host steps tick 1 itself; the rest of its run is a tick count.
+    assert run_events(DVT_PROG, 3) == ({"1111": 1}, 3)
+    summary = merged_events(DVT_PROG, 3)
     assert summary["1111"] == 2
     assert summary["00001111"] == 1
-    assert run_events(DVT_PROG, 0) == {}
+    assert run_events(DVT_PROG, 0) == ({}, 0)
     with pytest.raises(ValueError):
         run_events(EMPTY, -1)
 
@@ -269,7 +271,7 @@ def test_state_json_form_matches_golden_digest():
 # step() once threaded through every emulation level, before the states'
 # nested event chains became the one record.  Each covers every L<=16
 # program under A then B: the events of its 40-step traces on () then
-# (1, 0), and its run_events summaries at T=50 then T=3000.  The dovetailer
+# (1, 0), and its merged_events summaries at T=50 then T=3000.  The dovetailer
 # goldens cover dovetail_run(3000).
 TRACE_EVENTS_DIGEST = "b0d59dc7774387298913c4b58c9cfc37f82323af45f2e7f06b2414e201519240"
 RUN_EVENTS_DIGEST = "3e56c0352d09027711dd1ec4cc574f463cdd306c04820ff40a83a1d705d573ca"
@@ -294,7 +296,7 @@ def test_run_events_match_golden_digest():
     for table in (TABLE_A, TABLE_B):
         for program in enumerate_programs(16, table):
             for steps in (50, 3000):
-                digest.update(json.dumps(list(run_events(program, steps).items())).encode())
+                digest.update(json.dumps(list(merged_events(program, steps).items())).encode())
     assert digest.hexdigest() == RUN_EVENTS_DIGEST
 
 
@@ -331,7 +333,7 @@ def loop_programs(count=1500, seed=0):
 
 
 # sha256 over loop_programs(), each under A then B: the JSON of its k=200
-# traces on (), (2,) and (3, 1, 2), then of its run_events summary at T=500.
+# traces on (), (2,) and (3, 1, 2), then of its merged_events summary at T=500.
 # The L<=16 goldens above never enter a loop with a body; these programs do.
 LOOP_PROGRAMS_DIGEST = "73a884ca892264b490caba7e9f01d37e117178972264068ae131c839527cae7b"
 
@@ -343,7 +345,7 @@ def test_loop_programs_match_golden_digest():
             program = from_instructions(instructions, table)
             for tape in ((), (2,), (3, 1, 2)):
                 digest.update(json.dumps(run_trace(program, tape, 200)).encode())
-            digest.update(json.dumps(list(run_events(program, 500).items())).encode())
+            digest.update(json.dumps(list(merged_events(program, 500).items())).encode())
     assert digest.hexdigest() == LOOP_PROGRAMS_DIGEST
 
 
@@ -371,7 +373,7 @@ def test_run_events_agrees_with_run_trace_events(steps):
     for program in enumerate_programs(12):
         expected = MaxSteps()
         expected.fold(trace_events(run_trace(program, (), steps)))
-        summary = run_events(program, steps)
+        summary = merged_events(program, steps)
         assert type(summary) is dict
         assert list(summary.items()) == list(expected.items()), program.bits
 
@@ -382,14 +384,15 @@ EVENT_CHECKPOINTS = (0, 1, 2, 50, 3000)
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
 def test_run_events_matches_full_stepping(table):
     # The oracle steps every host step, reading every tick of the shared
-    # stream; run_events reads the post-DVT rest off its closed-form summary.
+    # stream; run_events counts the post-DVT rest as ticks, which the oracle
+    # folds in from the stream's closed-form summary.
     for program in enumerate_programs(16, table):
         if not program.contains_meta:
-            assert run_events(program, max(EVENT_CHECKPOINTS)) == {}
+            assert run_events(program, max(EVENT_CHECKPOINTS)) == ({}, 0)
             continue
         expected = full_events(program, EVENT_CHECKPOINTS)
         for steps in EVENT_CHECKPOINTS:
-            summary = run_events(program, steps)
+            summary = merged_events(program, steps)
             assert list(summary.items()) == list(expected[steps].items()), (program.bits, steps)
 
 
@@ -410,7 +413,7 @@ def test_run_events_of_hand_built_dvt_hosts(name, table):
     checkpoints = tuple(range(8)) + (50, 3000)
     expected = full_events(program, checkpoints, tape)
     for steps in checkpoints:
-        summary = run_events(program, steps, tape)
+        summary = merged_events(program, steps, tape)
         assert list(summary.items()) == list(expected[steps].items()), steps
 
 
@@ -431,8 +434,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 def test_run_events_memory_stays_flat_in_steps():
     # Buffering every event of a DVT host to T=10^5 peaks near 60 MB, and even
-    # one small entry per tick would pass the bound by T=3*10^5; the shared
-    # stream's summary stays near the interpreter's own footprint.
+    # one small entry per tick would pass the bound by T=3*10^5; a host's
+    # summary and tick count stay near the interpreter's own footprint.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for steps in (10**5, 3 * 10**5, 10**6):
         done = subprocess.run(

@@ -1,13 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from builders import from_instructions
-from oracles import joined_key, relative_measure, u_weight
+from oracles import family_key, joined_key, merged_events, relative_measure, u_weight
 from udlab import equivalence
 from udlab.cli import main
-from udlab.dovetailer import DovetailEngine
+from udlab.dovetailer import MAX_TICKS, DovetailEngine
 from udlab.encoding import TABLE_A, decode, get_table
 from udlab.enumeration import enumerate_programs, kraft_mass
 from udlab.equivalence import (
@@ -15,6 +19,7 @@ from udlab.equivalence import (
     ClassIndex,
     EquivClass,
     InputUniverse,
+    level_id,
     partition,
     refine,
 )
@@ -293,6 +298,34 @@ def test_measure_class_agrees_with_u_weight_oracle(variant, max_len, budgets, un
                 assert masses[cls.index] == expected, (k, budget, cls.index)
 
 
+@pytest.mark.parametrize("max_len", [12, 14])
+@pytest.mark.parametrize("variant", ["A", "B"])
+@pytest.mark.parametrize("universe", [DEFAULT_UNIVERSE, THREE_SYMBOLS], ids=["default", "012"])
+def test_reached_ids_agree_with_the_merged_summary(max_len, variant, universe):
+    # Oracle: the classes of the context whose family key is that of a code
+    # the merged summary runs to the level, longer codes keyed afresh too.
+    # The package reads the stream's part as a prefix of the programs.  At
+    # L=14 the DVT hosts run T or T - 1 ticks; tick 4950 ends diagonal 100,
+    # so hosts at 4950 and 4949 ticks reach the same prefix at levels 2 and 1.
+    keys = {}
+    for budget in (0, 1, 2, 50, 4950, 5000, 50000):
+        ctx = table_ctx(variant, 6, budget, max_len, universe)
+        for level in range(1, 7):
+            classes = ctx.partition(level)
+            index_of_key = {joined_key(cls.key_parts): cls.index for cls in classes}
+            index_of_id = {level_id(ctx.class_ids(cls.members[0]), level): cls.index for cls in classes}
+            for program in ctx.programs:
+                expected = set()
+                for bits, max_step in merged_events(program, budget).items():
+                    if max_step >= level:
+                        if (bits, level) not in keys:
+                            keys[bits, level] = family_key(decode(bits, ctx.encoding), universe, level)
+                        if keys[bits, level] in index_of_key:
+                            expected.add(index_of_key[keys[bits, level]])
+                reached = {index_of_id[i] for i in ctx.reached_ids(program, level)}
+                assert reached == expected, (budget, level, program.bits)
+
+
 def test_decomposition_numerators_agree_with_u_weight_oracle():
     programs = enumerate_programs(12, get_table("B"))
     classes = partition(programs, DEFAULT_UNIVERSE, 2)
@@ -467,6 +500,34 @@ def test_measure_ticks_one_shared_dovetail_stream(monkeypatch, capsys):
     assert main(["measure", "-L", "12", "-k", "2", "-T", str(budget)]) == 0
     assert capsys.readouterr().out
     assert ticks < 2 * budget
+
+
+# A child's peak RSS includes its parent's RSS at fork time, so the run forks
+# from a fresh interpreter rather than from the test process.
+MEASURE_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    sys.stdout = open(os.devnull, "w")
+    from udlab.cli import main
+    os._exit(main(sys.argv[1:]))
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_largest_budget_reads_no_summary():
+    # At MAX_TICKS the stream's summary lists all 454,169 codes up to 31
+    # bits; a copy in each DVT host peaked at 216 MB.  A tick count does not.
+    argv = ["measure", "-L", "8", "-k", "1", "-T", str(MAX_TICKS)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", MEASURE_RSS, *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    code, maxrss_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert maxrss_kib < 40 * 1024
 
 
 def test_fraction_str():
