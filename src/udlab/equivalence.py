@@ -68,18 +68,39 @@ def _canonical_tapes(tapes) -> tuple[Tape, ...]:
     return tuple(unique)
 
 
+def _builtin_sha256(data: bytes):
+    """The sha256 of `data` from the interpreter's own module: `_sha2` from
+    Python 3.12, `_sha256` before.  It writes the same digest as hashlib,
+    whose import maps OpenSSL's libcrypto, so naming a universe loads no
+    OpenSSL and a command that takes no class digest never loads it.  The
+    built-in module reads several times slower than OpenSSL, which is why
+    key_digest, which hashes every class's key (124 MB in all for
+    `partition -L 20 -k 1000`), stays on hashlib.  A build
+    without either module falls back to hashlib."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data)
+
+
 class InputUniverse(NamedTuple):
-    """The finite set of tapes the counterfactual quantifies over."""
+    """The finite set of tapes the counterfactual quantifies over, in
+    canonical order: distinct, by length, then lexicographically.
+    from_tapes names a universe "sha256:" and the first 12 hex digits of
+    the sha256 of those tapes' compact JSON; DEFAULT_UNIVERSE is named
+    "default"."""
 
     tapes: tuple[Tape, ...]
     universe_id: str
 
     @staticmethod
     def from_tapes(tapes) -> "InputUniverse":
-        import hashlib  # as in key_digest
-
         canonical = _canonical_tapes(tapes)
-        digest = hashlib.sha256(
+        digest = _builtin_sha256(
             json.dumps([list(t) for t in canonical], separators=(",", ":")).encode()
         ).hexdigest()
         return InputUniverse(canonical, f"sha256:{digest[:12]}")

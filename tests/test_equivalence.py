@@ -51,13 +51,28 @@ def test_default_universe():
 def test_universe_canonicalization():
     universe = InputUniverse.from_tapes([(1, 0), (), (1, 0), (0,)])
     assert universe.tapes == ((), (0,), (1, 0))
-    assert universe.universe_id.startswith("sha256:")
+    # The id is part of every JSON document over this universe.
+    assert universe.universe_id == "sha256:5abcbf5560df"
     with pytest.raises(ValueError):
         InputUniverse.from_tapes([])
     with pytest.raises(ValueError):
         InputUniverse.from_tapes([(-1,)])
     with pytest.raises(ValueError):
         InputUniverse.from_tapes([(True,)])
+
+
+@pytest.mark.parametrize("max_len", [0, 2, 6, 10], ids=["1", "7", "127", "2047"])
+def test_universe_id_is_hashlib_sha256_of_the_canonical_tapes(max_len):
+    # Every binary tape up to max_len, given shuffled with each tape twice;
+    # canonical order is by length, then lexicographic.
+    tapes = [t for n in range(max_len + 1) for t in product((0, 1), repeat=n)]
+    given_tapes = tapes + [list(t) for t in tapes]
+    random.Random(max_len).shuffle(given_tapes)
+    canonical = sorted(set(tapes), key=lambda t: (len(t), t))
+    text = json.dumps([list(t) for t in canonical], separators=(",", ":"))
+    universe = InputUniverse.from_tapes(given_tapes)
+    assert universe.tapes == tuple(canonical)
+    assert universe.universe_id == "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def test_reflexive():

@@ -3,7 +3,8 @@
 Every command is one process, so the modules it imports are part of its
 cost.  A child runs one command through udlab.cli.main and prints its
 sys.modules; a module counts as loaded by the command when a bare
-interpreter does not already hold it.  Nothing here is timed.
+interpreter does not already hold it.  Commands also run over a universe
+file, whose id is a sha256 taken without hashlib.  Nothing here is timed.
 """
 
 import json
@@ -72,6 +73,23 @@ def loaded(tmp_path_factory) -> dict[str, set[str]]:
     return found
 
 
+# Over a universe file: the commands that take no class digest, and the two
+# that do.  record runs before sever, which reads its recording.
+UNIVERSE_COMMANDS = ("partition", "measure", "decompose", "levels", "record", "sever")
+
+
+@pytest.fixture(scope="module")
+def loaded_with_universe(tmp_path_factory) -> dict[str, set[str]]:
+    """As `loaded`, for UNIVERSE_COMMANDS with --universe u012.json."""
+    cwd = tmp_path_factory.mktemp("startup_universe")
+    (cwd / "u012.json").write_text(json.dumps([[], [0], [1], [2], [2, 0], [1, 2], [0, 2, 1]]))
+    bare = _modules(cwd, code=BARE)
+    return {
+        name: _modules(cwd, *COMMANDS[name], "--universe", "u012.json") - bare
+        for name in UNIVERSE_COMMANDS
+    }
+
+
 def test_every_subcommand_is_covered():
     from udlab.cli import _COMMANDS
 
@@ -83,9 +101,21 @@ def test_package_root_loads_no_submodule(loaded):
 
 
 @pytest.mark.parametrize("command", ["decompose", "levels"])
-def test_masses_on_the_default_universe_load_no_digest_replay_or_dataclasses(loaded, command):
-    assert {"hashlib", "udlab.replay", "dataclasses"}.isdisjoint(loaded[command])
-    assert "udlab.measure" in loaded[command]
+def test_masses_load_no_digest_replay_or_dataclasses(loaded, loaded_with_universe, command):
+    for found in (loaded[command], loaded_with_universe[command]):
+        assert {"hashlib", "_hashlib", "udlab.replay", "dataclasses"}.isdisjoint(found)
+        assert "udlab.measure" in found
+
+
+@pytest.mark.parametrize("command", ["record", "sever"])
+def test_recording_commands_name_a_universe_file_without_hashlib(loaded_with_universe, command):
+    assert {"hashlib", "_hashlib"}.isdisjoint(loaded_with_universe[command])
+
+
+@pytest.mark.parametrize("command", ["partition", "measure"])
+def test_class_digests_load_hashlib(loaded, loaded_with_universe, command):
+    assert "hashlib" in loaded[command]
+    assert "hashlib" in loaded_with_universe[command]
 
 
 @pytest.mark.parametrize("command", ["partition", "record", "hybrid", "sever"])
