@@ -31,6 +31,8 @@ from .equivalence import DEFAULT_UNIVERSE, InputUniverse, partition, refine
 # udlab.replay, inside their handlers, so that a command loads only the code
 # it runs.
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .measure import MeasureContext
     from .replay import Recording
 
@@ -170,6 +172,10 @@ def _json_doc(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def fraction_str(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
 def _csv_doc(config: dict, header: list[str], rows: list[list]) -> str:
     import csv  # loaded only by the runs that write CSV
 
@@ -246,8 +252,6 @@ def _cmd_enumerate(run: _Run) -> str:
 
 
 def _cmd_kraft(run: _Run) -> str:
-    from .measure import fraction_str
-
     mass = fraction_str(kraft_mass(run.max_len))
     if run.fmt == "json":
         return _json_doc({"config": run.config_dict(), "kraft_mass": mass})
@@ -333,7 +337,7 @@ _CONTEXT_HEADER = ["L", "k", "T", "universe_id", "encoding_id"]
 
 
 def _cmd_measure(run: _Run) -> str:
-    from .measure import class_masses, fraction_str
+    from .measure import class_masses
 
     ctx = run.context()
     classes = ctx.partition(run.k)
@@ -346,7 +350,7 @@ def _cmd_measure(run: _Run) -> str:
 
 
 def _cmd_decompose(run: _Run) -> str:
-    from .measure import decomposition_check, fraction_str
+    from .measure import decomposition_check
 
     ctx = run.context()
     classes = ctx.partition(run.k)
@@ -360,7 +364,7 @@ def _cmd_decompose(run: _Run) -> str:
 
 
 def _relmeasure_rows(run: _Run, table: EncodingTable) -> list[list]:
-    from .measure import class_masses, fraction_str
+    from .measure import class_masses
 
     # The context's top level is k + 1, so it would accept k = 0 and then
     # reject level 0 with a range the user never gave.
@@ -397,7 +401,7 @@ def _cmd_relmeasure(run: _Run) -> str:
 
 
 def _cmd_levels(run: _Run) -> str:
-    from .measure import divergence_report, fraction_str
+    from .measure import divergence_report
 
     # -k is the context's top level; the report runs every level 1..k.
     rows_data = divergence_report(run.context())

@@ -6,8 +6,9 @@ weight to a class when it "reaches" that class: either it is a member
 tape within a host-step budget, it raises emulation events showing some code
 advanced to at least k emulated steps whose k-step trace family matches the
 class.  Class mass is the exact sum of contributing weights, taken for a
-whole level in one pass that adds each program's weight to every class in
-its reach set; one class index, tracing each program once, serves every
+whole level in one pass that keeps two sums per class id, and none per pair
+of classes: its members' weight, and the weight that programs of other
+classes send it.  One class index, tracing each program once, serves every
 level up to the context's k.  Weights are summed as integers in units of
 2**-L and divided by 2**L once, when a mass or residual is returned.
 
@@ -42,10 +43,6 @@ from .encoding import EncodingTable, Program
 from .enumeration import enumerate_programs
 from .equivalence import ClassIndex, EquivClass, InputUniverse, level_id
 from .machine import run_events
-
-
-def fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 class MeasureContext:
@@ -122,53 +119,51 @@ class MeasureContext:
         return classes
 
 
-def _class_weights(ctx: MeasureContext, level: int) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """One pass over the programs, in units of 2**-L: the total weight of
-    each class of the level's partition, and the nonzero weight the programs
-    of class s send to class t, keyed (s, t).  A program reaches its own
-    class and each class whose id is in its reach set; both are found by id.
+def _class_weights(ctx: MeasureContext, level: int) -> tuple[dict[int, int], dict[int, int]]:
+    """One pass over the programs, in units of 2**-L, keyed by level id:
+    own_weight[i] is the weight of class i's members, and received[i] the
+    weight that programs of other classes send it.  A program sends its
+    weight once to each class of its reach set other than its own.
     """
-    classes = ctx.partition(level)
-    index_of_id = {level_id(ctx.class_ids(cls.members[0]), level): cls.index for cls in classes}
-    totals = [0] * len(classes)
-    sent: dict[tuple[int, int], int] = {}
+    own_weight, received = {}, {}
     for p in ctx.programs:
         weight = 2 ** (ctx.max_len - p.length)
-        own = index_of_id[level_id(ctx.class_ids(p), level)]
-        reached = {index_of_id[i] for i in ctx.reached_ids(p, level)}
-        reached.add(own)
-        for target in reached:
-            totals[target] += weight
-            sent[own, target] = sent.get((own, target), 0) + weight
-    return totals, sent
+        own = level_id(ctx.class_ids(p), level)
+        own_weight[own] = own_weight.get(own, 0) + weight
+        for target in ctx.reached_ids(p, level):
+            if target != own:
+                received[target] = received.get(target, 0) + weight
+    return own_weight, received
+
+
+def _partition_ids(ctx: MeasureContext, level: int) -> list[int]:
+    """The level id of each class of ctx.partition(level), in index order."""
+    return [level_id(ctx.class_ids(cls.members[0]), level) for cls in ctx.partition(level)]
 
 
 def class_masses(ctx: MeasureContext, level: int) -> list[Fraction]:
     """Exact masses of the classes of ctx.partition(level), in index order,
     from one pass over the programs: each sums 2**-length over the programs
-    reaching it."""
-    scale = 2**ctx.max_len
-    return [Fraction(total, scale) for total in _class_weights(ctx, level)[0]]
+    reaching it, its members' weight plus the weight it receives."""
+    ids = _partition_ids(ctx, level)
+    own_weight, received = _class_weights(ctx, level)
+    return [Fraction(own_weight[i] + received.get(i, 0), 2**ctx.max_len) for i in ids]
 
 
 def decomposition_check(ctx: MeasureContext, level: int) -> list[Fraction]:
     """Residuals of the recursive mass regrouping, one per class of
     ctx.partition(level), in index order.
 
-    Class i's mass regroups by source class: the weight of i's own members,
-    plus the weight that members of every other class j send to i.  The
-    residual against the direct mass is zero for any reach sets (module
-    docstring); it is nonzero when the pass loses a member's own-class weight.
+    Class i's mass regroups as its members' weight plus received[i], so the
+    residual is the members' weight less own_weight[i]: zero for any reach
+    sets (module docstring), nonzero when the pass loses an own-class weight.
     """
-    totals, sent = _class_weights(ctx, level)
-    regrouped = [
-        sum(2 ** (ctx.max_len - p.length) for p in cls.members) for cls in ctx.partition(level)
+    ids, scale = _partition_ids(ctx, level), 2**ctx.max_len
+    own_weight = _class_weights(ctx, level)[0]
+    return [
+        Fraction(sum(2 ** (ctx.max_len - p.length) for p in cls.members) - own_weight[i], scale)
+        for cls, i in zip(ctx.partition(level), ids)
     ]
-    for (source, target), weight in sent.items():
-        if source != target:
-            regrouped[target] += weight
-    scale = 2**ctx.max_len
-    return [Fraction(r - total, scale) for r, total in zip(regrouped, totals)]
 
 
 class LevelRow(NamedTuple):
@@ -190,12 +185,12 @@ def divergence_report(ctx: MeasureContext) -> list[LevelRow]:
     for k in range(1, ctx.k + 1):
         # Grouped by class id alone: no class is built and no key encoded.
         # Each program adds its weight once per class of the level it reaches.
-        own = {p.bits: level_id(ctx.class_ids(p), k) for p in ctx.programs}
-        ids = set(own.values())
-        total = sum(
-            2 ** (ctx.max_len - p.length) * len(ctx.reached_ids(p, k) | {own[p.bits]})
-            for p in ctx.programs
-        )
+        ids, total = set(), 0
+        for p in ctx.programs:
+            own = level_id(ctx.class_ids(p), k)
+            ids.add(own)
+            reached = ctx.reached_ids(p, k)
+            total += 2 ** (ctx.max_len - p.length) * (len(reached) + (own not in reached))
         mass = Fraction(total, 2**ctx.max_len)
         cumulative += mass
         rows.append(LevelRow(k=k, class_count=len(ids), level_mass=mass, cumulative=cumulative))

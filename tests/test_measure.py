@@ -10,7 +10,7 @@ import pytest
 from builders import from_instructions
 from oracles import family_key, joined_key, merged_events, relative_measure, u_weight
 from udlab import equivalence
-from udlab.cli import main
+from udlab.cli import fraction_str, main
 from udlab.dovetailer import MAX_TICKS, DovetailEngine
 from udlab.encoding import TABLE_A, decode, get_table
 from udlab.enumeration import enumerate_programs, kraft_mass
@@ -30,7 +30,6 @@ from udlab.measure import (
     class_masses,
     decomposition_check,
     divergence_report,
-    fraction_str,
 )
 
 
@@ -330,13 +329,20 @@ def test_decomposition_numerators_agree_with_u_weight_oracle():
     programs = enumerate_programs(12, get_table("B"))
     classes = partition(programs, DEFAULT_UNIVERSE, 2)
     ctx, oracle_ctx = table_ctx("B", 2, 200), table_ctx("B", 2, 200)
-    totals, sent = _class_weights(ctx, 2)
-    # Weights are integers in units of 2**-12.
-    assert totals == [mass * 2**12 for mass in class_masses(ctx, 2)]
-    for target in classes:
-        for source in classes:
-            expected = oracle_weight(source.members, target, oracle_ctx) * 2**12
-            assert sent.get((source.index, target.index), 0) == expected
+    own_weight, received = _class_weights(ctx, 2)
+    # Keyed by level id, one entry per class; weights are integers in units
+    # of 2**-12.
+    ids = [level_id(ctx.class_ids(cls.members[0]), 2) for cls in ctx.partition(2)]
+    assert len(set(ids)) == len(classes)
+    assert set(own_weight) == set(ids)
+    assert set(received) <= set(own_weight)
+    for target, i in zip(classes, ids):
+        assert own_weight[i] == sum(2 ** (12 - p.length) for p in target.members)
+        others = [p for source in classes if source is not target for p in source.members]
+        assert received.get(i, 0) == oracle_weight(others, target, oracle_ctx) * 2**12
+    assert class_masses(ctx, 2) == [
+        oracle_weight(programs, target, oracle_ctx) for target in classes
+    ]
     assert decomposition_check(ctx, 2) == [Fraction(0)] * len(classes)
 
 
@@ -509,7 +515,7 @@ import os, sys
 pid = os.fork()
 if pid == 0:
     sys.stdout = open(os.devnull, "w")
-    from udlab.cli import main
+    from udlab.cli import fraction_str, main
     os._exit(main(sys.argv[1:]))
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)

@@ -118,10 +118,12 @@ def test_class_digests_load_hashlib(loaded, loaded_with_universe, command):
     assert "hashlib" in loaded_with_universe[command]
 
 
-@pytest.mark.parametrize("command", ["partition", "record", "hybrid", "sever"])
+@pytest.mark.parametrize("command", ["kraft", "partition", "record", "hybrid", "sever"])
 def test_partition_and_recording_commands_load_no_measure(loaded, command):
-    assert {"udlab.measure", "fractions"}.isdisjoint(loaded[command])
-    assert ("udlab.replay" in loaded[command]) == (command != "partition")
+    # kraft writes one fraction, formatted in udlab.cli.
+    assert "udlab.measure" not in loaded[command]
+    assert ("fractions" in loaded[command]) == (command == "kraft")
+    assert ("udlab.replay" in loaded[command]) == (command not in ("kraft", "partition"))
 
 
 @pytest.mark.parametrize(
