@@ -68,15 +68,17 @@ def _canonical_tapes(tapes) -> tuple[Tape, ...]:
     return tuple(unique)
 
 
-def _builtin_sha256(data: bytes):
-    """The sha256 of `data` from the interpreter's own module: `_sha2` from
-    Python 3.12, `_sha256` before.  It writes the same digest as hashlib,
-    whose import maps OpenSSL's libcrypto, so naming a universe loads no
-    OpenSSL and a command that takes no class digest never loads it.  The
-    built-in module reads several times slower than OpenSSL, which is why
-    key_digest, which hashes every class's key (124 MB in all for
-    `partition -L 20 -k 1000`), stays on hashlib.  A build
-    without either module falls back to hashlib."""
+_BUILTIN_SHA256 = None
+
+
+def _builtin_sha256():
+    """The interpreter's own sha256 constructor, resolved once: `_sha2`
+    from Python 3.12, `_sha256` before, hashlib without either.  It writes
+    hashlib's digest without mapping OpenSSL, and it reads several times
+    slower.  Universe ids and key_digest's small keys share it."""
+    global _BUILTIN_SHA256
+    if _BUILTIN_SHA256 is not None:
+        return _BUILTIN_SHA256
     try:
         from _sha2 import sha256
     except ImportError:
@@ -84,7 +86,8 @@ def _builtin_sha256(data: bytes):
             from _sha256 import sha256
         except ImportError:
             from hashlib import sha256
-    return sha256(data)
+    _BUILTIN_SHA256 = sha256
+    return sha256
 
 
 class InputUniverse(NamedTuple):
@@ -100,7 +103,7 @@ class InputUniverse(NamedTuple):
     @staticmethod
     def from_tapes(tapes) -> "InputUniverse":
         canonical = _canonical_tapes(tapes)
-        digest = _builtin_sha256(
+        digest = _builtin_sha256()(
             json.dumps([list(t) for t in canonical], separators=(",", ":")).encode()
         ).hexdigest()
         return InputUniverse(canonical, f"sha256:{digest[:12]}")
@@ -207,12 +210,34 @@ def trace_family(
     return tuple(traces)
 
 
+# key_digest hashes a key with the built-in sha256 while it is shorter than
+# _BUILTIN_KEY_CAP and fits in what is left of _builtin_budget, the key bytes
+# the built-in route may still take in this process.  Mapping OpenSSL costs
+# a fresh process about 3.5 MB of RSS and 4-5 ms; the built-in module reads
+# 180-260 MB/s against OpenSSL's 1,200-1,450 MB/s, so the whole budget costs
+# 3-5 ms more hashing, about what the load costs, and a large key never
+# takes the slow route.  The first key sent to hashlib spends the budget:
+# OpenSSL is then mapped, and the faster route costs nothing more.
+_BUILTIN_KEY_CAP = 64 * 1024
+_builtin_budget = 1024 * 1024
+
+
 def key_digest(key_parts: tuple[str, ...]) -> str:
     """The first 16 hex digits of the sha256 of the joined key, streamed
-    over "[", the parts separated by ",", and "]"."""
-    import hashlib  # loads OpenSSL: only the commands that take a digest pay for it
+    over "[", the parts separated by ",", and "]".  The parts are JSON,
+    ASCII only, so their lengths are the joined key's byte count.  Small
+    keys are hashed by the built-in module, others by hashlib (the notes
+    above); both write the same digest."""
+    global _builtin_budget
+    size = sum(map(len, key_parts)) + len(key_parts) + 1  # with the commas and brackets
+    if size < _BUILTIN_KEY_CAP and size <= _builtin_budget:
+        _builtin_budget -= size
+        digest = _builtin_sha256()(b"[")
+    else:
+        import hashlib  # loads OpenSSL: only a process that hashes large keys pays for it
 
-    digest = hashlib.sha256(b"[")
+        _builtin_budget = 0
+        digest = hashlib.sha256(b"[")
     for i, part in enumerate(key_parts):
         if i:
             digest.update(b",")

@@ -16,9 +16,12 @@ A class is measured by the context that made it: the mass functions take a
 context and a level and answer for every class of that level's partition,
 in index order, so no class from elsewhere is ever measured.  The recursive
 regrouping of a class's mass over the classes whose members send it weight
-is an identity with zero residual, never a tolerance.  Its two sides come
-from the same reach sets, so it catches a lost own-class weight but no
-wrong reach set; the golden digests and the u_weight oracle tests pin reach.
+is an identity with zero residual, never a tolerance: a class's mass is its
+members' weight plus the weight it receives, and the received part is the
+same reach sets on both sides.  So the check sums only each class's members'
+weight, once over the partition and once per level id over the programs,
+and computes no reach; it catches a lost own-class weight but no wrong reach
+set, which the golden digests and the u_weight oracle tests pin.
 
 A reach set holds only the context's programs: a code longer than L is
 never decoded or traced, and no class is lost.  Outside the dovetail stream
@@ -119,21 +122,30 @@ class MeasureContext:
         return classes
 
 
+def _own_weights(ctx: MeasureContext, level: int) -> dict[int, int]:
+    """own_weight[i], in units of 2**-L: the weight of the programs whose
+    level id is i, class i's members."""
+    own_weight = {}
+    for p in ctx.programs:
+        own = level_id(ctx.class_ids(p), level)
+        own_weight[own] = own_weight.get(own, 0) + 2 ** (ctx.max_len - p.length)
+    return own_weight
+
+
 def _class_weights(ctx: MeasureContext, level: int) -> tuple[dict[int, int], dict[int, int]]:
-    """One pass over the programs, in units of 2**-L, keyed by level id:
-    own_weight[i] is the weight of class i's members, and received[i] the
-    weight that programs of other classes send it.  A program sends its
-    weight once to each class of its reach set other than its own.
+    """_own_weights, and received[i], the weight that programs of other
+    classes send class i, in units of 2**-L and keyed by level id.  A
+    program sends its weight once to each class of its reach set other than
+    its own.
     """
-    own_weight, received = {}, {}
+    received = {}
     for p in ctx.programs:
         weight = 2 ** (ctx.max_len - p.length)
         own = level_id(ctx.class_ids(p), level)
-        own_weight[own] = own_weight.get(own, 0) + weight
         for target in ctx.reached_ids(p, level):
             if target != own:
                 received[target] = received.get(target, 0) + weight
-    return own_weight, received
+    return _own_weights(ctx, level), received
 
 
 def _partition_ids(ctx: MeasureContext, level: int) -> list[int]:
@@ -143,7 +155,7 @@ def _partition_ids(ctx: MeasureContext, level: int) -> list[int]:
 
 def class_masses(ctx: MeasureContext, level: int) -> list[Fraction]:
     """Exact masses of the classes of ctx.partition(level), in index order,
-    from one pass over the programs: each sums 2**-length over the programs
+    from _class_weights: each sums 2**-length over the programs
     reaching it, its members' weight plus the weight it receives."""
     ids = _partition_ids(ctx, level)
     own_weight, received = _class_weights(ctx, level)
@@ -154,12 +166,14 @@ def decomposition_check(ctx: MeasureContext, level: int) -> list[Fraction]:
     """Residuals of the recursive mass regrouping, one per class of
     ctx.partition(level), in index order.
 
-    Class i's mass regroups as its members' weight plus received[i], so the
-    residual is the members' weight less own_weight[i]: zero for any reach
-    sets (module docstring), nonzero when the pass loses an own-class weight.
+    Class i's mass regroups as its members' weight plus the weight it
+    receives, which both sides read from the same reach sets, so the
+    residual is the members' weight less own_weight[i] (_own_weights).
+    Neither side needs reach, so no host is run: the residual is zero for
+    any reach sets, and nonzero when an own-class weight is lost.
     """
     ids, scale = _partition_ids(ctx, level), 2**ctx.max_len
-    own_weight = _class_weights(ctx, level)[0]
+    own_weight = _own_weights(ctx, level)
     return [
         Fraction(sum(2 ** (ctx.max_len - p.length) for p in cls.members) - own_weight[i], scale)
         for cls, i in zip(ctx.partition(level), ids)

@@ -258,6 +258,52 @@ def test_partition_holds_key_parts_not_joined_keys():
         assert c.key_digest == hashlib.sha256(joined_key(c.key_parts).encode()).hexdigest()[:16]
 
 
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_key_digest_is_hashlibs_on_every_route(monkeypatch, table):
+    # Small keys take the built-in sha256 while they fit the budget; a key
+    # of 64 KiB or more, and every key after the first that takes hashlib,
+    # go to hashlib.  Each constructor is wrapped to record the route.
+    reference, routes = hashlib.sha256, []
+
+    def recording(route, make):
+        def construct(data):
+            routes.append(route)
+            return make(data)
+        return construct
+
+    builtin = recording("builtin", equivalence._builtin_sha256())
+    monkeypatch.setattr(equivalence, "_builtin_sha256", lambda: builtin)
+    monkeypatch.setattr(hashlib, "sha256", recording("hashlib", reference))
+
+    def run(keys, budget=1024 * 1024):
+        monkeypatch.setattr(equivalence, "_builtin_budget", budget)
+        routes.clear()
+        for parts in keys:
+            expected = reference(joined_key(parts).encode()).hexdigest()[:16]
+            assert equivalence.key_digest(parts) == expected, len(parts)
+        return list(routes)
+
+    small = [c.key_parts for c in partition(enumerate_programs(10, table), DEFAULT_UNIVERSE, 3)]
+    assert run(small) == ["builtin"] * len(small)
+    spent = sum(len(joined_key(parts)) for parts in small)
+    assert equivalence._builtin_budget == 1024 * 1024 - spent
+
+    def sized(size):
+        # Two parts, a real one and padding, whose joined key is `size` bytes.
+        part = small[0][0]
+        return (part, "0" * (size - len(part) - 3))
+
+    assert run([sized(64 * 1024 - 1)]) == ["builtin"]
+    assert run([sized(64 * 1024), small[0]]) == ["hashlib", "hashlib"]
+    first = len(joined_key(small[0]))
+    assert run([small[0]], budget=first) == ["builtin"]
+    assert run([small[0]], budget=first - 1) == ["hashlib"]
+    # 17 keys of 60,000 bytes fit in 1 MiB; the 18th and every key after it
+    # take hashlib.
+    assert run([sized(60_000)] * 18 + [small[0]]) == ["builtin"] * 17 + ["hashlib"] * 2
+    assert equivalence._builtin_budget == 0
+
+
 def test_class_is_its_five_fields():
     cls = partition(enumerate_programs(8), DEFAULT_UNIVERSE, 2)[0]
     assert EquivClass._fields == ("k", "index", "members", "key_parts", "universe_id")

@@ -4,7 +4,8 @@ Every command is one process, so the modules it imports are part of its
 cost.  A child runs one command through udlab.cli.main and prints its
 sys.modules; a module counts as loaded by the command when a bare
 interpreter does not already hold it.  Commands also run over a universe
-file, whose id is a sha256 taken without hashlib.  Nothing here is timed.
+file, whose id is a sha256 taken without hashlib, as small class keys'
+digests are.  Nothing here is timed.
 """
 
 import json
@@ -74,7 +75,7 @@ def loaded(tmp_path_factory) -> dict[str, set[str]]:
 
 
 # Over a universe file: the commands that take no class digest, and the two
-# that do.  record runs before sever, which reads its recording.
+# that take small ones.  record runs before sever, which reads its recording.
 UNIVERSE_COMMANDS = ("partition", "measure", "decompose", "levels", "record", "sever")
 
 
@@ -113,9 +114,17 @@ def test_recording_commands_name_a_universe_file_without_hashlib(loaded_with_uni
 
 
 @pytest.mark.parametrize("command", ["partition", "measure"])
-def test_class_digests_load_hashlib(loaded, loaded_with_universe, command):
-    assert "hashlib" in loaded[command]
-    assert "hashlib" in loaded_with_universe[command]
+def test_small_class_digests_load_no_hashlib(loaded, loaded_with_universe, command):
+    # L=8 and k=2 give a few small keys, which the built-in sha256 hashes.
+    for found in (loaded[command], loaded_with_universe[command]):
+        assert {"hashlib", "_hashlib"}.isdisjoint(found)
+
+
+def test_large_class_keys_load_openssl(tmp_path):
+    # At L=12 and k=2000 the first key is about 392 KB, past the built-in
+    # route's cap, so its digest maps OpenSSL.
+    found = _modules(tmp_path, "partition", "-L", "12", "-k", "2000")
+    assert "_hashlib" in found - _modules(tmp_path, code=BARE)
 
 
 @pytest.mark.parametrize("command", ["kraft", "partition", "record", "hybrid", "sever"])
