@@ -45,10 +45,6 @@ class _UsageError(Exception):
     pass
 
 
-class _ConfigFileError(Exception):
-    """A --config file that cannot be read or parsed: a validation failure."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; here usage errors are 1
     # and 2 is reserved for validation failures.
@@ -76,27 +72,22 @@ _OPTIONS = {
 }
 
 
-class _CommandParser(_Parser):
-    # One invocation parses one command, so a subcommand's parser declares
-    # the options only when it parses, not when all fourteen are built.
-    def parse_known_args(self, args=None, namespace=None):
-        if len(self._actions) == 1:  # only -h so far
-            for dest, (flags, kind, choices, text) in _OPTIONS.items():
-                self.add_argument(*flags, dest=dest, type=kind, choices=choices, help=text)
-        return super().parse_known_args(args, namespace)
-
-
 def _build_parser(argv: list[str]) -> _Parser:
     """The parser for argv.  When argv names a command, that command's
-    subparser is the only one built; otherwise (--help, no command or an
-    unknown one) all are, since the usage error lists the commands built."""
+    subparser is the only one built, and the options are declared on it
+    alone; otherwise (--help, no command or an unknown one) all are built
+    bare, since none of them parses and the usage error lists the commands
+    built."""
     # --help shows the docstring up to its last paragraph, which is about the code.
     parser = _Parser(prog="udlab", description=(__doc__ or "").rsplit("\n\n", 1)[0])
-    sub = parser.add_subparsers(
-        dest="command", metavar="|".join(_COMMANDS), parser_class=_CommandParser
-    )
-    for name in [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS:
-        sub.add_parser(name)
+    sub = parser.add_subparsers(dest="command", metavar="|".join(_COMMANDS))
+    if argv and argv[0] in _COMMANDS:
+        command = sub.add_parser(argv[0])
+        for dest, (flags, kind, choices, text) in _OPTIONS.items():
+            command.add_argument(*flags, dest=dest, type=kind, choices=choices, help=text)
+    else:
+        for name in _COMMANDS:
+            sub.add_parser(name)
     return parser
 
 
@@ -107,7 +98,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         with open(args.config, "r", encoding="utf-8") as fh:
             values = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise _ConfigFileError(f"error: --config: {exc}") from None
+        raise ValueError(f"--config: {exc}") from None
     if not isinstance(values, dict):
         raise _UsageError("udlab: error: --config file must hold a JSON object")
     # A key is an option's dest or a long flag spelled as a Python name
@@ -125,10 +116,10 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         _, expected, choices, _ = _OPTIONS[dest]
         if not isinstance(value, expected) or isinstance(value, bool):
             kind = "an integer" if expected is int else "a string"
-            raise _ConfigFileError(f"error: --config: {key!r} must be {kind}, got {value!r}")
+            raise ValueError(f"--config: {key!r} must be {kind}, got {value!r}")
         if choices and value not in choices:
-            raise _ConfigFileError(
-                f"error: --config: {key!r} must be one of {', '.join(choices)}, got {value!r}"
+            raise ValueError(
+                f"--config: {key!r} must be one of {', '.join(choices)}, got {value!r}"
             )
         if getattr(args, dest) is None:  # explicit flags win over the file
             setattr(args, dest, value)
@@ -532,7 +523,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.
+    """Run one command and return its exit code: 0 for a run or --help, 1
+    for a usage error, 2 for a validation failure, a --config file that
+    cannot be read or typed among them.
 
     Called bare, as the `udlab` script and `python -m udlab.cli` call it,
     main is the whole process, and it freezes the garbage collector before
@@ -540,10 +533,9 @@ def main(argv: list[str] | None = None) -> int:
     after it has run the atexit handlers and flushed stdout and stderr.  A
     caller that passes argv keeps its collector as it found it.
     """
-    if argv is not None:
-        return _main(argv)
-    code = _main(sys.argv[1:])
-    gc.freeze()
+    code = _main(sys.argv[1:] if argv is None else argv)
+    if argv is None:
+        gc.freeze()
     return code
 
 
@@ -555,22 +547,17 @@ def _main(argv: list[str]) -> int:
             parser.print_usage(sys.stderr)
             return 1
         _apply_config_file(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help prints and exits 0
-        return 0 if exc.code in (0, None) else 1
-    except _ConfigFileError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-    handler, formats = _COMMANDS[args.command]
-    try:
+        handler, formats = _COMMANDS[args.command]
         if args.fmt not in (None, *formats):
             only = "/".join(formats).upper()
             raise ValueError(f"{args.command} writes {only} only, not --format {args.fmt}")
         run = _Run(args, formats[0])
         _emit(handler(run), run.out)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    except SystemExit as exc:  # --help prints and exits 0
+        return 0 if exc.code in (0, None) else 1
     except (DecodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

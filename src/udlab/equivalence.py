@@ -248,18 +248,14 @@ def key_digest(key_parts: tuple[str, ...]) -> str:
 
 class EquivClass(NamedTuple):
     """One block of the partition at level k: its five fields, compared and
-    hashed as a tuple.  member_bits and key_digest are derived on every
-    access, so a caller that needs one twice takes it once."""
+    hashed as a tuple.  key_digest is derived on every access, so a caller
+    that needs it twice takes it once."""
 
     k: int
     index: int
     members: tuple[Program, ...]
     key_parts: tuple[str, ...]  # the family's JSON, one array per tape
     universe_id: str
-
-    @property
-    def member_bits(self) -> frozenset[str]:
-        return frozenset(p.bits for p in self.members)
 
     @property
     def key_digest(self) -> str:

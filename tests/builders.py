@@ -4,7 +4,8 @@ The package reads programs from bits alone (decode) or generates them from
 the grammar; these builders let a test write a program as instructions and
 get the Program that decode makes of its bits.  A test may write a loop
 nested, as ("WHILE", r, body), or read a Program's flat code back, where
-("WHILE", r, n) opens the loop and ("WEND", r, -n) closes it.
+("WHILE", r, n) opens the loop and ("WEND", r, -n) closes it.  member_bits
+reads a partition's class back as the set of its members' bits.
 """
 
 from udlab.encoding import DEC, END, EXEC, IN, INC, OUT, TABLE_A, WEND, WHILE, Program, decode
@@ -45,6 +46,11 @@ def from_instructions(instructions, table=TABLE_A) -> Program:
     """Build a Program from an instruction list, as encode_instructions reads
     it; the bits are re-decoded, so all invariants hold by construction."""
     return decode(encode_instructions(instructions, table), table)
+
+
+def member_bits(cls) -> frozenset[str]:
+    """The bits of an EquivClass's members, as a set."""
+    return frozenset(p.bits for p in cls.members)
 
 
 # Hosts whose DVT fires below the top level or late: inside an EXEC, inside

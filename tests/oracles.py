@@ -8,6 +8,7 @@ answer them one pair at a time, or one level at a time, so the tests can
 check the one route against the definition.
 """
 
+from builders import member_bits
 from udlab import dovetailer
 from udlab.dovetailer import MAX_TICKS, schedule_pair, stream_tick
 from udlab.encoding import TABLE_A, decode
@@ -68,7 +69,7 @@ def u_weight(program, cls, ctx):
         raise ValueError(f"class universe {cls.universe_id!r} is not the context's")
     if any(p.encoding != ctx.encoding for p in cls.members):
         raise ValueError(f"class {cls.index} is under another encoding than {ctx.encoding!r}")
-    if program.bits in cls.member_bits:
+    if program.bits in member_bits(cls):
         return 1
     key = joined_key(cls.key_parts)
     for code_bits, max_step in merged_events(program, ctx.budget).items():

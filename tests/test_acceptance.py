@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from builders import from_instructions
+from builders import from_instructions, member_bits
 from census import scan_length
 from oracles import u_weight
 from udlab.cli import main as cli_main
@@ -63,7 +63,7 @@ def test_criterion_2_partition_laws():
         previous = None
         for k in (1, 2, 3, 4):
             classes = partition(programs, DEFAULT_UNIVERSE, k)
-            member_lists = [bits for c in classes for bits in c.member_bits]
+            member_lists = [bits for c in classes for bits in member_bits(c)]
             assert len(member_lists) == len(set(member_lists)) == len(programs)  # disjoint
             assert set(member_lists) == all_bits  # covering
             shuffled = list(programs)
@@ -73,7 +73,7 @@ def test_criterion_2_partition_laws():
                 mapping = refine(previous, classes)
                 assert sorted(mapping.keys()) == [c.index for c in classes]  # total
                 for child in classes:  # single-valued subset containment
-                    assert child.member_bits <= previous[mapping[child.index]].member_bits
+                    assert member_bits(child) <= member_bits(previous[mapping[child.index]])
             previous = classes
 
 

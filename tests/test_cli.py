@@ -183,10 +183,44 @@ def test_record_replay_hybrid_sever_round_trip(tmp_path, capsys):
     assert payload["trace"] == stored["trace"]
 
 
-def test_usage_errors_exit_1(capsys):
-    assert run_cli(capsys, "no-such-command")[0] == 1
-    assert run_cli(capsys, "kraft", "--max-len", "eight")[0] == 1
-    assert run_cli(capsys)[0] == 1
+COMMAND_CHOICES = (
+    "'enumerate', 'kraft', 'schedule', 'dovetail', 'partition', 'measure', 'decompose', "
+    "'relmeasure', 'levels', 'record', 'replay', 'hybrid', 'sever', 'invariance'"
+)
+INVALID_COMMAND = (
+    "udlab: error: argument enumerate|kraft|schedule|dovetail|partition|measure|decompose|"
+    "relmeasure|levels|record|replay|hybrid|sever|invariance: invalid choice: {!r} (choose from "
+    + COMMAND_CHOICES
+    + ")\n"
+)
+# Each usage error's stderr, byte for byte.  Without a command, main prints
+# the usage, wrapped to an 80-column terminal.
+USAGE_ERRORS = [
+    (
+        [],
+        "usage: udlab [-h]\n"
+        "             enumerate|kraft|schedule|dovetail|partition|measure|decompose|relmeasure|"
+        "levels|record|replay|hybrid|sever|invariance\n"
+        "             ...\n",
+    ),
+    (["no-such-command"], INVALID_COMMAND.format("no-such-command")),
+    (["-L", "8", "kraft"], INVALID_COMMAND.format("8")),
+    (
+        ["kraft", "--max-len", "eight"],
+        "udlab kraft: error: argument --max-len/-L: invalid int value: 'eight'\n",
+    ),
+]
+
+
+def test_usage_errors_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, expected in USAGE_ERRORS:
+        code, out, err = run_cli(capsys, *argv)
+        # Newer argparse releases list the choices with str(), older ones with repr().
+        assert (code, out) == (1, "") and err in (
+            expected,
+            expected.replace(COMMAND_CHOICES, COMMAND_CHOICES.replace("'", "")),
+        ), argv
 
 
 def test_validation_errors_exit_2(capsys):
@@ -246,9 +280,14 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     config = tmp_path / "bad.json"
-    for values in ({"maxlen": 8}, {"threads": 4}):
+    for values, message in (
+        ({"maxlen": 8}, "unknown config key 'maxlen'"),
+        ({"threads": 4}, "unknown config key 'threads'"),
+        ([1], "--config file must hold a JSON object"),
+    ):
         config.write_text(json.dumps(values))
-        assert run_cli(capsys, "kraft", "--config", str(config))[0] == 1
+        code, out, err = run_cli(capsys, "kraft", "--config", str(config))
+        assert (code, out, err) == (1, "", f"udlab: error: {message}\n"), values
 
 
 def test_config_file_accepts_exactly_the_option_keys(tmp_path, capsys, monkeypatch):
@@ -340,29 +379,40 @@ def test_universe_entries_must_be_lists(tmp_path, capsys):
 
 
 def test_config_file_missing_or_invalid_exits_2(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "kraft", "--config", str(tmp_path / "absent.json"))
-    assert code == 2 and err.startswith("error: --config")
+    absent = tmp_path / "absent.json"
+    code, out, err = run_cli(capsys, "kraft", "--config", str(absent))
+    assert (code, out) == (2, "")
+    assert err == f"error: --config: [Errno 2] No such file or directory: {str(absent)!r}\n"
     config = tmp_path / "broken.json"
     config.write_text("{max_len: 8")
-    code, _, err = run_cli(capsys, "kraft", "--config", str(config))
-    assert code == 2 and err.startswith("error: --config")
+    code, out, err = run_cli(capsys, "kraft", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --config: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n"
+    )
     mistyped = [
-        ("kraft", {"universe": 0}),  # would read the universe from stdin
-        ("kraft", {"out": 2}),  # would write to fd 2, then close it
-        ("kraft", {"k": [1]}),
-        ("record", {"program": "1111", "tape": 5}),
-        ("kraft", {"k": 1.7}),  # would run at k=1
-        ("kraft", {"max_len": True}),
-        ("kraft", {"encoding": None}),
-        ("measure", {"format": "xml"}),  # ran and wrote CSV tagged "format":"xml"
-        ("measure", {"fmt": "xml"}),
-        ("kraft", {"format": "plain"}),  # a default, but no --format value
-        ("kraft", {"encoding": "C"}),
+        # would read the universe from stdin
+        ("kraft", {"universe": 0}, "'universe' must be a string, got 0"),
+        # would write to fd 2, then close it
+        ("kraft", {"out": 2}, "'out' must be a string, got 2"),
+        ("kraft", {"k": [1]}, "'k' must be an integer, got [1]"),
+        ("record", {"program": "1111", "tape": 5}, "'tape' must be a string, got 5"),
+        # would run at k=1
+        ("kraft", {"k": 1.7}, "'k' must be an integer, got 1.7"),
+        ("kraft", {"max_len": True}, "'max_len' must be an integer, got True"),
+        ("kraft", {"encoding": None}, "'encoding' must be a string, got None"),
+        # ran and wrote CSV tagged "format":"xml"
+        ("measure", {"format": "xml"}, "'format' must be one of csv, json, got 'xml'"),
+        ("measure", {"fmt": "xml"}, "'fmt' must be one of csv, json, got 'xml'"),
+        # a default, but no --format value
+        ("kraft", {"format": "plain"}, "'format' must be one of csv, json, got 'plain'"),
+        ("kraft", {"encoding": "C"}, "'encoding' must be one of A, B, got 'C'"),
     ]
-    for command, values in mistyped:
+    for command, values, message in mistyped:
         config.write_text(json.dumps(values))
         code, out, err = run_cli(capsys, command, "--config", str(config))
-        assert code == 2 and out == "" and err.startswith("error: --config: "), values
+        assert (code, out, err) == (2, "", f"error: --config: {message}\n"), values
 
 
 # sha256 of the default CSV output of each mass command.  A changed byte here
@@ -568,7 +618,7 @@ def test_json_only_commands_refuse_csv(tmp_path, capsys, command):
     for extra in (("--format", "csv"), ("--config", str(config))):
         code, out, err = run_cli(capsys, *argv, *extra)
         assert code == 2 and out == "", extra
-        assert err.startswith(f"error: {command} writes JSON only"), err
+        assert err == f"error: {command} writes JSON only, not --format csv\n", err
     assert step_count() == before
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0 and json.loads(out)["config"]["format"] == "json"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builders import DOVETAILING_HOSTS, from_instructions
+from builders import DOVETAILING_HOSTS, from_instructions, member_bits
 from oracles import counterfactually_equivalent, every_level_ids, family_key, joined_key
 from stepping import full_trace
 from udlab.encoding import TABLE_A, TABLE_B, decode
@@ -113,7 +113,7 @@ def test_partition_single_program():
 
 def test_partition_up_to_8():
     classes = partition(enumerate_programs(8), DEFAULT_UNIVERSE, 1)
-    memberships = {frozenset(c.member_bits) for c in classes}
+    memberships = {member_bits(c) for c in classes}
     assert memberships == {frozenset({"1111", "00001111"}), frozenset({"10001111"})}
 
 
@@ -126,7 +126,7 @@ def test_partition_covers_19_programs():
 def test_partition_matches_brute_force(k):
     programs = enumerate_programs(10)
     classes = partition(programs, DEFAULT_UNIVERSE, k)
-    assert {frozenset(c.member_bits) for c in classes} == brute_force_partition(
+    assert {member_bits(c) for c in classes} == brute_force_partition(
         programs, DEFAULT_UNIVERSE, k
     )
 
@@ -134,7 +134,7 @@ def test_partition_matches_brute_force(k):
 def test_partition_laws():
     programs = enumerate_programs(12)
     classes = partition(programs, DEFAULT_UNIVERSE, 2)
-    all_bits = [bits for c in classes for bits in c.member_bits]
+    all_bits = [bits for c in classes for bits in member_bits(c)]
     assert len(all_bits) == len(set(all_bits)) == len(programs)
     assert set(all_bits) == {p.bits for p in programs}
     assert [c.index for c in classes] == list(range(len(classes)))
@@ -327,7 +327,7 @@ def test_class_index_partitions_equal_family_key_grouping(table, universe, top):
             groups.setdefault(family_key(p, universe, level), set()).add(p.bits)
         expected = [(i, key, groups[key]) for i, key in enumerate(sorted(groups))]
         classes = index.partition(programs, level, lambda p: ids[p.bits])
-        assert [(c.index, joined_key(c.key_parts), c.member_bits) for c in classes] == expected, level
+        assert [(c.index, joined_key(c.key_parts), member_bits(c)) for c in classes] == expected, level
         assert all(c.k == level and c.universe_id == universe.universe_id for c in classes)
 
 
@@ -398,9 +398,9 @@ def test_refinement_keeps_halted_class_intact():
     children = partition(programs, DEFAULT_UNIVERSE, 2)
     mapping = refine(parents, children)
     assert set(mapping.keys()) == {c.index for c in children}
-    halted_child = next(c for c in children if "1111" in c.member_bits)
-    assert halted_child.member_bits == {"1111", "00001111"}
-    assert parents[mapping[halted_child.index]].member_bits == {"1111", "00001111"}
+    halted_child = next(c for c in children if "1111" in member_bits(c))
+    assert member_bits(halted_child) == {"1111", "00001111"}
+    assert member_bits(parents[mapping[halted_child.index]]) == {"1111", "00001111"}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -415,7 +415,7 @@ def test_refinement_total_and_conservative(k):
         total = sum(len(c.members) for c in children if mapping[c.index] == parent.index)
         assert total == len(parent.members)
     for child in children:
-        assert child.member_bits <= parents[mapping[child.index]].member_bits
+        assert member_bits(child) <= member_bits(parents[mapping[child.index]])
 
 
 def test_refine_validation():

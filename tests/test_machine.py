@@ -1,15 +1,12 @@
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from builders import DOVETAILING_HOSTS, from_instructions
 from oracles import dovetail_run, merged_events
+from peak_rss import forked_peak_rss
 from stepping import MaxSteps, full_events, full_trace, trace_events
 from udlab.encoding import DVT, TABLE_A, TABLE_B, decode
 from udlab.enumeration import enumerate_programs
@@ -25,7 +22,6 @@ from udlab.machine import (
 
 EMPTY = decode("1111")
 DVT_PROG = decode("10001111")
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fresh_state_after(program, tape, steps):
@@ -417,18 +413,11 @@ def test_run_events_of_hand_built_dvt_hosts(name, table):
         assert list(summary.items()) == list(expected[steps].items()), steps
 
 
-# A child's peak RSS includes its parent's RSS at fork time, so the run forks
-# from a fresh interpreter rather than from the test process.
 RUN_EVENTS_RSS = """
-import os, sys
-pid = os.fork()
-if pid == 0:
-    from udlab.encoding import decode
-    from udlab.machine import run_events
-    run_events(decode("10001111"), int(sys.argv[1]))
-    os._exit(0)
-_, status, usage = os.wait4(pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+import sys
+from udlab.encoding import decode
+from udlab.machine import run_events
+run_events(decode("10001111"), int(sys.argv[1]))
 """
 
 
@@ -436,13 +425,8 @@ def test_run_events_memory_stays_flat_in_steps():
     # Buffering every event of a DVT host to T=10^5 peaks near 60 MB, and even
     # one small entry per tick would pass the bound by T=3*10^5; a host's
     # summary and tick count stay near the interpreter's own footprint.
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     for steps in (10**5, 3 * 10**5, 10**6):
-        done = subprocess.run(
-            [sys.executable, "-c", RUN_EVENTS_RSS, str(steps)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        code, maxrss_kib = map(int, done.stdout.split())
+        code, maxrss_kib = forked_peak_rss(RUN_EVENTS_RSS, str(steps))
         assert code == 0, steps
         assert maxrss_kib < 40 * 1024, steps
 

@@ -1,14 +1,11 @@
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from builders import from_instructions
+from builders import from_instructions, member_bits
 from oracles import family_key, joined_key, merged_events, relative_measure, u_weight
+from peak_rss import forked_peak_rss
 from udlab import equivalence
 from udlab.cli import fraction_str, main
 from udlab.dovetailer import MAX_TICKS, DovetailEngine
@@ -44,7 +41,7 @@ def classes_at(max_len, k):
 
 
 def class_containing(classes, bits):
-    return next(c for c in classes if bits in c.member_bits)
+    return next(c for c in classes if bits in member_bits(c))
 
 
 def test_u_weight_membership():
@@ -142,7 +139,7 @@ def test_relative_measure_example():
     children = classes_at(8, 2)
     parent = class_containing(parents, "1111")
     child = class_containing(children, "1111")
-    assert child.member_bits == parent.member_bits
+    assert member_bits(child) == member_bits(parent)
     ctx = make_ctx(k=2, budget=1)
     assert class_masses(ctx, 1)[parent.index] == Fraction(18, 256)
     assert class_masses(ctx, 2)[child.index] == Fraction(17, 256)
@@ -393,7 +390,7 @@ def test_a_level_is_partitioned_and_keyed_once(monkeypatch):
 def test_class_built_from_its_members_alone_gets_their_bits():
     halted = class_containing(classes_at(8, 1), "1111")
     rebuilt = EquivClass(halted.k, halted.index, halted.members, halted.key_parts, "default")
-    assert rebuilt.member_bits == {"1111", "00001111"} == halted.member_bits
+    assert member_bits(rebuilt) == {"1111", "00001111"} == member_bits(halted)
     ctx = make_ctx()
     assert u_weight(decode("1111"), rebuilt, ctx) == 1
     assert u_weight(decode("10001111"), rebuilt, make_ctx(budget=1)) == 1
@@ -509,17 +506,11 @@ def test_measure_ticks_one_shared_dovetail_stream(monkeypatch, capsys):
     assert ticks < 2 * budget
 
 
-# A child's peak RSS includes its parent's RSS at fork time, so the run forks
-# from a fresh interpreter rather than from the test process.
 MEASURE_RSS = """
 import os, sys
-pid = os.fork()
-if pid == 0:
-    sys.stdout = open(os.devnull, "w")
-    from udlab.cli import fraction_str, main
-    os._exit(main(sys.argv[1:]))
-_, status, usage = os.wait4(pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+sys.stdout = open(os.devnull, "w")
+from udlab.cli import main
+os._exit(main(sys.argv[1:]))
 """
 
 
@@ -527,12 +518,7 @@ def test_largest_budget_reads_no_summary():
     # At MAX_TICKS the stream's summary lists all 454,169 codes up to 31
     # bits; a copy in each DVT host peaked at 216 MB.  A tick count does not.
     argv = ["measure", "-L", "8", "-k", "1", "-T", str(MAX_TICKS)]
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", MEASURE_RSS, *argv],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
-    )
-    code, maxrss_kib = map(int, done.stdout.split())
+    code, maxrss_kib = forked_peak_rss(MEASURE_RSS, *argv)
     assert code == 0
     assert maxrss_kib < 40 * 1024
 

@@ -1,12 +1,9 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from builders import from_instructions
+from peak_rss import forked_peak_rss
 from stepping import full_trace, per_tape_sever
 
 from udlab import dovetailer, equivalence
@@ -29,7 +26,6 @@ ECHO = from_instructions([("IN", 0), ("OUT", 0)])
 EMPTY = decode("1111")
 # INC r0; WHILE r0 OUT r0 WEND: outputs in a loop, so its states grow with k.
 OUTPUT_LOOP = decode("00010001010000110001101111")
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_record_empty_program():
@@ -62,19 +58,13 @@ def test_record_and_hybrid_take_no_configuration_snapshots(monkeypatch):
     assert hybrid_run(rec, (0,)).trace == rec.trace
 
 
-# A child's peak RSS includes its parent's RSS at fork time, so the run forks
-# from a fresh interpreter rather than from the test process.
 SEVER_RSS = """
 import os
-pid = os.fork()
-if pid == 0:
-    from udlab.encoding import decode
-    from udlab.replay import record, sever_and_project
-    rec = record(decode("10001111"), (), 3000)
-    result = sever_and_project(rec, range(1, 3001), (1, 2))
-    os._exit(0 if result.equivalent and result.trace == rec.trace else 1)
-_, status, usage = os.wait4(pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+from udlab.encoding import decode
+from udlab.replay import record, sever_and_project
+rec = record(decode("10001111"), (), 3000)
+result = sever_and_project(rec, range(1, 3001), (1, 2))
+os._exit(0 if result.equivalent and result.trace == rec.trace else 1)
 """
 
 
@@ -83,11 +73,7 @@ def test_full_severance_memory_stays_flat_in_k():
     # steps peaks near 210 MB.  The host reads no input, so its film is its
     # severed system on every tape, and severance keeps near the
     # interpreter's own footprint.
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-c", SEVER_RSS], env=env, capture_output=True, text=True, timeout=120
-    )
-    code, maxrss_kib = map(int, done.stdout.split())
+    code, maxrss_kib = forked_peak_rss(SEVER_RSS)
     assert code == 0
     assert maxrss_kib < 40 * 1024
 
