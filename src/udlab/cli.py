@@ -91,14 +91,20 @@ def _build_parser(argv: list[str]) -> _Parser:
     return parser
 
 
+def _read_json(path: str, name: str):
+    """The JSON value in the file at path; a file that cannot be opened,
+    decoded or parsed raises ValueError, its message prefixed with name."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
     if args.config is None:
         return
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"--config: {exc}") from None
+    values = _read_json(args.config, "--config")
     if not isinstance(values, dict):
         raise _UsageError("udlab: error: --config file must hold a JSON object")
     # A key is an option's dest or a long flag spelled as a Python name
@@ -141,22 +147,24 @@ def _parse_naturals(text: str | None, what: str) -> tuple[int, ...]:
 def _load_universe(source: str | None) -> InputUniverse:
     if source is None or source == "default":
         return DEFAULT_UNIVERSE
-    with open(source, "r", encoding="utf-8") as fh:
-        try:
-            tapes = json.load(fh)
-            if not isinstance(tapes, list) or not all(isinstance(t, list) for t in tapes):
-                raise ValueError("must hold a JSON list of tapes, each a list")
-            return InputUniverse.from_tapes(tuple(tuple(t) for t in tapes))
-        except ValueError as exc:
-            raise ValueError(f"universe {source}: {exc}") from None
+    tapes = _read_json(source, f"universe {source}")
+    try:
+        if not isinstance(tapes, list) or not all(isinstance(t, list) for t in tapes):
+            raise ValueError("must hold a JSON list of tapes, each a list")
+        return InputUniverse.from_tapes(tuple(tuple(t) for t in tapes))
+    except ValueError as exc:
+        raise ValueError(f"universe {source}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"--out: {exc}") from None
 
 
 def _json_doc(payload: dict) -> str:
@@ -405,26 +413,27 @@ def _cmd_levels(run: _Run) -> str:
     return _table_doc(run, "levels", header, rows)
 
 
+def _recording_doc(run: _Run, extra: tuple[tuple[str, object], ...], fields: dict) -> str:
+    """A recording command's document: its config, with extra, then fields."""
+    from .replay import document
+
+    return document({"config": run.config_dict(*extra), **fields})
+
+
 def _cmd_record(run: _Run) -> str:
-    from .replay import document, record, recording_to_data
+    from .replay import record, recording_to_data
 
     program = decode(run.required("program"), run.encoding)
     tape = _parse_naturals(run.args.tape, "tape")
     rec = record(program, tape, run.k)
-    payload = {"config": run.config_dict(("tape", list(tape)))}
-    payload.update(recording_to_data(rec))
-    return document(payload)
+    return _recording_doc(run, (("tape", list(tape)),), recording_to_data(rec))
 
 
 def _load_recording(run: _Run) -> Recording:
     from .replay import recording_from_data
 
     path = run.required("recording")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"recording {path}: {exc}") from None
+    data = _read_json(path, f"recording {path}")
     if not isinstance(data, dict):
         raise ValueError(f"recording {path} must hold a JSON object")
     config = data.get("config", {})
@@ -450,48 +459,37 @@ def _load_recording(run: _Run) -> Recording:
 
 
 def _cmd_replay(run: _Run) -> str:
-    from .replay import document, playback
+    from .replay import playback
 
     rec = _load_recording(run)
-    payload = {
-        "config": run.config_dict(("recording", run.args.recording)),
-        "k": rec.k,
-        "trace": playback(rec),
-    }
-    return document(payload)
+    fields = {"k": rec.k, "trace": playback(rec)}
+    return _recording_doc(run, (("recording", run.args.recording),), fields)
 
 
 def _cmd_hybrid(run: _Run) -> str:
-    from .replay import document, hybrid_run
+    from .replay import hybrid_run
 
     rec = _load_recording(run)
     tape = _parse_naturals(run.args.tape, "tape")
     result = hybrid_run(rec, tape)
-    payload = {
-        "config": run.config_dict(("recording", run.args.recording), ("tape", list(tape))),
-        "switch_step": result.switch_step,
-        "trace": result.trace,
-    }
-    return document(payload)
+    extra = (("recording", run.args.recording), ("tape", list(tape)))
+    return _recording_doc(run, extra, {"switch_step": result.switch_step, "trace": result.trace})
 
 
 def _cmd_sever(run: _Run) -> str:
-    from .replay import document, sever_and_project
+    from .replay import sever_and_project
 
     rec = _load_recording(run)
     steps = _parse_naturals(run.args.severed, "--severed")
     tape = _parse_naturals(run.args.tape, "tape")
     result = sever_and_project(rec, steps, tape, run.universe)
-    payload = {
-        "config": run.config_dict(
-            ("recording", run.args.recording),
-            ("tape", list(tape)),
-            ("severed", sorted(set(steps))),
-        ),
-        "counterfactually_equivalent": result.equivalent,
-        "trace": result.trace,
-    }
-    return document(payload)
+    extra = (
+        ("recording", run.args.recording),
+        ("tape", list(tape)),
+        ("severed", sorted(set(steps))),
+    )
+    fields = {"counterfactually_equivalent": result.equivalent, "trace": result.trace}
+    return _recording_doc(run, extra, fields)
 
 
 def _cmd_invariance(run: _Run) -> str:
@@ -524,8 +522,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code: 0 for a run or --help, 1
-    for a usage error, 2 for a validation failure, a --config file that
-    cannot be read or typed among them.
+    for a usage error, 2 for a validation failure, among them a file that
+    cannot be read or written and a mistyped --config value.
 
     Called bare, as the `udlab` script and `python -m udlab.cli` call it,
     main is the whole process, and it freezes the garbage collector before

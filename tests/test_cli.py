@@ -313,6 +313,17 @@ def test_out_writes_exact_bytes(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert out_path.read_bytes() == b"9/128\n"
+    # A run that fails leaves an existing --out file as it was.
+    code, out, err = run_cli(capsys, "kraft", "-L", "3", "--out", str(out_path))
+    assert (code, out) == (2, "") and "max_len" in err, err
+    assert out_path.read_bytes() == b"9/128\n"
+    absent = tmp_path / "no" / "such" / "dir" / "x"
+    for target, message in (
+        (absent, f"[Errno 2] No such file or directory: {str(absent)!r}"),
+        (tmp_path, f"[Errno 21] Is a directory: {str(tmp_path)!r}"),
+    ):
+        code, out, err = run_cli(capsys, "kraft", "-L", "8", "--out", str(target))
+        assert (code, out, err) == (2, "", f"error: --out: {message}\n"), target
 
 
 def test_help_exits_zero(capsys):
@@ -361,21 +372,26 @@ def test_options_declared_on_parse_match_options_copied_at_start_up(capsys, monk
 
 def test_universe_entries_must_be_lists(tmp_path, capsys):
     path = tmp_path / "universe.json"
-    path.write_text(json.dumps([1, 2]))
-    code, _, err = run_cli(capsys, "partition", "-L", "8", "-k", "1", "--universe", str(path))
-    assert code == 2
-    assert err.startswith(f"error: universe {path}: must hold a JSON list"), err
     for text, message in (
-        ("not json", "Expecting value"),
-        ("[[-1]]", "tape (-1,) must contain"),
-        ("[]", "input universe must contain at least one tape\n"),
-        ("[[1, -1]]", "tape (1, -1) must contain only naturals\n"),
-        ("[[true]]", "tape (True,) must contain only naturals\n"),
+        ("[1, 2]", "must hold a JSON list of tapes, each a list"),
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ("[[-1]]", "tape (-1,) must contain only naturals"),
+        ("[]", "input universe must contain at least one tape"),
+        ("[[1, -1]]", "tape (1, -1) must contain only naturals"),
+        ("[[true]]", "tape (True,) must contain only naturals"),
     ):
         path.write_text(text)
-        code, _, err = run_cli(capsys, "partition", "-L", "8", "-k", "1", "--universe", str(path))
-        assert code == 2
-        assert err.startswith(f"error: universe {path}: {message}"), err
+        code, out, err = run_cli(capsys, "partition", "-L", "8", "-k", "1", "--universe", str(path))
+        assert (code, out, err) == (2, "", f"error: universe {path}: {message}\n"), text
+    path.write_bytes(b"\xff[]")
+    absent = tmp_path / "absent.json"
+    for source, message in (
+        (path, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (absent, f"[Errno 2] No such file or directory: {str(absent)!r}"),
+        (tmp_path, f"[Errno 21] Is a directory: {str(tmp_path)!r}"),
+    ):
+        code, out, err = run_cli(capsys, "partition", "-L", "8", "--universe", str(source))
+        assert (code, out, err) == (2, "", f"error: universe {source}: {message}\n"), source
 
 
 def test_config_file_missing_or_invalid_exits_2(tmp_path, capsys):
@@ -383,6 +399,9 @@ def test_config_file_missing_or_invalid_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "kraft", "--config", str(absent))
     assert (code, out) == (2, "")
     assert err == f"error: --config: [Errno 2] No such file or directory: {str(absent)!r}\n"
+    code, out, err = run_cli(capsys, "kraft", "--config", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: --config: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
     config = tmp_path / "broken.json"
     config.write_text("{max_len: 8")
     code, out, err = run_cli(capsys, "kraft", "--config", str(config))
@@ -569,9 +588,14 @@ def test_malformed_recording_exits_2(tmp_path, capsys, command):
         assert f"{path}: recording" not in err, err
     assert step_count() - before == 0
     path.write_text("not json")
-    code, _, err = run_cli(capsys, command, "--recording", str(path), "--tape", "0")
-    assert code == 2
-    assert err.startswith(f"error: recording {path}: Expecting value"), err
+    absent = tmp_path / "absent.json"
+    for source, message in (
+        (path, "Expecting value: line 1 column 1 (char 0)"),
+        (absent, f"[Errno 2] No such file or directory: {str(absent)!r}"),
+        (tmp_path, f"[Errno 21] Is a directory: {str(tmp_path)!r}"),
+    ):
+        code, out, err = run_cli(capsys, command, "--recording", str(source), "--tape", "0")
+        assert (code, out, err) == (2, "", f"error: recording {source}: {message}\n"), source
     # Tampering is found by re-running the program, so these cases step.
     for field, value in ((0, [42, 0, 0, 0]), (1, 5)):
         tampered = json.loads(json.dumps(valid))
