@@ -7,21 +7,22 @@ Computation is serial ("threads" is always 1), and a mass command measures
 every level it reports from one measure context per encoding.  Exit codes:
 0 success, 1 usage error, 2 validation or precondition failure.
 
-Each handler returns the text of the document its command writes, and main
-writes it once, to stdout or --out.  Run as a process, main then freezes
-the garbage collector, so that shut-down does not collect what the exit
-frees anyway.
+Each handler computes its results, then returns its document as text
+chunks that main writes as they come, to stdout or --out.  Run as a
+process, main then freezes the garbage collector, so that shut-down does
+not collect what the exit frees anyway.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import io
 import json
 import sys
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator
 
+from .chunks import batches, csv_doc, json_doc, json_list_doc
 from .dovetailer import DovetailEngine, schedule_pair
 from .encoding import DecodeError, EncodingTable, decode, get_table
 from .enumeration import enumerate_programs, kraft_mass
@@ -156,42 +157,32 @@ def _load_universe(source: str | None) -> InputUniverse:
         raise ValueError(f"universe {source}: {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks to stdout, or to the file out, opened only once the
+    first batch is ready: a run that fails before it leaves the file as it
+    was."""
+    runs = batches(chunks)
+    first = next(runs)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chain((first,), runs))
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chain((first,), runs))
     except OSError as exc:
         raise ValueError(f"--out: {exc}") from None
-
-
-def _json_doc(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _csv_doc(config: dict, header: list[str], rows: list[list]) -> str:
-    import csv  # loaded only by the runs that write CSV
-
-    buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config, separators=(",", ":")) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _table_doc(run: _Run, key: str, header: list[str], rows: list[list], *extra) -> str:
+def _table_doc(run: _Run, key: str, header: list[str], rows: Iterable, *extra) -> Iterator[str]:
     """Rows as CSV, or as JSON objects listed under `key`."""
     config = run.config_dict(*extra)
     if run.fmt == "json":
-        return _json_doc({"config": config, key: [dict(zip(header, row)) for row in rows]})
-    return _csv_doc(config, header, rows)
+        return json_list_doc({"config": config}, key, (dict(zip(header, row)) for row in rows))
+    return csv_doc(config, header, rows)
 
 
 class _Run:
@@ -241,59 +232,55 @@ class _Run:
         )
 
 
-def _cmd_enumerate(run: _Run) -> str:
+def _cmd_enumerate(run: _Run) -> Iterable[str]:
     programs = enumerate_programs(run.max_len, run.encoding)
     config = run.config_dict()
     if run.fmt == "json":
-        return _json_doc({"config": config, "programs": [p.bits for p in programs]})
-    rows = [[i + 1, p.bits, p.length] for i, p in enumerate(programs)]
-    return _csv_doc(config, ["index", "bits", "length"], rows)
+        return json_list_doc({"config": config}, "programs", (p.bits for p in programs))
+    rows = ([i + 1, p.bits, p.length] for i, p in enumerate(programs))
+    return csv_doc(config, ["index", "bits", "length"], rows)
 
 
-def _cmd_kraft(run: _Run) -> str:
+def _cmd_kraft(run: _Run) -> Iterable[str]:
     mass = fraction_str(kraft_mass(run.max_len))
     if run.fmt == "json":
-        return _json_doc({"config": run.config_dict(), "kraft_mass": mass})
+        return json_doc({"config": run.config_dict(), "kraft_mass": mass})
     if run.fmt == "csv":
         rows = [[run.max_len, run.encoding.variant_id, mass]]
-        return _csv_doc(run.config_dict(), ["max_len", "encoding", "kraft_mass"], rows)
-    return mass + "\n"
+        return csv_doc(run.config_dict(), ["max_len", "encoding", "kraft_mass"], rows)
+    return (mass + "\n",)
 
 
-def _cmd_schedule(run: _Run) -> str:
+def _cmd_schedule(run: _Run) -> Iterable[str]:
     tick = run.required("tick")
     i, s = schedule_pair(tick)
     config = run.config_dict(("tick", tick))
     if run.fmt == "json":
-        return _json_doc({"config": config, "tick": tick, "program_index": i, "step_index": s})
+        return json_doc({"config": config, "tick": tick, "program_index": i, "step_index": s})
     if run.fmt == "csv":
-        return _csv_doc(config, ["tick", "program_index", "step_index"], [[tick, i, s]])
-    return f"({i},{s})\n"
+        return csv_doc(config, ["tick", "program_index", "step_index"], [[tick, i, s]])
+    return (f"({i},{s})\n",)
 
 
-def _tick_rows(ticks: int, table: EncodingTable) -> list[list]:
+def _tick_rows(ticks: int, table: EncodingTable) -> Iterator[list]:
     # A private engine: the shared stream would keep every tick's event alive.
     engine = DovetailEngine(table)
-    rows = []
     for tick in range(1, ticks + 1):
         index, _ = schedule_pair(tick)
         event = engine.tick()
         state = event.state
-        rows.append(
-            [
-                tick,
-                index,
-                event.code_bits,
-                event.step_index,
-                state.halted,
-                " ".join(str(r) for r in state.registers),
-                " ".join(str(v) for v in state.outputs),
-            ]
-        )
-    return rows
+        yield [
+            tick,
+            index,
+            event.code_bits,
+            event.step_index,
+            state.halted,
+            " ".join(str(r) for r in state.registers),
+            " ".join(str(v) for v in state.outputs),
+        ]
 
 
-def _cmd_dovetail(run: _Run) -> str:
+def _cmd_dovetail(run: _Run) -> Iterable[str]:
     ticks = run.required("ticks")
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
@@ -302,29 +289,25 @@ def _cmd_dovetail(run: _Run) -> str:
     return _table_doc(run, "events", header, rows, ("ticks", ticks))
 
 
-def _cmd_partition(run: _Run) -> str:
+def _cmd_partition(run: _Run) -> Iterable[str]:
     classes = partition(enumerate_programs(run.max_len, run.encoding), run.universe, run.k)
     config = run.config_dict()
     if run.fmt == "csv":
-        rows = [
+        rows = (
             [c.index, c.key_digest, len(c.members), ";".join(p.bits for p in c.members)]
             for c in classes
-        ]
-        return _csv_doc(config, ["index", "canonical_key_digest", "size", "members"], rows)
-    payload = {
-        "config": config,
-        "k": run.k,
-        "universe_id": run.universe.universe_id,
-        "classes": [
-            {
-                "index": c.index,
-                "canonical_key_digest": c.key_digest,
-                "members": [p.bits for p in c.members],
-            }
-            for c in classes
-        ],
-    }
-    return _json_doc(payload)
+        )
+        return csv_doc(config, ["index", "canonical_key_digest", "size", "members"], rows)
+    head = {"config": config, "k": run.k, "universe_id": run.universe.universe_id}
+    items = (
+        {
+            "index": c.index,
+            "canonical_key_digest": c.key_digest,
+            "members": [p.bits for p in c.members],
+        }
+        for c in classes
+    )
+    return json_list_doc(head, "classes", items)
 
 
 def _context_columns(run: _Run, k: int, table: EncodingTable | None = None) -> list:
@@ -335,29 +318,30 @@ def _context_columns(run: _Run, k: int, table: EncodingTable | None = None) -> l
 _CONTEXT_HEADER = ["L", "k", "T", "universe_id", "encoding_id"]
 
 
-def _cmd_measure(run: _Run) -> str:
+def _cmd_measure(run: _Run) -> Iterable[str]:
     from .measure import class_masses
 
     ctx = run.context()
     classes = ctx.partition(run.k)
-    rows = [
+    masses = class_masses(ctx, run.k)
+    rows = (
         _context_columns(run, run.k) + [c.index, c.key_digest, len(c.members), fraction_str(mass)]
-        for c, mass in zip(classes, class_masses(ctx, run.k))
-    ]
+        for c, mass in zip(classes, masses)
+    )
     header = _CONTEXT_HEADER + ["class_index", "key_digest", "member_count", "mass"]
     return _table_doc(run, "classes", header, rows)
 
 
-def _cmd_decompose(run: _Run) -> str:
+def _cmd_decompose(run: _Run) -> Iterable[str]:
     from .measure import decomposition_check
 
     ctx = run.context()
     classes = ctx.partition(run.k)
     residuals = decomposition_check(ctx, run.k)
-    rows = [
+    rows = (
         _context_columns(run, run.k) + [c.index, fraction_str(r), r == 0]
         for c, r in zip(classes, residuals)
-    ]
+    )
     header = _CONTEXT_HEADER + ["class_index", "residual", "zero"]
     return _table_doc(run, "classes", header, rows)
 
@@ -394,33 +378,33 @@ _RELMEASURE_HEADER = _CONTEXT_HEADER + [
 ]
 
 
-def _cmd_relmeasure(run: _Run) -> str:
+def _cmd_relmeasure(run: _Run) -> Iterable[str]:
     rows = _relmeasure_rows(run, run.encoding)
     return _table_doc(run, "pairs", _RELMEASURE_HEADER, rows)
 
 
-def _cmd_levels(run: _Run) -> str:
+def _cmd_levels(run: _Run) -> Iterable[str]:
     from .measure import divergence_report
 
     # -k is the context's top level; the report runs every level 1..k.
     rows_data = divergence_report(run.context())
-    rows = [
+    rows = (
         _context_columns(run, row.k)
         + [row.class_count, fraction_str(row.level_mass), fraction_str(row.cumulative)]
         for row in rows_data
-    ]
+    )
     header = _CONTEXT_HEADER + ["class_count", "level_mass", "cumulative"]
     return _table_doc(run, "levels", header, rows)
 
 
-def _recording_doc(run: _Run, extra: tuple[tuple[str, object], ...], fields: dict) -> str:
+def _recording_doc(run: _Run, extra: tuple[tuple[str, object], ...], fields: dict):
     """A recording command's document: its config, with extra, then fields."""
     from .replay import document
 
     return document({"config": run.config_dict(*extra), **fields})
 
 
-def _cmd_record(run: _Run) -> str:
+def _cmd_record(run: _Run) -> Iterable[str]:
     from .replay import record, recording_to_data
 
     program = decode(run.required("program"), run.encoding)
@@ -458,7 +442,7 @@ def _load_recording(run: _Run) -> Recording:
         raise ValueError(f"recording {path}: {exc}") from None
 
 
-def _cmd_replay(run: _Run) -> str:
+def _cmd_replay(run: _Run) -> Iterable[str]:
     from .replay import playback
 
     rec = _load_recording(run)
@@ -466,7 +450,7 @@ def _cmd_replay(run: _Run) -> str:
     return _recording_doc(run, (("recording", run.args.recording),), fields)
 
 
-def _cmd_hybrid(run: _Run) -> str:
+def _cmd_hybrid(run: _Run) -> Iterable[str]:
     from .replay import hybrid_run
 
     rec = _load_recording(run)
@@ -476,7 +460,7 @@ def _cmd_hybrid(run: _Run) -> str:
     return _recording_doc(run, extra, {"switch_step": result.switch_step, "trace": result.trace})
 
 
-def _cmd_sever(run: _Run) -> str:
+def _cmd_sever(run: _Run) -> Iterable[str]:
     from .replay import sever_and_project
 
     rec = _load_recording(run)
@@ -492,7 +476,7 @@ def _cmd_sever(run: _Run) -> str:
     return _recording_doc(run, extra, fields)
 
 
-def _cmd_invariance(run: _Run) -> str:
+def _cmd_invariance(run: _Run) -> Iterable[str]:
     """Relative measures side by side under encodings A and B; nothing is
     asserted about their agreement, the table is the experiment."""
     rows = []

@@ -17,7 +17,7 @@ and needs none when the film read no input.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .encoding import EncodingTable, Program, TABLE_A, decode
 from .equivalence import DEFAULT_UNIVERSE, InputUniverse, read_cells, trace_family
@@ -206,18 +206,20 @@ def _state_json(state: SemanticState, level: int) -> str:
     )
 
 
-def document(payload: dict) -> str:
-    """json.dumps(payload, indent=2) + "\n", byte for byte, for the document
-    of a recording command: other keys, then "trace", a nonempty sequence
-    of states.  The other keys go through json.dumps; the trace is written
-    by _state_json, each distinct state object once, since a halted run
-    repeats one padding state."""
+def document(payload: dict) -> Iterator[str]:
+    """json.dumps(payload, indent=2) + "\n", byte for byte and in chunks, for
+    the document of a recording command: other keys, then "trace", a
+    nonempty sequence of states.  The other keys go through json.dumps, in
+    the first chunk; then each state is one chunk, written by _state_json,
+    each distinct state object once, since a halted run repeats one padding
+    state; the closing brackets come last."""
     *head, (_, trace) = payload.items()
-    parts = [json.dumps(dict(head), indent=2)[:-2], ',\n  "trace": [']
+    yield json.dumps(dict(head), indent=2)[:-2] + ',\n  "trace": ['
+    separator = "\n    "
     last = text = None
     for state in trace:
         if state is not last:
             last, text = state, _state_json(state, 2)
-        parts += ("\n    ", text, ",")
-    parts[-1] = "\n  ]\n}\n"
-    return "".join(parts)
+        yield separator + text
+        separator = ",\n    "
+    yield "\n  ]\n}\n"

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from udlab import cli, dovetailer, equivalence
+from peak_rss import forked_peak_rss
+
+from udlab import chunks, cli, dovetailer, equivalence
 from udlab.cli import _COMMANDS, _OPTIONS, main
 from udlab.enumeration import MAX_KRAFT_LEN
 from udlab.machine import step_count
@@ -324,6 +326,31 @@ def test_out_writes_exact_bytes(tmp_path, capsys):
     ):
         code, out, err = run_cli(capsys, "kraft", "-L", "8", "--out", str(target))
         assert (code, out, err) == (2, "", f"error: --out: {message}\n"), target
+    # Streaming commands validate before their first chunk, and --out is
+    # opened only once there is a batch to write.
+    for argv in (["record", "--program", "1"], ["dovetail", "--ticks", "-1"]):
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
+        assert out_path.read_bytes() == b"9/128\n", argv
+
+
+@pytest.mark.parametrize("first_chunk", ["x", "x" * chunks.BATCH], ids=["short", "full_batch"])
+def test_out_of_memory_while_writing_exits_2(tmp_path, capsys, monkeypatch, first_chunk):
+    def failing(run):
+        yield first_chunk
+        raise MemoryError
+
+    monkeypatch.setitem(_COMMANDS, "kraft", (failing, ("plain",)))
+    # A full batch is written as it fills, so what came before the failure
+    # stays; a file that no batch reached is left as it was.
+    written = first_chunk if len(first_chunk) >= chunks.BATCH else ""
+    out_path = tmp_path / "out.txt"
+    out_path.write_bytes(b"old")
+    for out in ([], ["--out", str(out_path)]):
+        code, stdout, err = run_cli(capsys, "kraft", *out)
+        assert (code, err) == (2, "error: out of memory; lower -L, -k or -T\n")
+        assert stdout == ("" if out else written)
+    assert out_path.read_text() == (written or "old")
 
 
 def test_help_exits_zero(capsys):
@@ -503,6 +530,8 @@ GOLDEN_TABLE_DIGESTS = {
     "dovetail --ticks 30": "123c62454f7158553909c302a64271ca2e61e8ae299f2be600712e9de0068ce5",
     "dovetail --ticks 30 --format json": "eed915ba1e8c22c7dab8fcf09a34357dfd286c017d994a30b30a43ec615e72ae",
     "dovetail --ticks 2000 --format csv": "8313c613d74146b08909087ec80f31cf638433d6bb7cea47e29659bb0e70ebe5",
+    "dovetail --ticks 0": "7b51716632cb5b7a7b377458643830dbdc956814005c2a3fc88910d401ad942b",
+    "dovetail --ticks 0 --format json": "9f49c92f3c615f39b8e19ca54e5db9094bbb4bce8f4d62a3518e08c8cd936e2d",
     "enumerate -L 14": "5c69528d2770b4688bd7876c31f036eaaf28be033f850ffcf4212ad1c5149c9b",
     "enumerate -L 14 --encoding B --format csv": "70a1d594d7f4ebb0c9034a3a6b621e54f04eac51d5e922c979c542e11cfcdd48",
     "partition -L 12 -k 3": "58e9771940d1548b9add560b7f3d0e1a57f8dadebd4625fb3da33cd2b69da8df",
@@ -707,27 +736,53 @@ def test_oversized_enumeration_exits_2_under_memory_cap():
     assert done.stderr.startswith("error: max_len 40 covers")
 
 
-def test_recording_an_output_loop_fits_under_a_250_mb_cap():
-    # INC r0; WHILE r0 OUT r0 WEND filmed for 4000 steps: its document is
-    # about 50 MB.  Rendered through json.dumps(indent=2), which builds a
-    # chunk list before joining it, the run peaked near 350 MB and exited 2
-    # under this cap; the state writer keeps it near 130 MB.
+def test_recording_an_output_loop_fits_under_a_200_mb_cap():
+    # INC r0; WHILE r0 OUT r0 WEND filmed for 8000 steps: its document is
+    # 177 MB.  Written whole, as its parts and then as one text, the run
+    # peaked at 483 MiB and exited 2 under this cap; written state by state
+    # it peaks at 78 MiB, the recording itself.
     done = _child(
-        ["record", "--program", "00010001010000110001101111", "-k", "4000"],
-        cap=250 * 1024**2, timeout=120,
+        ["record", "--program", "00010001010000110001101111", "-k", "8000"],
+        cap=200 * 1024**2, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == (
-        "41d0d21dce02ddccf46a3239dc713faabe808c276fb3ec4d9105a60214497004"
+        "193ad0d52329090e444c84cfeb01b019cbd877df0a20b4010a77fbba806c9e9e"
     )
+
+
+PEAK_RSS = """
+import os, sys
+sys.stdout = open(os.devnull, "w")
+from udlab.cli import main
+os._exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, bound_mib",
+    [
+        # The 44 MB recording of the output loop peaked at 131 MiB when it was
+        # written whole; state by state it peaks at 29 MiB.
+        (["record", "--program", "00010001010000110001101111", "-k", "4000"], 50),
+        # 100,000 dovetail rows, a 20 MB document, peaked at 209 MiB as a row
+        # list and one json.dumps; ticked as they are written, at 14 MiB.
+        (["dovetail", "--ticks", "100000", "--format", "json"], 30),
+    ],
+    ids=["record", "dovetail"],
+)
+def test_a_command_peaks_at_its_working_set_not_its_output(argv, bound_mib):
+    code, maxrss_kib = forked_peak_rss(PEAK_RSS, *argv)
+    assert code == 0
+    assert maxrss_kib < bound_mib * 1024
 
 
 def test_out_of_memory_exits_2_with_a_message():
     # A recording of a program that outputs in a loop writes its whole output
-    # log into every state, so filming it for 8000 steps needs far more than
-    # 100 MB (about 480 MB uncapped).
+    # log into every state, so filming it for 16,000 steps needs far more
+    # than 100 MiB (263 MiB uncapped).
     done = _child(
-        ["record", "--program", "00010001010000110001101111", "-k", "8000"],
+        ["record", "--program", "00010001010000110001101111", "-k", "16000"],
         cap=100 * 1024**2, text=True,
     )
     assert done.returncode == 2
