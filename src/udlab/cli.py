@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -139,7 +140,7 @@ def _parse_naturals(text: str | None, what: str) -> tuple[int, ...]:
     values = []
     for part in text.split(","):
         part = part.strip()
-        if not part.isdecimal():
+        if not (part.isascii() and part.isdecimal()):
             raise ValueError(f"{what} entry {part!r} is not a natural number")
         values.append(int(part))
     return tuple(values)
@@ -160,11 +161,16 @@ def _load_universe(source: str | None) -> InputUniverse:
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write the chunks to stdout, or to the file out, opened only once the
     first batch is ready: a run that fails before it leaves the file as it
-    was."""
+    was.  A reader that closes stdout early ends the run quietly: stdout
+    then points at os.devnull, so the flush at shut-down writes nowhere."""
     runs = batches(chunks)
     first = next(runs)
     if out is None:
-        sys.stdout.writelines(chain((first,), runs))
+        try:
+            sys.stdout.writelines(chain((first,), runs))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -8,9 +8,11 @@ advanced to at least k emulated steps whose k-step trace family matches the
 class.  Class mass is the exact sum of contributing weights, taken for a
 whole level in one pass that keeps two sums per class id, and none per pair
 of classes: its members' weight, and the weight that programs of other
-classes send it.  One class index, tracing each program once, serves every
-level up to the context's k.  Weights are summed as integers in units of
-2**-L and divided by 2**L once, when a mass or residual is returned.
+classes send it; a stream prefix that dovetailing hosts share is credited
+once, with their summed weight.  A level's mass sums its classes' masses.
+One class index, tracing each program once, serves every level up to the
+context's k.  Weights are summed as integers in units of 2**-L and
+divided by 2**L once, when a mass or residual is returned.
 
 A class is measured by the context that made it: the mass functions take a
 context and a level and answer for every class of that level's partition,
@@ -39,7 +41,7 @@ encoding) and contributions only grow as T or L grow.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .dovetailer import MAX_TICKS, reached_prefix
 from .encoding import EncodingTable, Program
@@ -55,7 +57,7 @@ class MeasureContext:
 
     __slots__ = (
         "max_len", "k", "budget", "universe", "encoding", "programs",
-        "_events", "_ids", "_index", "_partitions", "_prefixes",
+        "_events", "_ids", "_index", "_partitions", "_prefixes", "_prefix_sets",
     )
 
     def __init__(
@@ -76,7 +78,8 @@ class MeasureContext:
         self.universe = universe
         self.encoding = encoding
         self._events: dict[str, tuple[dict[str, int], int]] = {}
-        self._prefixes: dict[tuple[int, int], set[int] | tuple[()]] = {}  # the empty ones share ()
+        self._prefixes: dict[tuple[int, int], Collection[int]] = {}
+        self._prefix_sets: dict = {}  # equal prefix sets share one object, so hosts group fast
         self._index = ClassIndex(universe, k)  # checks k >= 1
         self._partitions: dict[int, list[EquivClass]] = {}
         self.programs: list[Program] = enumerate_programs(max_len, encoding)
@@ -87,11 +90,11 @@ class MeasureContext:
         level, which level_id reads at any level 1..k."""
         return self._ids[program.bits]
 
-    def reached_ids(self, program: Program, level: int) -> set[int]:
+    def reached_ids(self, program: Program, level: int) -> tuple[set[int], Collection[int]]:
         """Level ids of the context's programs that the program emulates to
-        >= level steps under the budget: those in its own summary, and when it
-        dovetails those of the stream's prefix, one set per (ticks, level)
-        that every host shares.  A longer code adds no class."""
+        >= level steps under the budget, as a pair that may overlap: its own
+        summary's, and a dovetailer's stream prefix's, one set per (ticks,
+        level) that every host shares, else ().  A longer code adds no class."""
         found = self._events.get(program.bits)
         if found is None:
             found = self._events[program.bits] = run_events(program, self.budget)
@@ -101,14 +104,12 @@ class MeasureContext:
             for bits, max_step in summary.items()
             if max_step >= level and (ids := self._ids.get(bits)) is not None
         }
-        if ticks:
-            prefix = self._prefixes.get((ticks, level))
-            if prefix is None:
-                programs = self.programs[: reached_prefix(ticks, level)]
-                prefix = {level_id(self._ids[p.bits], level) for p in programs} or ()
-                self._prefixes[ticks, level] = prefix
-            reached.update(prefix)
-        return reached
+        prefix = self._prefixes.get((ticks, level)) if ticks else ()
+        if prefix is None:
+            programs = self.programs[: reached_prefix(ticks, level)]
+            prefix = frozenset(level_id(self._ids[p.bits], level) for p in programs) or ()
+            prefix = self._prefixes[ticks, level] = self._prefix_sets.setdefault(prefix, prefix)
+        return reached, prefix
 
     def partition(self, level: int) -> list[EquivClass]:
         """The level's partition of the programs, from the class index; built
@@ -133,19 +134,28 @@ def _own_weights(ctx: MeasureContext, level: int) -> dict[int, int]:
 
 
 def _class_weights(ctx: MeasureContext, level: int) -> tuple[dict[int, int], dict[int, int]]:
-    """_own_weights, and received[i], the weight that programs of other
-    classes send class i, in units of 2**-L and keyed by level id.  A
-    program sends its weight once to each class of its reach set other than
-    its own.
-    """
-    received = {}
+    """own_weight[i], the weight of class i's members, and received[i], the
+    weight that programs of other classes send class i, in units of 2**-L
+    and keyed by level id.  A program sends its weight once to each class it
+    reaches other than its own.  A shared prefix set is credited once, with
+    the summed weight of its hosts, less a host's weight on its own class."""
+    own_weight, received, shared = {}, {}, {}
     for p in ctx.programs:
         weight = 2 ** (ctx.max_len - p.length)
         own = level_id(ctx.class_ids(p), level)
-        for target in ctx.reached_ids(p, level):
-            if target != own:
+        own_weight[own] = own_weight.get(own, 0) + weight
+        reached, prefix = ctx.reached_ids(p, level)
+        for target in reached:
+            if target != own and target not in prefix:
                 received[target] = received.get(target, 0) + weight
-    return _own_weights(ctx, level), received
+        if prefix:
+            shared[prefix] = shared.get(prefix, 0) + weight
+            if own in prefix:
+                received[own] = received.get(own, 0) - weight
+    for prefix, weight in shared.items():
+        for target in prefix:
+            received[target] = received.get(target, 0) + weight
+    return own_weight, received
 
 
 def _partition_ids(ctx: MeasureContext, level: int) -> list[int]:
@@ -188,7 +198,8 @@ class LevelRow(NamedTuple):
 
 
 def divergence_report(ctx: MeasureContext) -> list[LevelRow]:
-    """Per-level masses and their running sum for every level 1..ctx.k.
+    """Per-level masses and their running sum for every level 1..ctx.k: a
+    level's mass sums its classes' masses, read from _class_weights.
 
     Every program contributes at least its own weight at every level, so the
     running sum grows at least linearly in the number of levels; there is no
@@ -197,15 +208,8 @@ def divergence_report(ctx: MeasureContext) -> list[LevelRow]:
     rows = []
     cumulative = Fraction(0)
     for k in range(1, ctx.k + 1):
-        # Grouped by class id alone: no class is built and no key encoded.
-        # Each program adds its weight once per class of the level it reaches.
-        ids, total = set(), 0
-        for p in ctx.programs:
-            own = level_id(ctx.class_ids(p), k)
-            ids.add(own)
-            reached = ctx.reached_ids(p, k)
-            total += 2 ** (ctx.max_len - p.length) * (len(reached) + (own not in reached))
-        mass = Fraction(total, 2**ctx.max_len)
+        own_weight, received = _class_weights(ctx, k)
+        mass = Fraction(sum(own_weight.values()) + sum(received.values()), 2**ctx.max_len)
         cumulative += mass
-        rows.append(LevelRow(k=k, class_count=len(ids), level_mass=mass, cumulative=cumulative))
+        rows.append(LevelRow(k, len(own_weight), mass, cumulative))
     return rows

@@ -3,18 +3,20 @@
 The paper's definitions are tests on one pair at a time: whether two
 programs agree on every tape, whether a program reaches one class, and what
 a DVT host sees tick by tick.  The package answers them for a whole level at
-once (ClassIndex, class_masses, stream_tick, reached_prefix); these helpers
-answer them one pair at a time, or one level at a time, so the tests can
-check the one route against the definition.
+once (ClassIndex, class_masses, divergence_report, stream_tick,
+reached_prefix); these helpers answer them one pair at a time, or one level
+at a time, so the tests can check the one route against the definition.
 """
+
+from fractions import Fraction
 
 from builders import member_bits
 from udlab import dovetailer
 from udlab.dovetailer import MAX_TICKS, schedule_pair, stream_tick
 from udlab.encoding import TABLE_A, decode
-from udlab.equivalence import _key_parts, trace_family
+from udlab.equivalence import _key_parts, level_id, trace_family
 from udlab.machine import run_events, run_trace, step_events
-from udlab.measure import class_masses
+from udlab.measure import LevelRow, class_masses
 
 
 def joined_key(parts):
@@ -88,6 +90,25 @@ def relative_measure(child, parent, ctx):
     for cls in (child, parent):
         assert ctx.partition(cls.k)[cls.index] == cls, (cls.k, cls.index)
     return class_masses(ctx, child.k)[child.index] / class_masses(ctx, parent.k)[parent.index]
+
+
+def level_rows(ctx):
+    """divergence_report's rows, program by program: a program adds its
+    weight once per class of the level it reaches, its own class included,
+    from its whole reach set, its summary's ids merged with its prefix."""
+    rows, cumulative = [], Fraction(0)
+    for k in range(1, ctx.k + 1):
+        ids, total = set(), 0
+        for p in ctx.programs:
+            own = level_id(ctx.class_ids(p), k)
+            ids.add(own)
+            summary_ids, prefix = ctx.reached_ids(p, k)
+            reached = summary_ids | set(prefix)
+            total += 2 ** (ctx.max_len - p.length) * (len(reached) + (own not in reached))
+        mass = Fraction(total, 2**ctx.max_len)
+        cumulative += mass
+        rows.append(LevelRow(k, len(ids), mass, cumulative))
+    return rows
 
 
 def dovetail_run(ticks, table=TABLE_A):

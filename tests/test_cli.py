@@ -250,10 +250,18 @@ def test_malformed_severed_entries_exit_2(tmp_path, capsys):
     rec_path = tmp_path / "rec.json"
     code, _, _ = run_cli(capsys, "record", "--program", "10001111", "-k", "3", "--out", str(rec_path))
     assert code == 0
-    for text, entry in (("x", "'x'"), ("1,,2", "''"), ("1,-2", "'-2'")):
+    # An Arabic-Indic and a fullwidth one are decimal digits to str.isdecimal.
+    malformed = (("x", "'x'"), ("1,,2", "''"), ("1,-2", "'-2'"), ("\u0661", "'\u0661'"),
+                 ("1,\uff11", "'\uff11'"))
+    for text, entry in malformed:
         code, out, err = run_cli(capsys, "sever", "--recording", str(rec_path), "--severed", text)
         assert code == 2 and out == ""
         assert err == f"error: --severed entry {entry} is not a natural number\n", err
+    for text in ("\u0661", "\uff11"):
+        argv = ("record", "--program", "0100000011001111", "--tape", text, "-k", "3")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: tape entry '{text}' is not a natural number\n", err
     code, _, err = run_cli(capsys, "sever", "--recording", str(rec_path), "--severed", "0")
     assert code == 2 and "1-based" in err
 
@@ -734,6 +742,20 @@ def test_oversized_enumeration_exits_2_under_memory_cap():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: max_len 40 covers")
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly():
+    # dovetail --ticks 100000 writes 4.3 MB, far past a pipe's buffer, so
+    # the writes after the reader has gone fail with a broken pipe.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "udlab.cli", "dovetail", "--ticks", "100000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline().startswith(b"# config: ")
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 0, err
+    assert err == b""
 
 
 def test_recording_an_output_loop_fits_under_a_200_mb_cap():
