@@ -14,15 +14,14 @@ each distinct run once and hands its trace object to every tape that drives
 it; a run that read nothing is the run on every tape.
 
 Partitions group codes by the ids of a ClassIndex, which serves every level
-from one trace per code.  A class's key is its family's JSON kept as parts,
-one JSON array per tape, encoded once per distinct trace object and shared
-by the tapes that hold it; the joined key is never built, not even to sort
-or digest.  Each part is a complete JSON array, so no part is a proper
-prefix of another, and the tuple order of parts is exactly the string order
-of the joined keys.  Class indices come from sorting the part tuples, so the
-result is independent of input order.  A class is a plain NamedTuple of
-(k, index, members, key parts, universe id) that caches nothing: its digest
-is hashed on each access, and each command takes it once per class.
+from one trace per code.  No class key (its family's JSON, one array per
+tape) is held.  Classes sort by their heads, each tape's settled trace of
+the id's creator cut at the level, as JSON.  A state that settles one run
+settles every run that reaches it, so two heads that differ differ inside
+the same state as the whole arrays do, and their tuple order is the string
+order of the keys.  A class is a plain NamedTuple of (k, index, members,
+heads, traces, universe id) that caches nothing: key_digest writes its key,
+each settled tail after its head, as it hashes it.
 
 A family settles, and ClassIndex stops tracing and interning it, at the
 level where its last run settles.  A run settles at the first step where it
@@ -116,6 +115,7 @@ DEFAULT_UNIVERSE = InputUniverse(
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+_TICKS: dict[EncodingTable, list[str]] = {}  # each table's tick JSON a key has written
 
 
 # A value the tail writer fills in; its JSON, "\u0000", is no state field's.
@@ -149,26 +149,6 @@ def _tail_json(state: SemanticState, count: int, table: EncodingTable, ticks: li
         parts += (tick, after[-1])
         states.append("".join(parts))
     return ",".join(states)
-
-
-def _trace_json(trace: tuple, k: int, table: EncodingTable, ticks: list[str]) -> str:
-    """The JSON of a trace's first k states; a settled trace shorter than k
-    goes on as settled_tail says (_tail_json)."""
-    if len(trace) >= k:
-        return _ENCODER.encode(trace[:k])
-    tail = _tail_json(trace[-1], k - len(trace), table, ticks)
-    return _ENCODER.encode(trace)[:-1] + "," + tail + "]"
-
-
-def _key_parts(traces: tuple, k: int, table: EncodingTable, ticks: list[str]) -> tuple[str, ...]:
-    """Each trace's JSON over its first k states, in tape order, encoding
-    each distinct trace object once and sharing its string.  `ticks` caches
-    the JSON of the stream's ticks under `table` (_tail_json)."""
-    encoded: dict[int, str] = {}
-    for trace in traces:
-        if id(trace) not in encoded:
-            encoded[id(trace)] = _trace_json(trace, k, table, ticks)
-    return tuple(encoded[id(trace)] for trace in traces)
 
 
 def read_cells(tape: Tape, cursor: int) -> Tape:
@@ -222,14 +202,23 @@ _BUILTIN_KEY_CAP = 64 * 1024
 _builtin_budget = 1024 * 1024
 
 
-def key_digest(key_parts: tuple[str, ...]) -> str:
-    """The first 16 hex digits of the sha256 of the joined key, streamed
-    over "[", the parts separated by ",", and "]".  The parts are JSON,
-    ASCII only, so their lengths are the joined key's byte count.  Small
-    keys are hashed by the built-in module, others by hashlib (the notes
-    above); both write the same digest."""
+def key_digest(heads: tuple[str, ...], traces: tuple, level: int, table: EncodingTable) -> str:
+    """The first 16 hex digits of the sha256 of a class's key, its family's
+    JSON over `level` states: "[", the tapes' arrays separated by ",", and
+    "]".  A head is its tape's array when its trace reaches level, and a
+    settled trace's array goes on as _tail_json writes it; each distinct
+    array is built once, hashed and dropped.  The arrays are ASCII, so their
+    lengths are the key's byte count.  Small keys are hashed by the built-in
+    module, others by hashlib (the notes above); both write the same digest."""
     global _builtin_budget
-    size = sum(map(len, key_parts)) + len(key_parts) + 1  # with the commas and brackets
+    built: dict[int, str] = {}
+    for head, trace in zip(heads, traces):
+        if len(trace) < level and id(trace) not in built:
+            tail = _tail_json(trace[-1], level - len(trace), table, _TICKS.setdefault(table, []))
+            head = f"{head[:-1]},{tail}]"
+        built.setdefault(id(trace), head)
+    parts = [built[id(trace)] for trace in traces]
+    size = sum(map(len, parts)) + len(parts) + 1  # with the commas and brackets
     if size < _BUILTIN_KEY_CAP and size <= _builtin_budget:
         _builtin_budget -= size
         digest = _builtin_sha256()(b"[")
@@ -238,7 +227,7 @@ def key_digest(key_parts: tuple[str, ...]) -> str:
 
         _builtin_budget = 0
         digest = hashlib.sha256(b"[")
-    for i, part in enumerate(key_parts):
+    for i, part in enumerate(parts):
         if i:
             digest.update(b",")
         digest.update(part.encode())
@@ -247,19 +236,20 @@ def key_digest(key_parts: tuple[str, ...]) -> str:
 
 
 class EquivClass(NamedTuple):
-    """One block of the partition at level k: its five fields, compared and
-    hashed as a tuple.  key_digest is derived on every access, so a caller
-    that needs it twice takes it once."""
+    """One block of the partition at level k: its six fields, compared and
+    hashed as a tuple.  It holds no key: key_digest writes it on every
+    access, so a caller that needs the digest twice takes it once."""
 
     k: int
     index: int
     members: tuple[Program, ...]
-    key_parts: tuple[str, ...]  # the family's JSON, one array per tape
+    heads: tuple[str, ...]  # each tape's trace JSON cut at k, one string per distinct trace
+    traces: tuple  # the creator's settled traces cut at k, one per tape
     universe_id: str
 
     @property
     def key_digest(self) -> str:
-        return key_digest(self.key_parts)
+        return key_digest(self.heads, self.traces, self.k, self.members[0].encoding)
 
 
 def level_id(ids: tuple[int, ...], level: int) -> int:
@@ -290,7 +280,6 @@ class ClassIndex:
         self.table: EncodingTable | None = None  # the encoding of the first code
         self._ids: dict[tuple, int] = {}
         self._creators: list[tuple] = []  # id -> settled traces of the code that created it
-        self._ticks: list[str] = []  # the JSON of each stream tick a key has written
 
     def ids(self, program: Program) -> tuple[int, ...]:
         """The program's class ids at levels 1..settle, from one settled
@@ -326,21 +315,25 @@ class ClassIndex:
         return tuple(ids)
 
     def partition(self, programs, level: int, ids_of=None) -> list[EquivClass]:
-        """Group programs by their level id (ids_of defaults to ids); each
-        class's key parts are encoded from the family that created the id."""
+        """Group programs by their level id (ids_of defaults to ids) and
+        sort the classes by their heads, from the family that created the
+        id (the module notes); no key is built."""
         ids_of = ids_of or self.ids
         groups: dict[int, list[Program]] = {}
         for program in programs:
             groups.setdefault(level_id(ids_of(program), level), []).append(program)
-        keyed = sorted(
-            (_key_parts(self._creators[cid], level, self.table, self._ticks), members)
-            for cid, members in groups.items()
-        )
-        classes = []
-        for index, (parts, members) in enumerate(keyed):
+        keyed = []
+        for cid, members in groups.items():
+            cut = {id(trace): trace[:level] for trace in self._creators[cid]}
+            heads = {key: _ENCODER.encode(trace) for key, trace in cut.items()}
+            tapes = [id(trace) for trace in self._creators[cid]]
             members = tuple(sorted(members, key=lambda p: (p.length, p.bits)))
-            classes.append(EquivClass(level, index, members, parts, self.universe.universe_id))
-        return classes
+            keyed.append((tuple(map(heads.get, tapes)), tuple(map(cut.get, tapes)), members))
+        keyed.sort(key=lambda entry: entry[0])
+        return [
+            EquivClass(level, index, members, heads, traces, self.universe.universe_id)
+            for index, (heads, traces, members) in enumerate(keyed)
+        ]
 
 
 def partition(programs, universe: InputUniverse, k: int) -> list[EquivClass]:

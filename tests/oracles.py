@@ -14,9 +14,29 @@ from builders import member_bits
 from udlab import dovetailer
 from udlab.dovetailer import MAX_TICKS, schedule_pair, stream_tick
 from udlab.encoding import TABLE_A, decode
-from udlab.equivalence import _key_parts, level_id, trace_family
+from udlab.equivalence import _ENCODER, _tail_json, level_id, trace_family
 from udlab.machine import run_events, run_trace, step_events
 from udlab.measure import LevelRow, class_masses
+
+
+def _trace_json(trace, k, table, ticks):
+    """The JSON of a trace's first k states; a settled trace shorter than k
+    goes on as settled_tail says (_tail_json)."""
+    if len(trace) >= k:
+        return _ENCODER.encode(trace[:k])
+    tail = _tail_json(trace[-1], k - len(trace), table, ticks)
+    return _ENCODER.encode(trace)[:-1] + "," + tail + "]"
+
+
+def key_parts(traces, k, table, ticks):
+    """Each trace's JSON over its first k states, in tape order, encoding
+    each distinct trace object once and sharing its string.  `ticks` caches
+    the JSON of the stream's ticks under `table` (_tail_json)."""
+    encoded = {}
+    for trace in traces:
+        if id(trace) not in encoded:
+            encoded[id(trace)] = _trace_json(trace, k, table, ticks)
+    return tuple(encoded[id(trace)] for trace in traces)
 
 
 def joined_key(parts):
@@ -26,7 +46,22 @@ def joined_key(parts):
 
 def family_key(program, universe, k):
     """The program's k-step trace family over the universe, as JSON."""
-    return joined_key(_key_parts(trace_family(program, universe, k), k, program.encoding, []))
+    return joined_key(key_parts(trace_family(program, universe, k), k, program.encoding, []))
+
+
+_TICKS = {}  # the oracle's own tick JSON per table, apart from the package's
+
+
+def class_parts(cls):
+    """A class's key parts, each tape's array built whole from the creator's
+    traces the class carries; its heads are not read."""
+    table = cls.members[0].encoding
+    return key_parts(cls.traces, cls.k, table, _TICKS.setdefault(table, []))
+
+
+def class_key(cls):
+    """A class's whole key, its family's JSON (class_parts)."""
+    return joined_key(class_parts(cls))
 
 
 def every_level_ids(programs, universe, top):
@@ -73,7 +108,7 @@ def u_weight(program, cls, ctx):
         raise ValueError(f"class {cls.index} is under another encoding than {ctx.encoding!r}")
     if program.bits in member_bits(cls):
         return 1
-    key = joined_key(cls.key_parts)
+    key = class_key(cls)
     for code_bits, max_step in merged_events(program, ctx.budget).items():
         if max_step >= cls.k:
             code = decode(code_bits, ctx.encoding)

@@ -140,9 +140,9 @@ def test_relative_measures_hash_each_class_once_per_encoding(monkeypatch, capsys
     hashed = []
     real_key_digest = equivalence.key_digest
 
-    def counted_key_digest(parts):
-        hashed.append(parts)
-        return real_key_digest(parts)
+    def counted_key_digest(*args):
+        hashed.append(args)
+        return real_key_digest(*args)
 
     monkeypatch.setattr(equivalence, "key_digest", counted_key_digest)
     code, out, _ = run_cli(capsys, command, "-L", "14", "-k", "1", "-T", "50", "--format", "json")

@@ -8,7 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from builders import DOVETAILING_HOSTS, from_instructions, member_bits
-from oracles import counterfactually_equivalent, every_level_ids, family_key, joined_key
+from oracles import (
+    class_key,
+    class_parts,
+    counterfactually_equivalent,
+    every_level_ids,
+    family_key,
+    joined_key,
+    key_parts,
+)
 from stepping import full_trace
 from udlab.encoding import TABLE_A, TABLE_B, decode
 from udlab.enumeration import enumerate_programs
@@ -25,6 +33,7 @@ from udlab.equivalence import (
     trace_family,
 )
 from udlab.machine import run_trace, settled_tail, step_events
+from udlab.measure import MeasureContext
 
 A_PROG = from_instructions([("IN", 0), ("IN", 1), ("OUT", 0)])
 B_PROG = from_instructions([("IN", 0), ("IN", 1), ("OUT", 1)])
@@ -138,7 +147,7 @@ def test_partition_laws():
     assert len(all_bits) == len(set(all_bits)) == len(programs)
     assert set(all_bits) == {p.bits for p in programs}
     assert [c.index for c in classes] == list(range(len(classes)))
-    keys = [joined_key(c.key_parts) for c in classes]
+    keys = [class_key(c) for c in classes]
     assert keys == sorted(keys)
 
 
@@ -192,7 +201,7 @@ def test_key_parts_join_to_json_dumps_of_the_family(table, universe):
         for k in (1, 3, 300):
             for traces in (trace_family(program, universe, k), top, settled):
                 expected = json.dumps([list(trace[:k]) for trace in top], separators=(",", ":"))
-                parts = equivalence._key_parts(traces, k, table, ticks)
+                parts = key_parts(traces, k, table, ticks)
                 assert joined_key(parts) == expected, program.bits
         tails.update(trace[-1].halted for trace in settled if len(trace) < 300)
     assert tails == {True, False}  # settled traces that halted and that dovetail
@@ -246,16 +255,18 @@ def test_trace_family_shares_runs_exactly_by_read_cells(monkeypatch, table, univ
             assert (s_trace is t_trace) == agree, (program.bits, s, t)
 
 
-def test_partition_holds_key_parts_not_joined_keys():
-    # Parts are shared by the tapes that hold one trace, so a class holds
-    # each distinct trace's JSON once; the joined key is built on demand.
+def test_partition_holds_no_key():
+    # A class holds its heads, each distinct trace's JSON cut at k, and the
+    # creator's traces; its key is written only while its digest is taken.
+    # At k=2000 every class's traces settle within a few steps, so the heads
+    # are a few hundred bytes against the hundreds of KB of the keys.
     classes = partition(enumerate_programs(12), DEFAULT_UNIVERSE, 2000)
-    held = {id(part): len(part) for c in classes for part in c.key_parts}
-    joined = sum(len(joined_key(c.key_parts)) for c in classes)
+    held = {id(head): len(head) for c in classes for head in c.heads}
     assert len(classes) == 12
-    assert sum(held.values()) * 4 < joined
+    assert sum(held.values()) < 1000
+    assert sum(len(class_key(c)) for c in classes) > 500 * sum(held.values())
     for c in classes:
-        assert c.key_digest == hashlib.sha256(joined_key(c.key_parts).encode()).hexdigest()[:16]
+        assert c.key_digest == hashlib.sha256(class_key(c).encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
@@ -278,24 +289,26 @@ def test_key_digest_is_hashlibs_on_every_route(monkeypatch, table):
     def run(keys, budget=1024 * 1024):
         monkeypatch.setattr(equivalence, "_builtin_budget", budget)
         routes.clear()
-        for parts in keys:
-            expected = reference(joined_key(parts).encode()).hexdigest()[:16]
-            assert equivalence.key_digest(parts) == expected, len(parts)
+        for args, key in keys:
+            expected = reference(key.encode()).hexdigest()[:16]
+            assert equivalence.key_digest(*args) == expected, len(key)
         return list(routes)
 
-    small = [c.key_parts for c in partition(enumerate_programs(10, table), DEFAULT_UNIVERSE, 3)]
+    classes = partition(enumerate_programs(10, table), DEFAULT_UNIVERSE, 3)
+    small = [((c.heads, c.traces, c.k, table), class_key(c)) for c in classes]
     assert run(small) == ["builtin"] * len(small)
-    spent = sum(len(joined_key(parts)) for parts in small)
+    spent = sum(len(key) for _, key in small)
     assert equivalence._builtin_budget == 1024 * 1024 - spent
 
     def sized(size):
-        # Two parts, a real one and padding, whose joined key is `size` bytes.
-        part = small[0][0]
-        return (part, "0" * (size - len(part) - 3))
+        # One tape whose trace reaches the level, so its head, padding here,
+        # is its array and the key is `size` bytes.
+        head = "0" * (size - 2)
+        return ((head,), ((None,) * 3,), 3, table), "[" + head + "]"
 
     assert run([sized(64 * 1024 - 1)]) == ["builtin"]
     assert run([sized(64 * 1024), small[0]]) == ["hashlib", "hashlib"]
-    first = len(joined_key(small[0]))
+    first = len(small[0][1])
     assert run([small[0]], budget=first) == ["builtin"]
     assert run([small[0]], budget=first - 1) == ["hashlib"]
     # 17 keys of 60,000 bytes fit in 1 MiB; the 18th and every key after it
@@ -304,11 +317,43 @@ def test_key_digest_is_hashlibs_on_every_route(monkeypatch, table):
     assert equivalence._builtin_budget == 0
 
 
-def test_class_is_its_five_fields():
+def test_class_is_its_six_fields():
     cls = partition(enumerate_programs(8), DEFAULT_UNIVERSE, 2)[0]
-    assert EquivClass._fields == ("k", "index", "members", "key_parts", "universe_id")
+    assert EquivClass._fields == ("k", "index", "members", "heads", "traces", "universe_id")
     rebuilt = EquivClass(**cls._asdict())
     assert rebuilt == cls and hash(rebuilt) == hash(cls) and rebuilt.key_digest == cls.key_digest
+
+
+@pytest.mark.parametrize("k", [1, 7, 300])
+@pytest.mark.parametrize("universe", UNIVERSES, ids=UNIVERSE_IDS)
+@pytest.mark.parametrize("table", [TABLE_A, TABLE_B], ids=["A", "B"])
+def test_classes_sort_and_digest_as_their_joined_keys(table, universe, k):
+    # Oracle: group the programs by their whole family keys, built afresh,
+    # index the groups in the keys' string order and take hashlib's digest
+    # of each key.  partition and a MeasureContext whose top is above k
+    # must give the same (index, digest, members) list, though they sort by
+    # heads and write each key only while they hash it.
+    programs = enumerate_programs(14, table)
+    groups = {}
+    for p in programs:
+        groups.setdefault(family_key(p, universe, k), set()).add(p.bits)
+    expected = [
+        (i, hashlib.sha256(key.encode()).hexdigest()[:16], groups[key])
+        for i, key in enumerate(sorted(groups))
+    ]
+    classes = partition(programs, universe, k)
+    ctx = MeasureContext(max_len=14, k=k + 3, budget=0, universe=universe, encoding=table)
+    for found in (classes, ctx.partition(k)):
+        assert [(c.index, c.key_digest, member_bits(c)) for c in found] == expected
+    # The order is decided past the first tape, and between a trace that
+    # settled and one that settled later or not at all, on the tape where
+    # two neighbouring classes' keys first differ.
+    later = settled = False
+    for c, d in zip(classes, classes[1:]):
+        tape = next(t for t, (p, q) in enumerate(zip(class_parts(c), class_parts(d))) if p != q)
+        later |= tape > 0
+        settled |= len(c.traces[tape]) != len(d.traces[tape])
+    assert later == (len(universe.tapes) > 1) and settled == (k > 1)
 
 
 @pytest.mark.parametrize("top", [1, 7, 40])
@@ -327,7 +372,7 @@ def test_class_index_partitions_equal_family_key_grouping(table, universe, top):
             groups.setdefault(family_key(p, universe, level), set()).add(p.bits)
         expected = [(i, key, groups[key]) for i, key in enumerate(sorted(groups))]
         classes = index.partition(programs, level, lambda p: ids[p.bits])
-        assert [(c.index, joined_key(c.key_parts), member_bits(c)) for c in classes] == expected, level
+        assert [(c.index, class_key(c), member_bits(c)) for c in classes] == expected, level
         assert all(c.k == level and c.universe_id == universe.universe_id for c in classes)
 
 
@@ -439,9 +484,7 @@ def test_refine_rejects_a_child_that_straddles_parents():
     mapping = refine(parents, children)
     first = children[0]
     second = next(c for c in children if mapping[c.index] != mapping[first.index])
-    merged = EquivClass(
-        first.k, first.index, first.members + second.members, first.key_parts, first.universe_id
-    )
+    merged = first._replace(members=first.members + second.members)
     straddling = [merged] + [c for c in children if c not in (first, second)]
     with pytest.raises(RefinementViolation, match="straddles"):
         refine(parents, straddling)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from builders import from_instructions, member_bits
-from oracles import family_key, joined_key, level_rows, merged_events, relative_measure, u_weight
+from oracles import class_key, family_key, level_rows, merged_events, relative_measure, u_weight
 from peak_rss import forked_peak_rss
 from udlab import equivalence
 from udlab.cli import fraction_str, main
@@ -194,7 +194,7 @@ def test_measure_monotone_in_budget_and_length():
     # Length growth: the same class key gains members and emulators at L=10.
     classes_10 = classes_at(10, 1)
     halted_10 = class_containing(classes_10, "1111")
-    assert joined_key(halted_10.key_parts) == joined_key(halted.key_parts)
+    assert class_key(halted_10) == class_key(halted)
     for budget in (0, 1, 10):
         wider = class_masses(make_ctx(max_len=10, budget=budget), 1)[halted_10.index]
         assert wider >= class_masses(make_ctx(budget=budget), 1)[halted.index]
@@ -325,7 +325,7 @@ def test_reached_ids_agree_with_the_merged_summary(max_len, variant, universe):
         ctx = table_ctx(variant, 6, budget, max_len, universe)
         for level in range(1, 7):
             classes = ctx.partition(level)
-            index_of_key = {joined_key(cls.key_parts): cls.index for cls in classes}
+            index_of_key = {class_key(cls): cls.index for cls in classes}
             index_of_id = {level_id(ctx.class_ids(cls.members[0]), level): cls.index for cls in classes}
             for program in ctx.programs:
                 expected = set()
@@ -392,22 +392,23 @@ def test_class_masses_equal_per_class_masses(variant):
 
 def test_a_level_is_partitioned_and_keyed_once(monkeypatch):
     # The handler's partition and the mass pass share one list, so the pass
-    # encodes no key of its own.
+    # sorts no class and writes no key of its own.
     ctx = make_ctx(max_len=12, k=2, budget=200)
     classes = ctx.partition(2)
     assert ctx.partition(2) is classes
 
     def unexpected(*args):
-        raise AssertionError("a key was encoded again")
+        raise AssertionError("a class was sorted or keyed again")
 
-    monkeypatch.setattr(equivalence, "_key_parts", unexpected)
+    monkeypatch.setattr(ClassIndex, "partition", unexpected)
+    monkeypatch.setattr(equivalence, "key_digest", unexpected)
     assert len(class_masses(ctx, 2)) == len(classes)
     assert len(decomposition_check(ctx, 2)) == len(classes)
 
 
 def test_class_built_from_its_members_alone_gets_their_bits():
     halted = class_containing(classes_at(8, 1), "1111")
-    rebuilt = EquivClass(halted.k, halted.index, halted.members, halted.key_parts, "default")
+    rebuilt = EquivClass(halted.k, halted.index, halted.members, halted.heads, halted.traces, "default")
     assert member_bits(rebuilt) == {"1111", "00001111"} == member_bits(halted)
     ctx = make_ctx()
     assert u_weight(decode("1111"), rebuilt, ctx) == 1
